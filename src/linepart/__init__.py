@@ -19,7 +19,6 @@ from .boundary import (
     make_split_points,
     make_windows,
     mincut_window,
-    set_max_workers,
     window_crossing_weight,
 )
 from .graph import (

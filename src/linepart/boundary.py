@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,21 +41,11 @@ __all__ = [
     "crossing_cost",
     "dp_partition",
     "dp_base_layer",
-    "set_max_workers",
 ]
 
 log = logging.getLogger(__name__)
 
 _REL_TOL = 1e-9
-_max_workers: int = 1
-
-
-def set_max_workers(n: int) -> None:
-    """Cap parallelism for per-window tasks. Results are independent of n."""
-    global _max_workers
-    if n < 1:
-        raise ValueError("worker count must be positive")
-    _max_workers = int(n)
 
 
 @dataclass
@@ -383,9 +372,8 @@ def apply_window_stage(
 ) -> tuple[Ordering, SplitPoints, list[tuple]]:
     """Run one window optimizer over every window and apply accepted results.
 
-    Windows are disjoint, so per-window tasks run against an immutable
-    snapshot (optionally in parallel; results are applied in window order
-    and are independent of worker count). A window's proposal is accepted
+    Windows are disjoint, so every window is optimized against the same
+    immutable snapshot and the results are applied in window order. A window's proposal is accepted
     only if it does not increase the true local cut against the frozen
     exterior; the window objective alone can overcount edges to far-away
     parts as variable. Returns the new ordering, the new split points, and
@@ -402,16 +390,8 @@ def apply_window_stage(
     for j in range(splits.k):
         part_of[o.vertex_at[splits.q[j] : splits.q[j + 1]]] = j
 
-    def task(win: Window):
-        if method == "linopt":
-            return linopt_window(g, o, win)
-        return mincut_window(g, o, win)
-
-    if _max_workers > 1 and len(windows) > 1:
-        with ThreadPoolExecutor(max_workers=_max_workers) as pool:
-            results = list(pool.map(task, windows))
-    else:
-        results = [task(w) for w in windows]
+    optimize = linopt_window if method == "linopt" else mincut_window
+    results = [optimize(g, o, win) for win in windows]
 
     tol = 1e-12 * max(1.0, g.total_edge_weight)
     new_q = splits.q.copy()
@@ -556,27 +536,11 @@ class DpResult:
     cut_value: float
     split_ranks: np.ndarray | None  # k+1 boundaries on original ranks
     split_blocks: np.ndarray | None  # k+1 boundaries in block space
-    peak_live_layers: int = 0
 
     def split_points(self, alpha: float) -> SplitPoints:
         if not self.feasible or self.split_ranks is None:
             raise ValueError("no feasible partition to convert")
         return SplitPoints(self.split_ranks, alpha)
-
-
-def _needed_part_counts(k: int) -> list[int]:
-    """The part counts reachable from k by repeated halving, ascending."""
-    needed = set()
-    frontier = {k}
-    while frontier:
-        q = frontier.pop()
-        if q in needed:
-            continue
-        needed.add(q)
-        if q > 1:
-            frontier.add(q // 2)
-            frontier.add((q + 1) // 2)
-    return sorted(needed)
 
 
 def dp_base_layer(
@@ -609,73 +573,41 @@ def dp_partition(
 ) -> DpResult:
     """Optimal alpha-balanced contiguous k-partition of the supernode line.
 
-    Computes the halved recursion A[i][e][q] = min over mid of
-    A[i][mid][floor(q/2)] + A[mid][e][ceil(q/2)] + crossing(i, mid, e),
-    touching only part counts reachable from k by halving, with no more
-    than three value layers alive at once. By default every part must also
-    meet the lower balance bound (so exactly k nonempty parts come out);
+    A left-to-right chain DP over block boundaries. Each cut edge is counted
+    once, at the part holding its right endpoint, so part [s', s) costs
+    C[s', s] = S[s', s] - S[s', s'] with S the 2-D prefix of superedge
+    weight, plus the 0/inf balance mask of ``dp_base_layer``. Then
+    f_1(s) = C[0, s], f_j(s) = min over s' of f_{j-1}(s') + C[s', s], and
+    the optimum is f_k(b). Ties go to the smallest s'. Runs in O(k b^2) time
+    with two (b+1)^2 float arrays (the cost matrix and one reused buffer)
+    plus a (k, b+1) backpointer table. By default every part must also meet
+    the lower balance bound (so exactly k nonempty parts come out);
     ``allow_empty_parts`` switches to the upper-bound-only rule where empty
     parts are legal.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     b = cg.block_count
-    counts = _needed_part_counts(k)
-    refs: dict[int, int] = {q: 0 for q in counts}
-    for q in counts:
-        if q > 1:
-            refs[q // 2] += 1
-            if (q + 1) // 2 != q // 2:
-                refs[(q + 1) // 2] += 1
-
     s = cg._prefix
-    # intra[i][e]: edge weight wholly inside [i, e) = (S[e,e] - 2 S[i,e] + S[i,i]) / 2
-    diag = s.diagonal()
-    intra = (diag[None, :] - 2 * s + diag[:, None]) / 2.0
-    intra[np.arange(b + 1)[:, None] > np.arange(b + 1)[None, :]] = 0.0
+    cost = dp_base_layer(cg, k, alpha, allow_empty_parts)
+    cost += s  # infeasible ranges stay inf
+    cost -= s.diagonal()[:, None]
 
-    layers: dict[int, np.ndarray] = {}
-    backptr: dict[int, np.ndarray] = {}
-    layers[1] = dp_base_layer(cg, k, alpha, allow_empty_parts)
-    peak = 1
-    for q in counts:
-        if q == 1:
-            continue
-        a, c = q // 2, (q + 1) // 2
-        da = layers[a] - intra  # inf stays inf
-        dc = layers[c] - intra
-        val = np.full((b + 1, b + 1), np.inf)
-        bp = np.zeros((b + 1, b + 1), dtype=np.int32)
-        buf = np.empty((b + 1, b + 1), dtype=np.float64)
-        for i in range(b + 1):
-            np.add(da[i][:, None], dc, out=buf)
-            mid = np.argmin(buf, axis=0)
-            cols = np.arange(b + 1)
-            val[i] = buf[mid, cols] + intra[i]
-            bp[i] = mid
-        layers[q] = val
-        backptr[q] = bp
-        peak = max(peak, len(layers))
-        for child in {a, c}:
-            refs[child] -= 1
-            if refs[child] == 0 and child != k:
-                del layers[child]
+    buf = np.empty_like(cost)
+    backptr = np.zeros((k, b + 1), dtype=np.intp)  # row 0: first part starts at 0
+    cols = np.arange(b + 1)
+    f = cost[0]
+    for j in range(1, k):
+        np.add(f[:, None], cost, out=buf)
+        np.argmin(buf, axis=0, out=backptr[j])
+        f = buf[backptr[j], cols]
 
-    answer = float(layers[k][0, b])
+    answer = float(f[b])
     if not np.isfinite(answer):
-        return DpResult(False, np.inf, None, None, peak)
-
-    boundaries: list[int] = []
-
-    def recover(i: int, e: int, q: int) -> None:
-        if q == 1:
-            return
-        mid = int(backptr[q][i, e])
-        recover(i, mid, q // 2)
-        boundaries.append(mid)
-        recover(mid, e, (q + 1) // 2)
-
-    recover(0, b, k)
-    split_blocks = np.array([0] + boundaries + [b], dtype=np.int64)
+        return DpResult(False, np.inf, None, None)
+    split_blocks = np.empty(k + 1, dtype=np.int64)
+    split_blocks[k] = b
+    for j in range(k - 1, -1, -1):
+        split_blocks[j] = backptr[j, split_blocks[j + 1]]
     split_ranks = cg.block_starts[split_blocks]
-    return DpResult(True, answer, split_ranks, split_blocks, peak)
+    return DpResult(True, answer, split_ranks, split_blocks)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 
 import numpy as np
@@ -20,7 +19,6 @@ from .boundary import (
     contract_blocks,
     dp_partition,
     make_split_points,
-    set_max_workers,
 )
 from .graph import (
     GraphFormatError,
@@ -32,7 +30,7 @@ from .graph import (
     query_weighted_graph,
 )
 from .ordering import affinity_ordering, hilbert_ordering, random_ordering
-from .pipeline import INITIAL_ORDERINGS, STAGES, PipelineConfig, combine
+from .pipeline import DEFAULT_DP_BLOCKS, INITIAL_ORDERINGS, STAGES, PipelineConfig, combine
 from .refine import make_swap_plan, minla_refine, rank_swap_round
 
 log = logging.getLogger(__name__)
@@ -50,14 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linepart",
         description="Balanced k-way graph partitioning via linear embedding.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap worker parallelism (default: machine parallelism); "
-        "results are independent of N",
     )
     parser.add_argument(
         "-v", "--verbose", action="store_true", help="log progress to stderr"
@@ -117,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True, metavar="A")
     p.add_argument(
         "--blocks", type=int, default=None, metavar="B",
-        help="dp contraction block count (default min(n, 1000))",
+        help=f"dp contraction block count (default min(n, {DEFAULT_DP_BLOCKS}))",
     )
     p.add_argument(
         "--allow-empty-parts",
@@ -222,7 +212,7 @@ def _cmd_postprocess(args) -> int:
     ordering = io.load_ordering(g, args.ordering)
     splits = make_split_points(g, ordering, args.k, args.alpha)
     if args.method == "dp":
-        blocks = args.blocks or min(g.n, 1000)
+        blocks = args.blocks or min(g.n, DEFAULT_DP_BLOCKS)
         cg = contract_blocks(g, ordering, blocks)
         res = dp_partition(cg, args.k, args.alpha, args.allow_empty_parts)
         if not res.feasible:
@@ -325,7 +315,6 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(message)s",
     )
-    set_max_workers(args.threads if args.threads else (os.cpu_count() or 1))
     try:
         return _HANDLERS[args.command](args)
     except _Infeasible as exc:

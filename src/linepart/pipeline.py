@@ -109,14 +109,21 @@ def _state_cut(g: Graph, o: Ordering, s: SplitPoints) -> tuple[float, float, Par
     return w, f, part
 
 
-def _run_stage(
+def run_stage(
     stage: str,
     g: Graph,
     o: Ordering,
     s: SplitPoints,
-    cfg: PipelineConfig,
-    iteration: int,
+    cfg: PipelineConfig | None = None,
+    iteration: int = 0,
 ) -> tuple[Ordering, SplitPoints, str]:
+    """Apply one named stage to (ordering, splits).
+
+    Returns the new ordering, the new splits, and a note that is empty
+    unless the stage was skipped or rejected.
+    """
+    if cfg is None:
+        cfg = PipelineConfig(k=s.k, alpha=s.alpha)
     note = ""
     if stage == "metric":
         st = refine.minla_refine(g, o, cfg.minla_max_rounds)
@@ -164,21 +171,6 @@ def _run_stage(
     return o, s, note
 
 
-def run_stage(
-    stage: str,
-    g: Graph,
-    o: Ordering,
-    s: SplitPoints,
-    cfg: PipelineConfig | None = None,
-    iteration: int = 0,
-) -> tuple[Ordering, SplitPoints]:
-    """Apply one named stage to (ordering, splits)."""
-    if cfg is None:
-        cfg = PipelineConfig(k=s.k, alpha=s.alpha)
-    o2, s2, _ = _run_stage(stage, g, o, s, cfg, iteration)
-    return o2, s2
-
-
 def _initial_ordering(g: Graph, cfg: PipelineConfig) -> Ordering:
     if cfg.initial_ordering == "random":
         return random_ordering(g, cfg.seed)
@@ -215,7 +207,7 @@ def combine(g: Graph, cfg: PipelineConfig) -> PipelineReport:
         iterations = it
         pass_start = (ordering.vertex_at.copy(), splits.q.copy())
         for stage in cfg.stages:
-            o2, s2, note = _run_stage(stage, g, ordering, splits, cfg, it)
+            o2, s2, note = run_stage(stage, g, ordering, splits, cfg, it)
             changed = not (
                 np.array_equal(o2.vertex_at, ordering.vertex_at)
                 and np.array_equal(s2.q, splits.q)

@@ -20,7 +20,7 @@ from linepart.boundary import (
     window_crossing_weight,
     window_half_width,
 )
-from linepart.graph import Partition, cut_weight
+from linepart.graph import Partition, check_balance, cut_weight
 from linepart.ordering import Ordering
 
 from conftest import make_graph, path_graph, random_graph
@@ -427,7 +427,7 @@ def test_dp_matches_exhaustive(alpha, k):
             assert res.cut_value == pytest.approx(best)
 
 
-def test_dp_halving_equals_full_recursion():
+def test_dp_chain_equals_full_recursion():
     rng = np.random.default_rng(77)
     for _ in range(12):
         b = int(rng.integers(4, 10))
@@ -435,12 +435,12 @@ def test_dp_halving_equals_full_recursion():
         k = int(rng.integers(2, 6))
         alpha = float(rng.choice([0.0, 0.25, 0.6]))
         for allow in (False, True):
-            halved = dp_partition(cg, k, alpha, allow)
+            chain = dp_partition(cg, k, alpha, allow)
             full = reference_dp_value(cg, k, alpha, allow)
-            if not halved.feasible:
+            if not chain.feasible:
                 assert np.isinf(full)
             else:
-                assert halved.cut_value == pytest.approx(full)
+                assert chain.cut_value == pytest.approx(full)
 
 
 def test_dp_allow_empty_parts_reproduces_upper_bound_only_rule():
@@ -470,14 +470,19 @@ def test_dp_value_matches_reconstructed_partition():
         splits = res.split_points(0.25)
         p = Partition.from_contiguous(o, splits, g)
         assert cut_weight(g, p)[0] == pytest.approx(res.cut_value)
+        assert check_balance(g, p, 0.25).balanced
 
 
-def test_dp_keeps_at_most_three_live_layers():
+def test_dp_large_k_matches_full_recursion():
     rng = np.random.default_rng(15)
     cg = random_contracted(rng, 10)
     for k in (2, 3, 5, 7, 11, 23, 40):
         res = dp_partition(cg, k, 1.0, allow_empty_parts=True)
-        assert res.peak_live_layers <= 3
+        full = reference_dp_value(cg, k, 1.0, allow_empty=True)
+        if not res.feasible:
+            assert np.isinf(full)
+        else:
+            assert res.cut_value == pytest.approx(full)
 
 
 # -- window stage plumbing -----------------------------------------------------------

@@ -80,15 +80,6 @@ def test_combine_byte_identical_reruns(tmp_path, capsys, cliques):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_combine_threads_do_not_change_output(tmp_path, capsys, cliques):
-    a, b = tmp_path / "a.out", tmp_path / "b.out"
-    run(capsys, "combine", "--graph", cliques, "-k", "2", "--alpha", "0.25",
-        "-o", a)
-    run(capsys, "--threads", "3", "combine", "--graph", cliques, "-k", "2",
-        "--alpha", "0.25", "-o", b)
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_order_and_refine_round_trip(tmp_path, capsys, cliques):
     ord_path = tmp_path / "ord.tsv"
     code, _, _ = run(
@@ -151,6 +142,32 @@ def test_postprocess_dp_infeasible_exit_code(tmp_path, capsys):
     assert code == 2
     assert "infeasible" in err
     assert not (tmp_path / "splits.txt").exists()
+
+
+def test_postprocess_dp_allow_empty_parts_writes_optimal_splits(tmp_path, capsys, cliques):
+    ord_path = tmp_path / "ord.tsv"
+    run(capsys, "order", "--method", "random", "--graph", cliques, "--seed", "3",
+        "-o", ord_path)
+    splits_path = tmp_path / "splits.txt"
+    code, out, _ = run(
+        capsys, "postprocess", "--method", "dp", "--graph", cliques,
+        "--ordering", ord_path, "-k", "3", "--alpha", "0.5",
+        "--allow-empty-parts", "-o", splits_path,
+    )
+    assert code == 0
+    values = [int(x) for x in splits_path.read_text().split()]
+    assert len(values) == 4 and values[0] == 0 and values[-1] == 8
+    sizes = [b - a for a, b in zip(values, values[1:])]
+    assert all(0 <= size <= 4 for size in sizes)  # (1 + alpha) * n / k = 4
+    part = tmp_path / "part.tsv"
+    rank_of = {line.split("\t")[0]: int(line.split("\t")[1])
+               for line in ord_path.read_text().splitlines()}
+    part.write_text("".join(
+        f"{v}\t{sum(r >= q for q in values[1:-1])}\n" for v, r in rank_of.items()
+    ))
+    _, evaluated, _ = run(capsys, "evaluate", "--graph", cliques, "--partition", part)
+    cut = next(line for line in out.splitlines() if line.startswith("cut_value\t"))
+    assert cut.split("\t")[1] == evaluated.splitlines()[0].split("\t")[1]
 
 
 def test_weigh_queries(tmp_path, capsys):

@@ -75,12 +75,12 @@ def test_figure_instance_linopt_then_mincut():
     splits = make_split_points(g, o, 2, 1.6)
     cfg = PipelineConfig(k=2, alpha=1.6)
 
-    o1, s1 = run_stage("linopt", g, o, splits, cfg)
+    o1, s1, _ = run_stage("linopt", g, o, splits, cfg)
     cut1 = cut_weight(g, Partition.from_contiguous(o1, s1, g))[0]
     assert s1.q.tolist() == [0, 2, 10]
     assert cut1 == 4.0
 
-    o2, s2 = run_stage("mincut", g, o1, s1, cfg)
+    o2, s2, _ = run_stage("mincut", g, o1, s1, cfg)
     cut2 = cut_weight(g, Partition.from_contiguous(o2, s2, g))[0]
     assert cut2 == 1.0  # strict improvement over the order-respecting optimum
     assert sorted(o2.vertex_at[1:5].tolist()) == [1, 3, 7, 8]
@@ -95,8 +95,8 @@ def test_linopt_stage_reaches_a_fixed_point():
     splits = make_split_points(g, o, 3, 0.2)
     cfg = PipelineConfig(k=3, alpha=0.2)
     for _ in range(4):
-        o, splits = run_stage("linopt", g, o, splits, cfg)
-    o2, s2 = run_stage("linopt", g, o, splits, cfg)
+        o, splits, _ = run_stage("linopt", g, o, splits, cfg)
+    o2, s2, _ = run_stage("linopt", g, o, splits, cfg)
     assert np.array_equal(o.vertex_at, o2.vertex_at)
     assert np.array_equal(splits.q, s2.q)
 
@@ -107,7 +107,7 @@ def test_dp_stage_with_identity_blocks_matches_exhaustive():
     o = Ordering.from_vertex_at(rng.permutation(12))
     splits = make_split_points(g, o, 3, 0.25)
     cfg = PipelineConfig(k=3, alpha=0.25, dp_blocks=12)
-    o2, s2 = run_stage("dp", g, o, splits, cfg)
+    o2, s2, _ = run_stage("dp", g, o, splits, cfg)
     assert np.array_equal(o2.vertex_at, o.vertex_at)  # dp never reorders
     value = cut_weight(g, Partition.from_contiguous(o2, s2, g))[0]
     cg = contract_blocks(g, o, 12)
@@ -134,7 +134,7 @@ def test_metric_stage_resets_splits_only_on_reorder():
     splits = make_split_points(g, o, 2, 0.5)
     moved = type(splits)(np.array([0, 3, 8]), 0.5)
     cfg = PipelineConfig(k=2, alpha=0.5)
-    o2, s2 = run_stage("metric", g, o, moved, cfg)
+    o2, s2, _ = run_stage("metric", g, o, moved, cfg)
     assert np.array_equal(s2.q, moved.q)  # no reorder, splits untouched
 
 
