@@ -10,6 +10,12 @@ optimizers work on windows or the whole boundary set:
 * a two-terminal minimum cut that may also permute the window's vertices,
 * contraction of contiguous rank blocks into supernodes followed by a
   dynamic program that places all k-1 boundaries at once.
+
+Every window path gathers the window's edges once (``_window_edges``) and
+prices bipartitions with one vectorized evaluator (``_window_cut``): against
+a before/after exterior for the optimizers' objective, and against the
+frozen current parts for acceptance, since an edge to a part not next to the
+window is cut whichever side its window end takes.
 """
 
 from __future__ import annotations
@@ -173,80 +179,89 @@ def make_windows(g: Graph, o: Ordering, k: int, alpha: float) -> list[Window]:
     return windows
 
 
+# -- the window cut evaluator ---------------------------------------------
+
+_Edges = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _window_edges(g: Graph, o: Ordering, win: Window) -> _Edges:
+    """Every edge with an end among the window's vertices, gathered once.
+
+    Returns (row, rank, w): the window position of the edge's window end
+    (rank lo+row), the rank of its other end, and its weight. An edge with
+    both ends inside the window appears once, at its lower-ranked end.
+    """
+    members = o.vertex_at[win.lo : win.hi]
+    start = g.adj_indptr[members]
+    deg = g.adj_indptr[members + 1] - start
+    row = np.repeat(np.arange(len(members)), deg)
+    slot = np.repeat(start - (np.cumsum(deg) - deg), deg) + np.arange(len(row))
+    rank = o.rank_of[g.adj_indices[slot]]
+    keep = (rank < win.lo) | (rank > win.lo + row)
+    return row[keep], rank[keep], g.adj_weights[slot[keep]]
+
+
+def _window_cut(
+    edges: _Edges, win: Window, left_mask: np.ndarray, q: np.ndarray | None = None
+) -> float:
+    """Weight of the window's edges whose ends land in different parts.
+
+    Window vertex i joins part win.index-1 if ``left_mask[i]``, else part
+    win.index. With ``q=None`` every other vertex sits before or after the
+    window (parts win.index-1 and win.index): the window objective, which
+    leaves out the constant before-to-after edges. With split points ``q``
+    every other vertex keeps its part under ``q`` (the frozen exterior).
+    """
+    row, rank, w = edges
+    side = np.where(left_mask, win.index - 1, win.index)
+    if q is None:
+        part = np.where(rank < win.lo, win.index - 1, win.index)
+    else:
+        part = np.searchsorted(q, rank, side="right") - 1
+    inside = (rank >= win.lo) & (rank < win.hi)
+    part[inside] = side[rank[inside] - win.lo]
+    return float(w[side[row] != part].sum())
+
+
 def window_crossing_weight(g: Graph, o: Ordering, win: Window, split: int) -> float:
     """Weight of edges crossing ``split``, excluding constant before-to-after
     edges (those with no endpoint among the window's vertices)."""
     if not win.lo <= split <= win.hi:
         raise ValueError(f"split {split} outside window [{win.lo}, {win.hi}]")
-    ranks = o.rank_of
-    total = 0.0
-    for r in range(win.lo, win.hi):
-        v = int(o.vertex_at[r])
-        nbr, wt = g.neighbors(v)
-        nr = ranks[nbr]
-        dup = (nr >= win.lo) & (nr < win.hi) & (nr < r)  # counted at other end
-        crossing = (np.minimum(nr, r) < split) & (np.maximum(nr, r) >= split)
-        total += float(wt[crossing & ~dup].sum())
-    return total
-
-
-def _bipartition_crossing_weight(
-    g: Graph,
-    o: Ordering,
-    win: Window,
-    left_mask: np.ndarray,
-) -> float:
-    """Crossing weight of an arbitrary bipartition of the window vertices.
-
-    ``left_mask[i]`` marks whether the vertex at rank lo+i joins the
-    before-side. Edges wholly outside the window are excluded (constant).
-    """
-    lo, hi = win.lo, win.hi
-    ranks = o.rank_of
-    on_left = np.zeros(o.n, dtype=bool)
-    on_left[:lo] = True
-    on_left[lo:hi] = left_mask
-    total = 0.0
-    for i in range(hi - lo):
-        r = lo + i
-        v = int(o.vertex_at[r])
-        nbr, wt = g.neighbors(v)
-        nr = ranks[nbr]
-        dup = (nr >= lo) & (nr < hi) & (nr < r)
-        crossing = on_left[nr] != on_left[r]
-        total += float(wt[crossing & ~dup].sum())
-    return total
+    return _window_cut(_window_edges(g, o, win), win, np.arange(win.lo, win.hi) < split)
 
 
 # -- per-window optimizers -----------------------------------------------
 
 
-def linopt_window(g: Graph, o: Ordering, win: Window) -> int:
-    """Cheapest order-respecting split in the window via one prefix scan.
-
-    Scans candidates left to right, maintaining the crossing weight by
-    subtracting edges to the left of the passed vertex and adding edges to
-    its right. Ties go to the split closest to the balanced center, then to
-    the smaller index. Runs in O(|V_W| + |E_W|) plus the scan sort.
-    """
+def _linopt_split(edges: _Edges, win: Window) -> int:
+    """The linear scan of ``linopt_window`` over a gathered edge slice."""
+    row, rank, w = edges
     lo, hi = win.lo, win.hi
-    if hi <= lo:
-        return lo
-    ranks = o.rank_of
-    c0 = 0.0
-    deltas = np.empty(hi - lo, dtype=np.float64)
-    for t in range(hi - lo):
-        v = int(o.vertex_at[lo + t])
-        nbr, wt = g.neighbors(v)
-        nr = ranks[nbr]
-        c0 += float(wt[nr < lo].sum())
-        deltas[t] = float(wt[nr > lo + t].sum()) - float(wt[nr < lo + t].sum())
-    c = np.empty(hi - lo + 1, dtype=np.float64)
-    c[0] = c0
-    c[1:] = c0 + np.cumsum(deltas)
+    # Moving the split past a vertex starts cutting its edges to later
+    # ranks and stops cutting those to earlier ranks.
+    ahead = rank >= lo
+    inner = ahead & (rank < hi)
+    delta = np.bincount(row, np.where(ahead, w, -w), hi - lo)
+    delta -= np.bincount(rank[inner] - lo, w[inner], hi - lo)
+    c = np.concatenate([[0.0], np.cumsum(delta)]) + w[~ahead].sum()
     s = np.arange(lo, hi + 1)
     pick = int(np.lexsort((s, np.abs(s - win.center), c))[0])
     return lo + pick
+
+
+def linopt_window(g: Graph, o: Ordering, win: Window) -> int:
+    """Cheapest order-respecting split in the window via one prefix scan.
+
+    The window objective at every candidate split is the edges to the
+    before-block plus a running sum of per-vertex changes, each taken with
+    ``np.bincount`` over the window's edge slice. Ties go to the split
+    closest to the balanced center, then to the smaller index. Runs in
+    O(|V_W| + |E_W|) plus the scan sort.
+    """
+    if win.hi <= win.lo:
+        return win.lo
+    return _linopt_split(_window_edges(g, o, win), win)
 
 
 @dataclass
@@ -272,96 +287,61 @@ def mincut_window(
 
     Everything before the window contracts into the source, everything after
     into the sink; window-internal edges keep their weight in both
-    directions. Among minimum cuts the canonical source-side-minimal one is
-    taken (residual reachability). Vertices with no incident instance edges
-    are indifferent, so they are placed to pull the split toward the
-    balanced center. Both sides keep their previous relative order, which
-    makes a rerun a no-op. If the flow exceeds the augmentation budget the
+    directions. The terminal capacities come from one ``np.bincount`` each
+    over the window's edge slice, which also gives the reported cut value.
+    Among minimum cuts the canonical source-side-minimal one is taken
+    (residual reachability). Vertices with no incident instance edges are
+    indifferent, so they are placed to pull the split toward the balanced
+    center. Both sides keep their previous relative order, which makes a
+    rerun a no-op. If the flow exceeds the augmentation budget the
     order-respecting scan is used instead and the result is flagged.
     """
     lo, hi = win.lo, win.hi
     nw = hi - lo
-    members = [int(v) for v in o.vertex_at[lo:hi]]
+    members = o.vertex_at[lo:hi]
     if nw == 0:
         return WindowCutResult(win, [], [], [], lo, 0.0, False)
     if max_augmentations is None:
         max_augmentations = 1000 + 100 * nw
-    ranks = o.rank_of
-    local = {v: i for i, v in enumerate(members)}
+    edges = _window_edges(g, o, win)
+    row, rank, w = edges
+    before, after = rank < lo, rank >= hi
+    inner = ~before & ~after
+    src_cap = np.bincount(row[before], w[before], nw)
+    snk_cap = np.bincount(row[after], w[after], nw)
+    incident = np.bincount(row, w, nw) + np.bincount(rank[inner] - lo, w[inner], nw)
+
     net = FlowNetwork(nw + 2)
     s, t = nw, nw + 1
-    incident = np.zeros(nw, dtype=np.float64)
-    for i, v in enumerate(members):
-        nbr, wt = g.neighbors(v)
-        nr = ranks[nbr]
-        src_cap = float(wt[nr < lo].sum())
-        snk_cap = float(wt[nr >= hi].sum())
-        if src_cap > 0:
-            net.add_edge(s, i, src_cap)
-        if snk_cap > 0:
-            net.add_edge(i, t, snk_cap)
-        incident[i] += src_cap + snk_cap
-        inside = (nr >= lo) & (nr < hi)
-        for x, wx in zip(nbr[inside], wt[inside]):
-            j = local[int(x)]
-            incident[i] += float(wx)
-            if j > i and wx > 0:
-                net.add_edge(i, j, float(wx), float(wx))
+    # Arcs go in vertex by vertex: s->i, i->t, then i's positive internal
+    # edges to later window vertices (each with its weight both ways).
+    src = np.flatnonzero(src_cap > 0)
+    snk = np.flatnonzero(snk_cap > 0)
+    both = inner & (w > 0)
+    owner = np.concatenate([src, snk, row[both]])
+    tail = np.concatenate([np.full(len(src), s), snk, row[both]])
+    head = np.concatenate([src, np.full(len(snk), t), rank[both] - lo])
+    cap = np.concatenate([src_cap[src], snk_cap[snk], w[both]])
+    cap_rev = np.concatenate([np.zeros(len(src) + len(snk)), w[both]])
+    arcs = np.argsort(owner, kind="stable")
+    for u, v, c, c_rev in zip(*(a[arcs].tolist() for a in (tail, head, cap, cap_rev))):
+        net.add_edge(u, v, c, c_rev)
     _, exceeded = net.max_flow(s, t, max_augmentations)
     if exceeded:
-        split = linopt_window(g, o, win)
-        left = members[: split - lo]
-        right = members[split - lo :]
-        value = window_crossing_weight(g, o, win, split)
         log.warning("window %d: flow budget exhausted, linear-scan fallback", win.index)
-        return WindowCutResult(win, left, right, left + right, split, value, True)
-
-    reach = net.source_side(s)[:nw]
-    free = incident <= 0.0
-    left_mask = reach & ~free
-    # Indifferent vertices drift toward the balanced center.
-    need = int(np.clip(win.center - lo - int(left_mask.sum()), 0, int(free.sum())))
-    if need:
-        free_idx = np.flatnonzero(free)[:need]
-        left_mask[free_idx] = True
-    left = [v for i, v in enumerate(members) if left_mask[i]]
-    right = [v for i, v in enumerate(members) if not left_mask[i]]
-    split = lo + len(left)
-    value = _bipartition_crossing_weight(g, o, win, left_mask)
-    return WindowCutResult(win, left, right, left + right, split, value, False)
-
-
-def _frozen_local_cut(
-    g: Graph,
-    o: Ordering,
-    win: Window,
-    left_mask: np.ndarray,
-    part_of: np.ndarray,
-    boundary_index: int,
-) -> float:
-    """True cut contribution of the window's incident edges, exterior frozen.
-
-    Window vertices join part boundary_index-1 (left) or boundary_index
-    (right) per ``left_mask``; every other vertex keeps its snapshot part.
-    The window objective used by the optimizers treats all edges into the
-    before/after blocks as variable, but edges to parts further than the two
-    adjacent ones are cut regardless; this evaluation counts those correctly
-    and is what acceptance decisions compare.
-    """
-    lo, hi = win.lo, win.hi
-    ranks = o.rank_of
-    total = 0.0
-    for i in range(hi - lo):
-        v = int(o.vertex_at[lo + i])
-        part_v = boundary_index - 1 if left_mask[i] else boundary_index
-        nbr, wt = g.neighbors(v)
-        nr = ranks[nbr]
-        inside = (nr >= lo) & (nr < hi)
-        partner = np.clip(nr - lo, 0, hi - lo - 1)
-        internal_cross = inside & (nr > lo + i) & (left_mask[partner] != left_mask[i])
-        external_cross = ~inside & (part_of[nbr] != part_v)
-        total += float(wt[internal_cross | external_cross].sum())
-    return total
+        left_mask = np.arange(lo, hi) < _linopt_split(edges, win)
+    else:
+        reach = net.source_side(s)[:nw]
+        free = incident <= 0.0
+        left_mask = reach & ~free
+        # Indifferent vertices drift toward the balanced center.
+        need = int(np.clip(win.center - lo - int(left_mask.sum()), 0, int(free.sum())))
+        if need:
+            left_mask[np.flatnonzero(free)[:need]] = True
+    left = members[left_mask].tolist()
+    right = members[~left_mask].tolist()
+    value = _window_cut(edges, win, left_mask)
+    return WindowCutResult(win, left, right, left + right, lo + len(left), value, exceeded)
 
 
 def apply_window_stage(
@@ -373,22 +353,18 @@ def apply_window_stage(
     """Run one window optimizer over every window and apply accepted results.
 
     Windows are disjoint, so every window is optimized against the same
-    immutable snapshot and the results are applied in window order. A window's proposal is accepted
-    only if it does not increase the true local cut against the frozen
-    exterior; the window objective alone can overcount edges to far-away
-    parts as variable. Returns the new ordering, the new split points, and
-    per-window diagnostic rows
-    (window index, old local cut, new local cut, vertices moved).
+    immutable snapshot and the results are applied in window order. A
+    window's proposal is accepted only if it does not increase the true
+    local cut against the frozen exterior; the window objective alone can
+    overcount edges to far-away parts as variable. Returns the new ordering,
+    the new split points, and per-window diagnostic rows (window index, old
+    local cut, new local cut, vertices moved).
     """
     if method not in ("linopt", "mincut"):
         raise ValueError(f"unknown window method {method!r}")
     windows = make_windows(g, o, splits.k, splits.alpha)
     if not windows:
         return o, splits, []
-
-    part_of = np.empty(g.n, dtype=np.int64)
-    for j in range(splits.k):
-        part_of[o.vertex_at[splits.q[j] : splits.q[j + 1]]] = j
 
     optimize = linopt_window if method == "linopt" else mincut_window
     results = [optimize(g, o, win) for win in windows]
@@ -398,34 +374,24 @@ def apply_window_stage(
     vertex_at = o.vertex_at.copy()
     diagnostics = []
     for win, res in zip(windows, results):
-        old_split = int(splits.q[win.index])
+        members = o.vertex_at[win.lo : win.hi]
         positions = np.arange(win.lo, win.hi)
-        old_mask = positions < old_split
+        old_mask = positions < splits.q[win.index]
         if method == "linopt":
-            new_split = res
+            new_split, new_order = res, members
             new_mask = positions < new_split
-            new_order = None
         else:
-            new_split = res.split
-            left_set = set(res.left)
-            new_mask = np.array(
-                [int(v) in left_set for v in o.vertex_at[win.lo : win.hi]],
-                dtype=bool,
-            )
-            new_order = res.order
-        old_value = _frozen_local_cut(g, o, win, old_mask, part_of, win.index)
-        new_value = _frozen_local_cut(g, o, win, new_mask, part_of, win.index)
+            new_split, new_order = res.split, np.asarray(res.order, dtype=np.int64)
+            new_mask = np.isin(members, res.left)
+        edges = _window_edges(g, o, win)
+        old_value = _window_cut(edges, win, old_mask, splits.q)
+        new_value = _window_cut(edges, win, new_mask, splits.q)
         accepted = new_value <= old_value + tol
         moved = 0
         if accepted:
             new_q[win.index] = new_split
-            if new_order:
-                moved = sum(
-                    1
-                    for pos, v in enumerate(new_order)
-                    if o.vertex_at[win.lo + pos] != v
-                )
-                vertex_at[win.lo : win.hi] = new_order
+            moved = int(np.count_nonzero(members != new_order))
+            vertex_at[win.lo : win.hi] = new_order
         diagnostics.append(
             (win.index, old_value, new_value if accepted else old_value, moved)
         )
@@ -538,8 +504,20 @@ class DpResult:
     split_blocks: np.ndarray | None  # k+1 boundaries in block space
 
     def split_points(self, alpha: float) -> SplitPoints:
+        """The result as split points.
+
+        Raises ValueError if the result is infeasible, or if it has an empty
+        part (only possible with ``allow_empty_parts``): split points must be
+        strictly increasing, so such a result exists only as ``split_ranks``.
+        """
         if not self.feasible or self.split_ranks is None:
             raise ValueError("no feasible partition to convert")
+        empty = np.flatnonzero(np.diff(self.split_ranks) == 0)
+        if len(empty):
+            raise ValueError(
+                f"part {int(empty[0])} of the dp result is empty; split points "
+                "cannot hold empty parts, read split_ranks instead"
+            )
         return SplitPoints(self.split_ranks, alpha)
 
 

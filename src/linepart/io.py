@@ -1,7 +1,9 @@
 """File ingestion and emission.
 
-All formats are tab-separated UTF-8 text with ``#``-prefixed comment lines
-skipped on input:
+All formats are UTF-8 text with ``#``-prefixed comment lines skipped on
+input. Writers separate fields with one tab. Readers split a row on any run
+of whitespace (tabs, spaces, or a mix), so ``a b`` and ``b  c 2`` load like
+their tab-separated forms, and an id cannot contain whitespace:
 
 * edge list: ``u <tab> v [<tab> weight]`` (weight defaults to 1)
 * vertex metadata: ``id [<tab> weight] [<tab> lat <tab> lng]``

@@ -20,7 +20,7 @@ from linepart.boundary import (
     window_crossing_weight,
     window_half_width,
 )
-from linepart.graph import Partition, check_balance, cut_weight
+from linepart.graph import Graph, Partition, check_balance, cut_weight
 from linepart.ordering import Ordering
 
 from conftest import make_graph, path_graph, random_graph
@@ -118,6 +118,16 @@ def reference_dp_value(cg, k, alpha, allow_empty=False):
                 cur[i, e] = best
         table[q] = cur
     return float(table[k][0, b])
+
+
+def zero_weight_graph(rng, n, m):
+    """Random graph whose second half of vertices is isolated; edge weights
+    are drawn from 0..3, so about a quarter of the edges weigh nothing."""
+    eu = rng.integers(0, n // 2, m)
+    ev = rng.integers(0, n // 2, m)
+    keep = eu != ev
+    w = rng.integers(0, 4, int(keep.sum())).astype(float)
+    return Graph.from_arcs(eu[keep], ev[keep], w, [str(i) for i in range(n)])
 
 
 def random_contracted(rng, b, max_edges=30, weighted=True):
@@ -223,9 +233,12 @@ def test_linopt_figure_instance_cut_four():
 
 def test_linopt_matches_naive_evaluation():
     rng = np.random.default_rng(17)
-    for _ in range(40):
-        n = 14
-        g = random_graph(rng, n, int(rng.integers(5, 45)), weighted=True)
+    n = 14
+    for case in range(60):
+        if case < 40:
+            g = random_graph(rng, n, int(rng.integers(5, 45)), weighted=True)
+        else:  # windows holding isolated vertices and zero-weight edges
+            g = zero_weight_graph(rng, n, int(rng.integers(5, 30)))
         o = Ordering.from_vertex_at(rng.permutation(n))
         lo = int(rng.integers(1, 6))
         hi = int(rng.integers(lo, 13))
@@ -268,9 +281,12 @@ def test_mincut_no_edges_keeps_balanced_split_and_order():
 
 def test_mincut_matches_exhaustive_bipartitions():
     rng = np.random.default_rng(5)
-    for _ in range(30):
-        n = 16
-        g = random_graph(rng, n, int(rng.integers(5, 50)), weighted=True)
+    n = 16
+    for case in range(45):
+        if case < 30:
+            g = random_graph(rng, n, int(rng.integers(5, 50)), weighted=True)
+        else:  # windows holding isolated vertices and zero-weight edges
+            g = zero_weight_graph(rng, n, int(rng.integers(5, 30)))
         o = Ordering.from_vertex_at(rng.permutation(n))
         lo = int(rng.integers(1, 5))
         hi = lo + int(rng.integers(1, 11))
@@ -457,6 +473,18 @@ def test_dp_allow_empty_parts_reproduces_upper_bound_only_rule():
     )
 
 
+def test_dp_split_points_names_empty_part():
+    # feasible only because a part may be empty: split_ranks holds the
+    # result, split points cannot
+    g = path_graph(3)
+    cg = contract_blocks(g, Ordering.identity(3), 3)
+    res = dp_partition(cg, 2, 1.0, allow_empty_parts=True)
+    assert res.feasible
+    assert res.split_ranks.tolist() == [0, 0, 3]
+    with pytest.raises(ValueError, match=r"part 0 .*empty.*split_ranks"):
+        res.split_points(1.0)
+
+
 def test_dp_value_matches_reconstructed_partition():
     rng = np.random.default_rng(13)
     for _ in range(10):
@@ -507,23 +535,39 @@ def test_apply_window_stage_monotone_and_balanced():
 
 def test_frozen_local_cut_matches_direct_count():
     # the acceptance evaluator must agree with a direct edge classification
-    from linepart.boundary import _frozen_local_cut
+    from linepart.boundary import _window_cut, _window_edges
 
     rng = np.random.default_rng(31)
+    n = 24
+    cases = []
     for _ in range(20):
-        n = 24
         g = random_graph(rng, n, int(rng.integers(20, 70)), weighted=True)
         o = Ordering.from_vertex_at(rng.permutation(n))
         splits = make_split_points(g, o, 4, 0.3)
         j = int(rng.integers(1, 4))
-        lo = int(splits.q[j]) - 2
-        hi = int(splits.q[j]) + 2
+        cases.append((g, o, splits, j, 2, rng.random(4) < 0.5))
+    # zero-weight edges and isolated vertices
+    for _ in range(5):
+        g = zero_weight_graph(rng, n, int(rng.integers(20, 60)))
+        o = Ordering.from_vertex_at(rng.permutation(n))
+        cases.append((g, o, make_split_points(g, o, 4, 0.3), 2, 2, rng.random(4) < 0.5))
+    # window vertices adjacent to parts 0 and 3, which are not next to the
+    # window of boundary 2: those edges are cut whatever side is chosen
+    far = make_graph([(11, 2), (12, 22), (11, 12), (5, 6)], n=n, weights=[3, 2, 1, 4])
+    far_splits = make_split_points(far, Ordering.identity(n), 4, 0.3)
+    far_mask = np.array([True, True, False, False])
+    cases.append((far, Ordering.identity(n), far_splits, 2, 2, far_mask))
+    # empty window
+    cases.append((far, Ordering.identity(n), far_splits, 1, 0, np.zeros(0, dtype=bool)))
+
+    for g, o, splits, j, half, mask in cases:
+        lo = int(splits.q[j]) - half
+        hi = int(splits.q[j]) + half
         win = Window(index=j, center=int(splits.q[j]), lo=lo, hi=hi)
         part_of = np.empty(n, dtype=np.int64)
         for p in range(4):
             part_of[o.vertex_at[splits.q[p] : splits.q[p + 1]]] = p
-        mask = rng.random(hi - lo) < 0.5
-        got = _frozen_local_cut(g, o, win, mask, part_of, j)
+        got = _window_cut(_window_edges(g, o, win), win, mask, splits.q)
 
         side = part_of.copy()
         for i in range(hi - lo):
@@ -538,6 +582,14 @@ def test_frozen_local_cut_matches_direct_count():
             if side[u] != side[v]:
                 expected += float(g.edge_w[e])
         assert got == pytest.approx(expected)
+
+    # the far-part edges (weights 3 and 2) count, and the internal edge
+    # (weight 1) crosses the window split
+    far_win = Window(index=2, center=12, lo=10, hi=14)
+    far_edges = _window_edges(far, Ordering.identity(n), far_win)
+    assert _window_cut(far_edges, far_win, far_mask, far_splits.q) == 6.0
+    # the window objective would see neither far-part edge
+    assert _window_cut(far_edges, far_win, far_mask) == 1.0
 
 
 def test_hilbert_index_max_order_headroom():

@@ -60,6 +60,22 @@ def test_graph_write_load_idempotent(tmp_path):
     assert g2.total_edge_weight == g.total_edge_weight
 
 
+def test_space_separated_rows_load_like_tab_separated():
+    # fields split on any run of whitespace
+    tabbed = load_graph(
+        stdio.StringIO("a\tb\nb\tc\t2\n"), stdio.StringIO("a\t3\nc\t40.5\t-73.5\n")
+    )
+    spaced = load_graph(
+        stdio.StringIO("a b\nb  c 2\n"), stdio.StringIO("a 3\nc \t40.5  -73.5\n")
+    )
+    assert spaced.external_ids == tabbed.external_ids
+    assert spaced.vertex_weights.tolist() == tabbed.vertex_weights.tolist()
+    assert spaced.edge_u.tolist() == tabbed.edge_u.tolist()
+    assert spaced.edge_v.tolist() == tabbed.edge_v.tolist()
+    assert spaced.edge_w.tolist() == tabbed.edge_w.tolist() == [1.0, 2.0]
+    np.testing.assert_array_equal(spaced.geo, tabbed.geo)
+
+
 def test_write_partition_sorted_and_deterministic(tmp_path):
     g = load_graph(stdio.StringIO("zz\tmm\nmm\taa\n"))
     p = Partition.from_assignment(np.array([0, 1, 1]), 2, g)
