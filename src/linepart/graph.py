@@ -9,7 +9,9 @@ and double as lengths where an operation needs a metric.
 
 from __future__ import annotations
 
+import copy
 import heapq
+import logging
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -31,8 +33,14 @@ __all__ = [
     "query_weighted_graph",
 ]
 
+log = logging.getLogger(__name__)
+
 # Relative slack used when comparing aggregated float weights against bounds.
 _REL_TOL = 1e-9
+
+# Most out-neighbour pairs the similarity kernel tests at once; each of the
+# handful of per-chunk int64 arrays then takes 2 MiB.
+_WEDGE_CHUNK = 1 << 18
 
 
 class GraphFormatError(ValueError):
@@ -89,13 +97,7 @@ class Graph:
                 raise ValueError("edge endpoint out of range")
             if not (self.edge_u < self.edge_v).all():
                 raise ValueError("edges must be stored with u < v")
-            if self.edge_w.min() < 0:
-                bad = int(np.argmin(self.edge_w))
-                raise ValueError(
-                    f"edge ({self.external_ids[self.edge_u[bad]]!r}, "
-                    f"{self.external_ids[self.edge_v[bad]]!r}) has negative "
-                    f"weight {self.edge_w[bad]}"
-                )
+            self._check_edge_weights(self.edge_w)
         if geo is not None:
             geo = np.asarray(geo, dtype=np.float64)
             if geo.shape != (n, 2):
@@ -115,7 +117,7 @@ class Graph:
         src = np.concatenate([self.edge_u, self.edge_v])
         dst = np.concatenate([self.edge_v, self.edge_u])
         eid = np.concatenate([np.arange(m), np.arange(m)])
-        order = np.lexsort((dst, src))
+        order = np.argsort(src * np.int64(n) + dst, kind="stable")
         self.adj_indptr = np.zeros(n + 1, dtype=np.int64)
         np.add.at(self.adj_indptr, src + 1, 1)
         np.cumsum(self.adj_indptr, out=self.adj_indptr)
@@ -168,15 +170,29 @@ class Graph:
         return cls(external_ids, vertex_weights, edge_u, edge_v, edge_w, geo)
 
     def with_edge_weights(self, edge_w: np.ndarray) -> "Graph":
-        """Same vertices and edge set, different edge weights."""
-        return Graph(
-            self.external_ids,
-            self.vertex_weights,
-            self.edge_u,
-            self.edge_v,
-            np.asarray(edge_w, dtype=np.float64),
-            self.geo,
-        )
+        """Same vertices and edge set, different edge weights.
+
+        The edge set is unchanged, so the CSR adjacency is shared, not rebuilt.
+        """
+        edge_w = np.asarray(edge_w, dtype=np.float64)
+        if edge_w.shape != self.edge_w.shape:
+            raise ValueError("edge arrays must have equal length")
+        if len(edge_w):
+            self._check_edge_weights(edge_w)
+        g = copy.copy(self)
+        g.edge_w = edge_w
+        g.adj_weights = edge_w[self.adj_edge]
+        g.total_edge_weight = float(edge_w.sum())
+        return g
+
+    def _check_edge_weights(self, edge_w: np.ndarray) -> None:
+        if edge_w.min() < 0:
+            bad = int(np.argmin(edge_w))
+            raise ValueError(
+                f"edge ({self.external_ids[self.edge_u[bad]]!r}, "
+                f"{self.external_ids[self.edge_v[bad]]!r}) has negative "
+                f"weight {edge_w[bad]}"
+            )
 
     # -- accessors ------------------------------------------------------
 
@@ -247,8 +263,7 @@ class Partition:
         q = np.asarray(splits.q if hasattr(splits, "q") else splits, dtype=np.int64)
         k = len(q) - 1
         assignment = np.empty(g.n, dtype=np.int64)
-        for j in range(k):
-            assignment[ordering.vertex_at[q[j] : q[j + 1]]] = j
+        assignment[ordering.vertex_at[q[0] : q[-1]]] = np.repeat(np.arange(k), np.diff(q))
         return cls.from_assignment(assignment, k, g)
 
     @property
@@ -293,23 +308,62 @@ def common_neighbors_similarity(g: Graph) -> Graph:
     For edge (u, v) the weight becomes |N(u) & N(v)| / |(N(u) | N(v)) - {u, v}|;
     edges whose endpoints have no third neighbor get weight 0. Input edge
     weights are ignored; only the adjacency structure matters.
+
+    |N(u) & N(v)| is the number of triangles on the edge, counted by the
+    degree-ordered wedge method (Schank & Wagner 2005; Latapy 2008): rank
+    the vertices by (degree, id), orient every edge toward its higher-ranked
+    end, and test each pair of a vertex's out-neighbours against the sorted
+    edge keys. Every triangle is found exactly once, from its lowest-ranked
+    vertex. The cost is sum(C(outdeg, 2)) binary searches, which on
+    power-law graphs is far below the plain wedge count sum(C(deg, 2)).
+    Memory is O(m) plus one chunk of at most ``_WEDGE_CHUNK`` pairs.
     """
+    n, m = g.n, g.edge_count
     deg = np.diff(g.adj_indptr)
-    new_w = np.zeros(g.edge_count, dtype=np.float64)
-    indptr, indices = g.adj_indptr, g.adj_indices
-    for e in range(g.edge_count):
-        u = g.edge_u[e]
-        v = g.edge_v[e]
-        if deg[u] > deg[v]:
-            u, v = v, u
-        small = indices[indptr[u] : indptr[u + 1]]
-        big = indices[indptr[v] : indptr[v + 1]]
-        pos = np.searchsorted(big, small)
-        pos[pos == len(big)] = 0  # harmless: compared entry then mismatches
-        common = int(np.count_nonzero(big[pos] == small))
-        denom = int(deg[g.edge_u[e]]) + int(deg[g.edge_v[e]]) - common - 2
-        if denom > 0:
-            new_w[e] = common / denom
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(deg, kind="stable")] = np.arange(n)  # by (degree, id)
+
+    # Out-lists: the CSR arcs toward a higher-ranked end, still sorted by id.
+    src = np.repeat(np.arange(n), deg)
+    up = rank[g.adj_indices] > rank[src]
+    out_v = g.adj_indices[up]
+    out_e = g.adj_edge[up]
+    owner = src[up]
+    out_end = np.cumsum(np.bincount(owner, minlength=n))[owner]
+    del src, up, owner
+
+    # Out-arc p pairs with every later arc of the same list; pairs are
+    # numbered consecutively, arc by arc, so a chunk is a range of numbers.
+    pairs = out_end - 1 - np.arange(len(out_v))
+    pair_end = np.cumsum(pairs)
+    pair_start = pair_end - pairs
+    wedges = int(pair_end[-1]) if m else 0
+
+    keys = g.edge_u * np.int64(n) + g.edge_v
+    key_order = np.argsort(keys, kind="stable")
+    keys = keys[key_order]
+
+    tri = np.zeros(m, dtype=np.int64)
+    for lo in range(0, wedges, _WEDGE_CHUNK):
+        hi = min(lo + _WEDGE_CHUNK, wedges)
+        p0 = int(np.searchsorted(pair_end, lo, "right"))
+        p1 = int(np.searchsorted(pair_end, hi - 1, "right")) + 1
+        span = np.minimum(pair_end[p0:p1], hi) - np.maximum(pair_start[p0:p1], lo)
+        arc = np.repeat(np.arange(p0, p1), span)
+        mate = arc + 1 + (np.arange(lo, hi) - pair_start[arc])
+        want = out_v[arc] * np.int64(n) + out_v[mate]
+        at = np.searchsorted(keys, want)
+        at[at == m] = 0  # harmless: compared key then mismatches
+        hit = keys[at] == want
+        # add.at, not bincount: a per-chunk bincount would cost O(m) each time
+        for e in (out_e[arc[hit]], out_e[mate[hit]], key_order[at[hit]]):
+            np.add.at(tri, e, 1)
+    log.info("similarity\twedges\t%d\ttriangles\t%d", wedges, int(tri.sum()) // 3)
+
+    # Same integers as a per-edge set intersection, so the same float64 ratio.
+    denom = deg[g.edge_u] + deg[g.edge_v] - tri - 2
+    new_w = np.zeros(m, dtype=np.float64)
+    np.divide(tri, denom, out=new_w, where=denom > 0)
     return g.with_edge_weights(new_w)
 
 

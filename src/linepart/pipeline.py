@@ -200,7 +200,7 @@ def combine(g: Graph, cfg: PipelineConfig) -> PipelineReport:
     log.info("combine\t%s", records[-1].row())
 
     best_cut = w0
-    best_state = (ordering.copy(), splits.copy())
+    best_state = (ordering.copy(), splits.copy(), f0, part0)
     converged = False
     iterations = 0
     for it in range(1, cfg.max_outer_iters + 1):
@@ -219,23 +219,22 @@ def combine(g: Graph, cfg: PipelineConfig) -> PipelineReport:
             if note:
                 warnings.append(note)
             log.info("combine\t%s", records[-1].row())
-        cw, _, _ = _state_cut(g, ordering, splits)
+        # cw, cf, part: the pass-end state, as priced by its last stage record
         if cw < best_cut:
             best_cut = cw
-            best_state = (ordering.copy(), splits.copy())
+            best_state = (ordering.copy(), splits.copy(), cf, part)
         if np.array_equal(pass_start[0], ordering.vertex_at) and np.array_equal(
             pass_start[1], splits.q
         ):
             converged = True
             break
 
-    final_cut, _, _ = _state_cut(g, ordering, splits)
-    if final_cut > best_cut:
-        ordering, splits = best_state
+    final_f, partition = cf, part
+    if cw > best_cut:
+        ordering, splits, final_f, partition = best_state
         warnings.append("final state replaced by best intermediate state")
         log.info("combine\treverted to best intermediate state")
 
-    _, final_f, partition = _state_cut(g, ordering, splits)
     return PipelineReport(
         records=records,
         partition=partition,

@@ -63,7 +63,9 @@ def minla_round(g: Graph, o: Ordering) -> Ordering:
     if g.edge_count:
         src = np.repeat(np.arange(n), deg)
         nbr_rank = ranks[g.adj_indices]
-        order = np.lexsort((nbr_rank, src))
+        # (src, nbr_rank) as one int64 key: argsort is several times faster
+        # than lexsort and gives the same order
+        order = np.argsort(src * np.int64(n) + nbr_rank, kind="stable")
         r_sorted = nbr_rank[order].astype(np.float64)
         w_sorted = g.adj_weights[order]
         cw = np.cumsum(w_sorted)
@@ -225,30 +227,6 @@ class _SwapState:
                                  g.edge_w[to_paired], g.edge_w[to_paired]])
         return np.bincount(idx, weights=deltas, minlength=g.n)
 
-    def reduction(self, v: int, other_part: int) -> float:
-        """Cut change (positive = improvement) of moving v to other_part."""
-        nbr, wt = self.g.neighbors(v)
-        parts = self.part_of[nbr]
-        own = float(wt[parts == self.part_of[v]].sum())
-        other = float(wt[parts == other_part].sum())
-        return other - own
-
-    def shift_neighbor_reductions(
-        self, moved: int, from_part: int, to_part: int
-    ) -> np.ndarray:
-        """Account for ``moved`` leaving from_part: neighbors still in
-        from_part gain 2w, neighbors in to_part lose 2w. Returns the
-        vertices whose reduction changed."""
-        nbr, wt = self.g.neighbors(moved)
-        parts = self.part_of[nbr]
-        delta = np.where(
-            parts == from_part, 2.0 * wt, np.where(parts == to_part, -2.0 * wt, 0.0)
-        )
-        mask = delta != 0.0
-        touched = nbr[mask]
-        self.red[touched] += delta[mask]  # neighbor lists have no duplicates
-        return touched
-
     def weight_feasible(self, u: int, v: int) -> bool:
         """Would swapping u and v keep (or not worsen) the alpha bound?"""
         wu = self.g.vertex_weights[u]
@@ -265,21 +243,49 @@ class _SwapState:
                 return False
         return True
 
-    def apply_swap(self, u: int, v: int) -> None:
+    def swap(self, u: int, v: int) -> np.ndarray:
+        """Exchange u (in part a) and v (in part b); update the reductions.
+
+        A mover's neighbors still in its old part gain 2w, those in its new
+        part lose 2w, and the movers get fresh values. Returns the vertices
+        whose reduction changed, u's neighbors first.
+        """
+        g = self.g
+        pa, pb = int(self.part_of[u]), int(self.part_of[v])
+        lo_u, hi_u = g.adj_indptr[u], g.adj_indptr[u + 1]
+        lo_v, hi_v = g.adj_indptr[v], g.adj_indptr[v + 1]
+        du = int(hi_u - lo_u)
+        nbr = np.concatenate([g.adj_indices[lo_u:hi_u], g.adj_indices[lo_v:hi_v]])
+        wt = np.concatenate([g.adj_weights[lo_u:hi_u], g.adj_weights[lo_v:hi_v]])
+        parts = self.part_of[nbr]
+        delta = np.where(parts == pa, 2.0 * wt, np.where(parts == pb, -2.0 * wt, 0.0))
+        delta[du:] *= -1.0  # v moves from b to a
+        mask = delta != 0.0
+        touched = nbr[mask]
+        # in order, so a common neighbor of u and v takes u's change first
+        np.add.at(self.red, touched, delta[mask])
+
         ru, rv = int(self.rank_of[u]), int(self.rank_of[v])
         self.rank_of[u], self.rank_of[v] = rv, ru
         self.vertex_at[ru], self.vertex_at[rv] = v, u
-        pa, pb = int(self.part_of[u]), int(self.part_of[v])
         self.part_of[u], self.part_of[v] = pb, pa
-        delta = self.g.vertex_weights[v] - self.g.vertex_weights[u]
-        self.part_weights[pa] += delta
-        self.part_weights[pb] -= delta
+        dw = g.vertex_weights[v] - g.vertex_weights[u]
+        self.part_weights[pa] += dw
+        self.part_weights[pb] -= dw
         self.swaps += 1
+
+        parts = self.part_of[nbr]
+        in_a, in_b = parts == pa, parts == pb
+        wu, wv = wt[:du], wt[du:]
+        # np.add.reduce is ndarray.sum without its Python wrapper (same sum)
+        self.red[v] = np.add.reduce(wv[in_b[du:]]) - np.add.reduce(wv[in_a[du:]])
+        self.red[u] = np.add.reduce(wu[in_a[:du]]) - np.add.reduce(wu[in_b[:du]])
+        return touched
 
 
 def _edge_weight_between(g: Graph, u: int, v: int) -> float:
     nbr, wt = g.neighbors(u)
-    pos = int(np.searchsorted(nbr, v))
+    pos = int(nbr.searchsorted(v))
     if pos < len(nbr) and nbr[pos] == v:
         return float(wt[pos])
     return 0.0
@@ -289,8 +295,6 @@ def _swap_interval_pair(
     state: _SwapState,
     range_a: tuple[int, int],
     range_b: tuple[int, int],
-    part_a: int,
-    part_b: int,
 ) -> int:
     """Local optimum between two intervals via best-partner swaps.
 
@@ -305,21 +309,19 @@ def _swap_interval_pair(
     if range_a[0] >= range_a[1] or range_b[0] >= range_b[1]:
         return 0
     tol = state.gain_tol
+    verts_a = state.vertex_at[range_a[0] : range_a[1]]
+    verts_b = state.vertex_at[range_b[0] : range_b[1]]
+    red_a, red_b = red[verts_a], red[verts_b]
     # gain <= max r(u) + max r(v): skip the whole pair when nothing can help
-    if (
-        red[state.vertex_at[range_a[0] : range_a[1]]].max()
-        + red[state.vertex_at[range_b[0] : range_b[1]]].max()
-        <= tol
-    ):
+    if red_a.max() + red_b.max() <= tol:
         return 0
-    members_a = [int(v) for v in state.vertex_at[range_a[0] : range_a[1]]]
-    members_b = [int(v) for v in state.vertex_at[range_b[0] : range_b[1]]]
+    members_a, members_b = verts_a.tolist(), verts_b.tolist()
     side = {v: 0 for v in members_a}
     side.update({v: 1 for v in members_b})
     # Lazy max-heaps keyed by (-reduction, id); entries go stale when a
     # vertex's reduction changes or it switches sides.
-    heap_a = [(-red[v], v) for v in members_a]
-    heap_b = [(-red[v], v) for v in members_b]
+    heap_a = list(zip((-red_a).tolist(), members_a))
+    heap_b = list(zip((-red_b).tolist(), members_b))
     heapq.heapify(heap_a)
     heapq.heapify(heap_b)
     heaps = (heap_a, heap_b)
@@ -328,14 +330,14 @@ def _swap_interval_pair(
         heap = heaps[which]
         while heap:
             negr, v = heapq.heappop(heap)
-            if side.get(v) == which and -negr == red[v]:
+            if side.get(v) == which and -negr == red.item(v):
                 return -negr, v
         return None
 
     def push_fresh(v: int) -> None:
         which = side.get(v)
         if which is not None:
-            heapq.heappush(heaps[which], (-red[v], v))
+            heapq.heappush(heaps[which], (-red.item(v), v))
 
     # Strictly improving swaps over a finite configuration space terminate;
     # the cap is a float-drift safety net only.
@@ -379,20 +381,11 @@ def _swap_interval_pair(
         if chosen is None:
             break
         u, v = chosen
-        # u leaves part_a (+2w for its part_a neighbors, -2w for part_b
-        # ones), v leaves part_b symmetrically; the movers get fresh values.
-        touched = state.shift_neighbor_reductions(u, part_a, part_b)
-        touched2 = state.shift_neighbor_reductions(v, part_b, part_a)
-        state.apply_swap(u, v)
+        touched = state.swap(u, v)
         side[u], side[v] = 1, 0
-        red[v] = state.reduction(v, part_b)
-        red[u] = state.reduction(u, part_a)
-        for x in touched:
+        for x in touched.tolist():
             if x != u and x != v:
-                push_fresh(int(x))
-        for x in touched2:
-            if x != u and x != v:
-                push_fresh(int(x))
+                push_fresh(x)
         push_fresh(u)
         push_fresh(v)
         swaps += 1
@@ -418,11 +411,14 @@ def rank_swap_round(
         )
     if splits.n != g.n or o.n != g.n:
         raise ValueError("ordering/split points do not cover the graph")
+    if not plan.interval_pairs:  # k=2 on odd rounds: nothing to pair
+        log.info("rankswap\tswaps\t0")
+        return o
     state = _SwapState(g, o, splits, plan)
     q = splits.q
     for (pa, ia), (pb, ib) in plan.interval_pairs:
         ra = _interval_range(q, pa, ia, plan.r)
         rb = _interval_range(q, pb, ib, plan.r)
-        _swap_interval_pair(state, ra, rb, pa, pb)
+        _swap_interval_pair(state, ra, rb)
     log.info("rankswap\tswaps\t%d", state.swaps)
     return Ordering(state.vertex_at, state.rank_of)

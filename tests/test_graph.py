@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from linepart import graph as graph_module
 from linepart.graph import (
     Graph,
     GraphFormatError,
@@ -18,7 +19,7 @@ from linepart.graph import (
     query_weighted_graph,
 )
 from linepart.io import load_graph
-from linepart.synth import erdos_renyi
+from linepart.synth import erdos_renyi, rmat
 
 from conftest import make_graph, random_graph, small_graph_and_order
 
@@ -93,6 +94,23 @@ def test_graph_rejects_negative_edge_weight():
         make_graph([(0, 1)], weights=[-1.0])
 
 
+def test_with_edge_weights_shares_adjacency_and_validates():
+    g = make_graph([(0, 1), (1, 2), (0, 2), (2, 3)], n=5, vertex_weights=[1, 2, 1, 1, 3])
+    w = np.array([0.5, 0.0, 2.0, 7.0])
+    h = g.with_edge_weights(w)
+    fresh = Graph(g.external_ids, g.vertex_weights, g.edge_u, g.edge_v, w, g.geo)
+    for name in ("adj_indptr", "adj_indices", "adj_edge", "adj_weights", "edge_w"):
+        assert np.array_equal(getattr(h, name), getattr(fresh, name)), name
+    assert h.total_edge_weight == fresh.total_edge_weight == 9.5
+    assert h.total_vertex_weight == 8.0
+    assert g.edge_w.tolist() == [1.0, 1.0, 1.0, 1.0]  # source graph unchanged
+    assert g.total_edge_weight == 4.0
+    with pytest.raises(ValueError, match="equal length"):
+        g.with_edge_weights(np.ones(3))
+    with pytest.raises(ValueError, match=r"edge \('0', '2'\) has negative weight -1.0"):
+        g.with_edge_weights(np.array([1.0, -1.0, 1.0, 1.0]))
+
+
 # -- similarity -----------------------------------------------------------
 
 
@@ -131,7 +149,89 @@ def test_similarity_matches_brute_force():
         s = common_neighbors_similarity(g)
         for e in range(g.edge_count):
             u, v = int(g.edge_u[e]), int(g.edge_v[e])
-            assert s.edge_w[e] == pytest.approx(brute_similarity(g, u, v))
+            # both sides divide the same two integers
+            assert s.edge_w[e] == brute_similarity(g, u, v)
+
+
+def reference_similarity(g):
+    """The per-edge sorted-intersection loop the wedge kernel replaced."""
+    deg = np.diff(g.adj_indptr)
+    new_w = np.zeros(g.edge_count, dtype=np.float64)
+    indptr, indices = g.adj_indptr, g.adj_indices
+    for e in range(g.edge_count):
+        u = g.edge_u[e]
+        v = g.edge_v[e]
+        if deg[u] > deg[v]:
+            u, v = v, u
+        small = indices[indptr[u] : indptr[u + 1]]
+        big = indices[indptr[v] : indptr[v + 1]]
+        pos = np.searchsorted(big, small)
+        pos[pos == len(big)] = 0  # harmless: compared entry then mismatches
+        common = int(np.count_nonzero(big[pos] == small))
+        denom = int(deg[g.edge_u[e]]) + int(deg[g.edge_v[e]]) - common - 2
+        if denom > 0:
+            new_w[e] = common / denom
+    return new_w
+
+
+def similarity_oracle_inputs():
+    star = make_graph([(0, v) for v in range(1, 40)])
+    k9 = make_graph([(u, v) for u in range(9) for v in range(u + 1, 9)])
+    # isolated vertices 0, 5, 11; zero-weight edges; three components with edges
+    mixed = make_graph(
+        [(1, 2), (2, 3), (1, 3), (3, 4), (6, 7), (7, 8), (8, 9), (9, 6), (6, 8), (10, 12)],
+        n=13,
+        weights=[1.0, 0.0, 2.0, 0.0, 1.0, 1.0, 0.0, 3.0, 1.0, 0.0],
+    )
+    # edges listed out of key order, as a direct Graph(...) call allows
+    base = rmat(8, 1 << 11, seed=4)
+    perm = np.random.default_rng(0).permutation(base.edge_count)
+    shuffled = Graph(
+        base.external_ids, base.vertex_weights,
+        base.edge_u[perm], base.edge_v[perm], base.edge_w[perm],
+    )
+    return [
+        ("rmat-10", rmat(10, 1 << 13, seed=3)),
+        ("rmat-12", rmat(12, 1 << 15, seed=5)),
+        ("star", star),
+        ("K9", k9),
+        ("mixed", mixed),
+        ("no-edges", make_graph([], n=6)),
+        ("n=1", make_graph([], n=1)),
+        ("shuffled-edges", shuffled),
+    ]
+
+
+@pytest.mark.parametrize("name, g", similarity_oracle_inputs())
+def test_similarity_kernel_matches_reference_loop_bytes(name, g):
+    s = common_neighbors_similarity(g)
+    assert s.edge_w.tobytes() == reference_similarity(g).tobytes(), name
+    assert s.edge_count == g.edge_count
+
+
+def test_similarity_chunk_boundaries_split_pair_lists(monkeypatch):
+    # rmat hubs have out-lists far longer than 3 pairs, so nearly every
+    # vertex's pair list spans several chunks
+    monkeypatch.setattr(graph_module, "_WEDGE_CHUNK", 3)
+    g = rmat(9, 1 << 11, seed=2)
+    expected = reference_similarity(g)
+    assert (expected > 0).any()
+    assert common_neighbors_similarity(g).edge_w.tobytes() == expected.tobytes()
+
+
+def test_similarity_logs_wedges_and_triangles(caplog):
+    # K4: ranks 0..3, out-degrees 3, 2, 1, 0 -> 3 + 1 pairs, 4 triangles.
+    # Star with hub 0: every edge points from a leaf to the hub, so no
+    # vertex has two out-neighbours and no pair is tested.
+    k4 = make_graph([(u, v) for u in range(4) for v in range(u + 1, 4)])
+    star = make_graph([(0, v) for v in range(1, 40)])
+    with caplog.at_level("INFO", logger="linepart.graph"):
+        common_neighbors_similarity(k4)
+        common_neighbors_similarity(star)
+    assert caplog.messages == [
+        "similarity\twedges\t4\ttriangles\t4",
+        "similarity\twedges\t0\ttriangles\t0",
+    ]
 
 
 @settings(max_examples=30)

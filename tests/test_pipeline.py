@@ -7,7 +7,7 @@ from linepart.boundary import make_split_points
 from linepart.graph import Partition, check_balance, cut_weight
 from linepart.ordering import Ordering
 from linepart.pipeline import PipelineConfig, combine, run_stage
-from linepart.synth import disjoint_cliques, erdos_renyi, ring_of_cliques
+from linepart.synth import disjoint_cliques, erdos_renyi, ring_of_cliques, rmat
 
 from conftest import make_graph, random_graph
 from test_boundary import exhaustive_contiguous_cut, make_figure_instance
@@ -189,6 +189,27 @@ def test_combine_edge_cases():
     # no edges at all
     rep = combine(make_graph([], n=12), PipelineConfig(k=3, alpha=0.1))
     assert rep.final_cut_fraction == 0.0 and rep.converged
+
+
+def test_combine_reports_the_state_it_returns():
+    # The metric stage raises the cut on the last pass, so combine reverts
+    # to the best pass-end state (iteration 2 here, not the initial chop).
+    g = rmat(7, 600, seed=6)
+    cfg = PipelineConfig(
+        k=4, alpha=0.05, initial_ordering="random", stages=("metric", "swap"),
+        seed=6, max_outer_iters=3,
+    )
+    rep = combine(g, cfg)
+    assert "final state replaced by best intermediate state" in rep.warnings
+    pass_ends = [r.cut_fraction for r in rep.records if r.stage == "swap"]
+    assert rep.final_cut_fraction == min(pass_ends) < rep.initial_cut_fraction
+    assert rep.final_cut_fraction < pass_ends[-1]
+    assert rep.partition == Partition.from_contiguous(rep.ordering, rep.splits, g)
+    assert cut_weight(g, rep.partition)[1] == rep.final_cut_fraction
+    # without the revert, the last stage's state is the one returned
+    rep2 = combine(g, PipelineConfig(k=4, alpha=0.05, initial_ordering="random", seed=6))
+    assert rep2.partition == Partition.from_contiguous(rep2.ordering, rep2.splits, g)
+    assert rep2.final_cut_fraction == rep2.records[-1].cut_fraction
 
 
 def test_combine_on_fractional_edge_weights():

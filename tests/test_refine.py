@@ -8,6 +8,7 @@ from linepart.boundary import make_split_points
 from linepart.graph import Partition, cut_weight
 from linepart.ordering import Ordering
 from linepart.refine import (
+    _SwapState,
     make_swap_plan,
     minla_objective,
     minla_refine,
@@ -260,6 +261,25 @@ def test_rank_swap_rejects_balance_breaking_swap():
     plan = make_swap_plan(2, 1, 0, 0)
     o2 = rank_swap_round(g, o, splits, plan)
     assert o2 == o  # improving pairs (0,3) and (1,2) rejected on weight
+
+
+def test_swap_keeps_live_reductions_exact():
+    # Integer weights keep every sum exact, so the incrementally maintained
+    # reductions must equal a fresh recount after every swap, including
+    # for neighbours that u and v share.
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        g = random_graph(rng, 16, 60, weighted=True)
+        o = Ordering.from_vertex_at(rng.permutation(16))
+        splits = make_split_points(g, o, 2, 0.5)
+        plan = make_swap_plan(2, 1, 0, 0)
+        state = _SwapState(g, o, splits, plan)
+        for _ in range(6):
+            u = int(state.vertex_at[rng.integers(0, 8)])
+            v = int(state.vertex_at[rng.integers(8, 16)])
+            state.swap(u, v)
+            assert np.array_equal(state.red, state._initial_reductions(plan))
+        assert state.part_of[state.vertex_at[:8]].tolist() == [0] * 8
 
 
 def test_rank_swap_plan_k_mismatch():
