@@ -11,11 +11,14 @@ optimizers work on windows or the whole boundary set:
 * contraction of contiguous rank blocks into supernodes followed by a
   dynamic program that places all k-1 boundaries at once.
 
-Every window path gathers the window's edges once (``_window_edges``) and
-prices bipartitions with one vectorized evaluator (``_window_cut``): against
-a before/after exterior for the optimizers' objective, and against the
-frozen current parts for acceptance, since an edge to a part not next to the
-window is cut whichever side its window end takes.
+A window stage gathers each window's edges once (``_window_edges``); both
+optimizers take that slice and return a left mask over the window, and one
+vectorized evaluator (``_window_cut``) prices bipartitions: against a
+before/after exterior for the optimizers' objective, and against the frozen
+current parts for acceptance, since an edge to a part not next to the
+window is cut whichever side its window end takes. Windows moved together
+can still interact, so ``pipeline.combine`` enforces the never-raise rule on
+each whole stage.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _REL_TOL = 1e-9
+
+DEFAULT_DP_BLOCKS = 1000
 
 
 @dataclass
@@ -234,8 +239,16 @@ def window_crossing_weight(g: Graph, o: Ordering, win: Window, split: int) -> fl
 # -- per-window optimizers -----------------------------------------------
 
 
-def _linopt_split(edges: _Edges, win: Window) -> int:
-    """The linear scan of ``linopt_window`` over a gathered edge slice."""
+def linopt_window(edges: _Edges, win: Window) -> np.ndarray:
+    """Cheapest order-respecting split in the window via one prefix scan.
+
+    Returns the left mask over the window, a prefix. The window objective
+    at every candidate split is the edges to the before-block plus a running
+    sum of per-vertex changes, each taken with ``np.bincount`` over the
+    window's edge slice. Ties go to the split closest to the balanced
+    center, then to the smaller index. Runs in O(|V_W| + |E_W|) plus the
+    scan sort.
+    """
     row, rank, w = edges
     lo, hi = win.lo, win.hi
     # Moving the split past a vertex starts cutting its edges to later
@@ -247,39 +260,22 @@ def _linopt_split(edges: _Edges, win: Window) -> int:
     c = np.concatenate([[0.0], np.cumsum(delta)]) + w[~ahead].sum()
     s = np.arange(lo, hi + 1)
     pick = int(np.lexsort((s, np.abs(s - win.center), c))[0])
-    return lo + pick
-
-
-def linopt_window(g: Graph, o: Ordering, win: Window) -> int:
-    """Cheapest order-respecting split in the window via one prefix scan.
-
-    The window objective at every candidate split is the edges to the
-    before-block plus a running sum of per-vertex changes, each taken with
-    ``np.bincount`` over the window's edge slice. Ties go to the split
-    closest to the balanced center, then to the smaller index. Runs in
-    O(|V_W| + |E_W|) plus the scan sort.
-    """
-    if win.hi <= win.lo:
-        return win.lo
-    return _linopt_split(_window_edges(g, o, win), win)
+    return np.arange(hi - lo) < pick
 
 
 @dataclass
 class WindowCutResult:
-    """Outcome of a window minimum cut: sides, internal order, new split."""
+    """Outcome of a window minimum cut: the left side as a window mask."""
 
     window: Window
-    left: list[int]
-    right: list[int]
-    order: list[int]
+    left_mask: np.ndarray
     split: int
     cut_value: float
     used_fallback: bool = False
 
 
 def mincut_window(
-    g: Graph,
-    o: Ordering,
+    edges: _Edges,
     win: Window,
     max_augmentations: int | None = None,
 ) -> WindowCutResult:
@@ -298,12 +294,10 @@ def mincut_window(
     """
     lo, hi = win.lo, win.hi
     nw = hi - lo
-    members = o.vertex_at[lo:hi]
     if nw == 0:
-        return WindowCutResult(win, [], [], [], lo, 0.0, False)
+        return WindowCutResult(win, np.zeros(0, dtype=bool), lo, 0.0, False)
     if max_augmentations is None:
         max_augmentations = 1000 + 100 * nw
-    edges = _window_edges(g, o, win)
     row, rank, w = edges
     before, after = rank < lo, rank >= hi
     inner = ~before & ~after
@@ -329,7 +323,7 @@ def mincut_window(
     _, exceeded = net.max_flow(s, t, max_augmentations)
     if exceeded:
         log.warning("window %d: flow budget exhausted, linear-scan fallback", win.index)
-        left_mask = np.arange(lo, hi) < _linopt_split(edges, win)
+        left_mask = linopt_window(edges, win)
     else:
         reach = net.source_side(s)[:nw]
         free = incident <= 0.0
@@ -338,10 +332,8 @@ def mincut_window(
         need = int(np.clip(win.center - lo - int(left_mask.sum()), 0, int(free.sum())))
         if need:
             left_mask[np.flatnonzero(free)[:need]] = True
-    left = members[left_mask].tolist()
-    right = members[~left_mask].tolist()
     value = _window_cut(edges, win, left_mask)
-    return WindowCutResult(win, left, right, left + right, lo + len(left), value, exceeded)
+    return WindowCutResult(win, left_mask, lo + int(left_mask.sum()), value, exceeded)
 
 
 def apply_window_stage(
@@ -353,43 +345,39 @@ def apply_window_stage(
     """Run one window optimizer over every window and apply accepted results.
 
     Windows are disjoint, so every window is optimized against the same
-    immutable snapshot and the results are applied in window order. A
-    window's proposal is accepted only if it does not increase the true
-    local cut against the frozen exterior; the window objective alone can
-    overcount edges to far-away parts as variable. Returns the new ordering,
-    the new split points, and per-window diagnostic rows (window index, old
-    local cut, new local cut, vertices moved).
+    immutable snapshot and the results are applied in window order. One
+    edge slice per window serves its optimizer and its acceptance check: a
+    left mask is accepted only if it does not increase the true local cut
+    against the frozen exterior (the window objective alone can overcount
+    edges to far-away parts as variable), and then the left vertices move
+    before the split, each side in its previous order. Returns the new
+    ordering, the new split points, and per-window diagnostic rows (window
+    index, old local cut, new local cut, vertices moved).
     """
     if method not in ("linopt", "mincut"):
         raise ValueError(f"unknown window method {method!r}")
+    # mincut_window is looked up at call time, so a wrapped one is called.
+    optimize = linopt_window if method == "linopt" else lambda e, w: mincut_window(e, w).left_mask
     windows = make_windows(g, o, splits.k, splits.alpha)
     if not windows:
         return o, splits, []
-
-    optimize = linopt_window if method == "linopt" else mincut_window
-    results = [optimize(g, o, win) for win in windows]
 
     tol = 1e-12 * max(1.0, g.total_edge_weight)
     new_q = splits.q.copy()
     vertex_at = o.vertex_at.copy()
     diagnostics = []
-    for win, res in zip(windows, results):
-        members = o.vertex_at[win.lo : win.hi]
-        positions = np.arange(win.lo, win.hi)
-        old_mask = positions < splits.q[win.index]
-        if method == "linopt":
-            new_split, new_order = res, members
-            new_mask = positions < new_split
-        else:
-            new_split, new_order = res.split, np.asarray(res.order, dtype=np.int64)
-            new_mask = np.isin(members, res.left)
+    for win in windows:
         edges = _window_edges(g, o, win)
+        new_mask = optimize(edges, win)
+        old_mask = np.arange(win.lo, win.hi) < splits.q[win.index]
         old_value = _window_cut(edges, win, old_mask, splits.q)
         new_value = _window_cut(edges, win, new_mask, splits.q)
         accepted = new_value <= old_value + tol
         moved = 0
         if accepted:
-            new_q[win.index] = new_split
+            members = o.vertex_at[win.lo : win.hi]
+            new_order = np.concatenate([members[new_mask], members[~new_mask]])
+            new_q[win.index] = win.lo + int(new_mask.sum())
             moved = int(np.count_nonzero(members != new_order))
             vertex_at[win.lo : win.hi] = new_order
         diagnostics.append(
@@ -454,9 +442,12 @@ class ContractedGraph:
         return np.concatenate([[0.0], np.cumsum(self.block_weights)])
 
 
-def contract_blocks(g: Graph, o: Ordering, block_count: int) -> ContractedGraph:
-    """Contract near-equal contiguous rank blocks (sizes differ by <= 1)."""
+def contract_blocks(g: Graph, o: Ordering, block_count: int | None = None) -> ContractedGraph:
+    """Contract near-equal contiguous rank blocks (sizes differ by <= 1);
+    ``block_count`` defaults to min(n, DEFAULT_DP_BLOCKS)."""
     n = g.n
+    if block_count is None:
+        block_count = min(n, DEFAULT_DP_BLOCKS)
     if not 1 <= block_count <= n:
         raise ValueError(f"block_count must be in [1, {n}], got {block_count}")
     starts = np.array(

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import io
 from .boundary import (
+    DEFAULT_DP_BLOCKS,
     apply_window_stage,
     contract_blocks,
     dp_partition,
@@ -30,7 +31,7 @@ from .graph import (
     query_weighted_graph,
 )
 from .ordering import affinity_ordering, hilbert_ordering, random_ordering
-from .pipeline import DEFAULT_DP_BLOCKS, INITIAL_ORDERINGS, STAGES, PipelineConfig, combine
+from .pipeline import INITIAL_ORDERINGS, STAGES, PipelineConfig, combine
 from .refine import make_swap_plan, minla_refine, rank_swap_round
 
 log = logging.getLogger(__name__)
@@ -212,13 +213,12 @@ def _cmd_postprocess(args) -> int:
     ordering = io.load_ordering(g, args.ordering)
     splits = make_split_points(g, ordering, args.k, args.alpha)
     if args.method == "dp":
-        blocks = args.blocks or min(g.n, DEFAULT_DP_BLOCKS)
-        cg = contract_blocks(g, ordering, blocks)
+        cg = contract_blocks(g, ordering, args.blocks)
         res = dp_partition(cg, args.k, args.alpha, args.allow_empty_parts)
         if not res.feasible:
             raise _Infeasible(
                 f"no alpha-balanced contiguous partition for k={args.k}, "
-                f"alpha={args.alpha} at {blocks} blocks"
+                f"alpha={args.alpha} at {cg.block_count} blocks"
             )
         print(f"cut_value\t{res.cut_value:.6g}")
         io.write_splits(res.split_ranks, args.output)

@@ -157,7 +157,6 @@ def affinity_ordering(
     """
     n = g.n
     cluster = np.arange(n, dtype=np.int64)  # representative = min member id
-    rev_labels: list[list[int]] = [[v] for v in range(n)]
     hierarchy = AffinityHierarchy(levels=[cluster.copy()])
 
     eu, ev, ew = g.edge_u, g.edge_v, g.edge_w
@@ -212,15 +211,23 @@ def affinity_ordering(
         merged = comp_size[comp_of_rep[cluster]] >= 2
         if not merged.any():
             break
-        new_cluster = cluster.copy()
-        new_cluster[merged] = comp_min[comp_of_rep[cluster[merged]]]
-        for v in np.flatnonzero(merged):
-            rev_labels[v].append(int(new_cluster[v]))
-        cluster = new_cluster
+        cluster[merged] = comp_min[comp_of_rep[cluster[merged]]]
         hierarchy.levels.append(cluster.copy())
 
-    hierarchy.labels = [tuple(reversed(lbl)) for lbl in rev_labels]
-    vertex_at = np.array(
-        sorted(range(n), key=lambda v: (hierarchy.labels[v], v)), dtype=np.int64
-    )
+    hierarchy.labels = _labels_from_levels(hierarchy.levels)
+    # Keys from the last level to level 0 (the ids): a cluster's members
+    # share its representatives, so they come out contiguous.
+    vertex_at = np.lexsort(hierarchy.levels)
     return Ordering.from_vertex_at(vertex_at), hierarchy
+
+
+def _labels_from_levels(levels: list[np.ndarray]) -> list[tuple[int, ...]]:
+    """Root-to-leaf label paths: v's representative at every level where its
+    cluster grew (it merged in that round), last level first, then v."""
+    n = len(levels[0])
+    size = np.stack([np.bincount(lv, minlength=n)[lv] for lv in levels])
+    keep = np.ones(size.shape, dtype=bool)
+    keep[1:] = size[1:] > size[:-1]
+    vals = np.stack(levels[::-1]).T[keep[::-1].T].tolist()
+    ends = np.cumsum(keep.sum(axis=0)).tolist()
+    return [tuple(vals[a:b]) for a, b in zip([0] + ends, ends)]

@@ -3,10 +3,13 @@
 One run weights the graph for affinity, embeds the vertices on a line, sets
 fully balanced split points, then repeats the configured stage list until a
 full pass changes neither the ordering nor the splits (or the iteration cap
-is hit). The metric stage optimizes the linear-arrangement objective and is
-allowed to move the cut either way; every other stage never increases it.
-The driver keeps the best pass-end state, so the emitted partition never
-cuts more than the initial balanced chop.
+is hit). Each stage only proposes a new state (``run_stage``); ``combine``
+prices a proposal once, if it changed the state, and enforces the
+never-raise rule: the metric stage optimizes the linear-arrangement
+objective and may move the cut either way, while a proposal of any other
+stage that raises the cut is rejected and the previous state kept. The
+driver keeps the best pass-end state, so the emitted partition never cuts
+more than the initial balanced chop.
 """
 
 from __future__ import annotations
@@ -36,8 +39,6 @@ log = logging.getLogger(__name__)
 STAGES = ("metric", "swap", "linopt", "mincut", "dp")
 INITIAL_ORDERINGS = ("random", "hilbert", "affinity")
 
-DEFAULT_DP_BLOCKS = 1000
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -48,7 +49,7 @@ class PipelineConfig:
     max_outer_iters: int = 10
     seed: int = 0
     swap_intervals: int = 8  # intervals per partition in a swap round
-    dp_blocks: int | None = None  # None -> min(n, DEFAULT_DP_BLOCKS)
+    dp_blocks: int | None = None  # None -> contract_blocks' default
     minla_max_rounds: int = 10
     curve_order: int = 16
 
@@ -70,6 +71,8 @@ class PipelineConfig:
             raise ValueError("max_outer_iters must be at least 1")
         if self.swap_intervals < 1:
             raise ValueError("swap interval count must be positive")
+        if self.dp_blocks is not None and self.dp_blocks < 1:
+            raise ValueError("dp block count must be at least 1")
 
 
 @dataclass
@@ -117,10 +120,11 @@ def run_stage(
     cfg: PipelineConfig | None = None,
     iteration: int = 0,
 ) -> tuple[Ordering, SplitPoints, str]:
-    """Apply one named stage to (ordering, splits).
+    """Apply one named stage to (ordering, splits) and return its proposal.
 
-    Returns the new ordering, the new splits, and a note that is empty
-    unless the stage was skipped or rejected.
+    Returns the proposed ordering, the proposed splits, and a note that is
+    empty unless the stage was skipped. The proposal is not priced here:
+    ``combine`` rejects a non-metric proposal that raises the cut.
     """
     if cfg is None:
         cfg = PipelineConfig(k=s.k, alpha=s.alpha)
@@ -139,33 +143,14 @@ def run_stage(
                 )
                 o = refine.rank_swap_round(g, o, s, plan)
     elif stage in ("linopt", "mincut"):
-        # Per-window acceptance handles the window objective's bias toward
-        # far-away parts; interactions between simultaneously moved windows
-        # can still in principle raise the cut, so gate the whole stage too.
-        before, _, _ = _state_cut(g, o, s)
-        o2, s2, _diag = apply_window_stage(g, o, s, stage)
-        after, _, _ = _state_cut(g, o2, s2)
-        if after <= before * (1 + 1e-12) + 1e-12:
-            o, s = o2, s2
-        else:
-            note = f"{stage} stage rejected: combined window moves raise the cut"
-            log.warning(note)
+        o, s, _diag = apply_window_stage(g, o, s, stage)
     elif stage == "dp":
-        blocks = cfg.dp_blocks or min(g.n, DEFAULT_DP_BLOCKS)
-        cg = contract_blocks(g, o, blocks)
-        res = dp_partition(cg, s.k, s.alpha)
-        if not res.feasible:
+        res = dp_partition(contract_blocks(g, o, cfg.dp_blocks), s.k, s.alpha)
+        if res.feasible:
+            s = res.split_points(s.alpha)
+        else:
             note = "dp stage skipped: no alpha-balanced contiguous partition"
             log.warning(note)
-        else:
-            candidate = res.split_points(s.alpha)
-            before, _, _ = _state_cut(g, o, s)
-            after, _, _ = _state_cut(g, o, candidate)
-            if after <= before * (1 + 1e-12) + 1e-12:
-                s = candidate
-            else:
-                note = "dp stage rejected: candidate splits would raise the cut"
-                log.warning(note)
     else:
         raise ValueError(f"unknown stage {stage!r}")
     return o, s, note
@@ -199,6 +184,8 @@ def combine(g: Graph, cfg: PipelineConfig) -> PipelineReport:
     records.append(StageRecord(0, "init", w0, f0, bal0, True))
     log.info("combine\t%s", records[-1].row())
 
+    # cw, cf, part, bal: the current state, priced when it was made
+    cw, cf, part, bal = w0, f0, part0, bal0
     best_cut = w0
     best_state = (ordering.copy(), splits.copy(), f0, part0)
     converged = False
@@ -212,14 +199,20 @@ def combine(g: Graph, cfg: PipelineConfig) -> PipelineReport:
                 np.array_equal(o2.vertex_at, ordering.vertex_at)
                 and np.array_equal(s2.q, splits.q)
             )
-            ordering, splits = o2, s2
-            cw, cf, part = _state_cut(g, ordering, splits)
-            bal = check_balance(g, part, cfg.alpha).balanced
+            if changed:
+                cw2, cf2, part2 = _state_cut(g, o2, s2)
+                # the never-raise rule: only the metric stage may raise the cut
+                if stage != "metric" and cw2 > cw * (1 + 1e-12) + 1e-12:
+                    changed = False
+                    note = f"{stage} stage rejected: proposal would raise the cut"
+                    log.warning(note)
+                else:
+                    ordering, splits, cw, cf, part = o2, s2, cw2, cf2, part2
+                    bal = check_balance(g, part, cfg.alpha).balanced
             records.append(StageRecord(it, stage, cw, cf, bal, changed, note))
             if note:
                 warnings.append(note)
             log.info("combine\t%s", records[-1].row())
-        # cw, cf, part: the pass-end state, as priced by its last stage record
         if cw < best_cut:
             best_cut = cw
             best_state = (ordering.copy(), splits.copy(), cf, part)

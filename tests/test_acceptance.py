@@ -16,9 +16,7 @@ from linepart.boundary import (
     Window,
     contract_blocks,
     dp_partition,
-    linopt_window,
     make_split_points,
-    mincut_window,
 )
 from linepart.graph import Partition, check_balance, common_neighbors_similarity, cut_weight
 from linepart.ordering import Ordering, affinity_ordering, random_ordering
@@ -29,7 +27,9 @@ from linepart.synth import disjoint_cliques, erdos_renyi, ring_of_cliques, rmat
 from conftest import random_graph
 from test_boundary import (
     exhaustive_contiguous_cut,
+    linopt_split,
     make_figure_instance,
+    mincut_sides,
     naive_split_cost,
     naive_window_cost,
 )
@@ -110,14 +110,14 @@ def mincut_suite():
             )
             for bits in range(1 << len(members))
         )
-        suite.append((g, o, win, mincut_window(g, o, win), brute))
+        suite.append((g, o, win, *mincut_sides(g, o, win)[:2], brute))
     return suite
 
 
 def test_criterion_02_mincut_matches_bipartition_enumeration(mincut_suite):
-    for g, o, win, res, brute in mincut_suite:
+    for g, o, win, res, left, brute in mincut_suite:
         assert res.cut_value == pytest.approx(brute, abs=1e-9)
-        assert naive_window_cost(g, o, win.lo, win.hi, res.left) == pytest.approx(
+        assert naive_window_cost(g, o, win.lo, win.hi, left) == pytest.approx(
             brute, abs=1e-9
         )
     print(f"\nPASS criterion 2: window min cut exact on {len(mincut_suite)} windows")
@@ -132,7 +132,7 @@ def test_criterion_03_linopt_matches_naive_scan():
         lo = int(rng.integers(1, 8))
         hi = min(lo + int(rng.integers(1, 14)), n - 1)
         win = Window(index=1, center=(lo + hi) // 2, lo=lo, hi=hi)
-        s = linopt_window(g, o, win)
+        s = linopt_split(g, o, win)
         best = min(naive_split_cost(g, o, win, c) for c in range(lo, hi + 1))
         assert naive_split_cost(g, o, win, s) == pytest.approx(best, abs=1e-9)
     print("\nPASS criterion 3: linear scan equals naive per-split evaluation "
@@ -140,12 +140,12 @@ def test_criterion_03_linopt_matches_naive_scan():
 
 
 def test_criterion_04_mincut_dominates_linopt(mincut_suite):
-    for g, o, win, res, _brute in mincut_suite:
-        s = linopt_window(g, o, win)
+    for g, o, win, res, _left, _brute in mincut_suite:
+        s = linopt_split(g, o, win)
         assert res.cut_value <= naive_split_cost(g, o, win, s) + 1e-9
     g, o, win = make_figure_instance()
-    lin = naive_split_cost(g, o, win, linopt_window(g, o, win))
-    cut = mincut_window(g, o, win).cut_value
+    lin = naive_split_cost(g, o, win, linopt_split(g, o, win))
+    cut = mincut_sides(g, o, win)[0].cut_value
     assert (lin, cut) == (4.0, 1.0)
     print("\nPASS criterion 4: min cut dominates the scan on every window; "
           "hand-built window improves 4 -> 1")
@@ -230,15 +230,14 @@ def test_criterion_09_scalability_trend():
 
     g = rmat(15, 1 << 18, seed=1)
     per_k = {}
-    for k in (2, 256):
-        cfg = PipelineConfig(k=k, alpha=0.03, seed=0, max_outer_iters=2,
-                             minla_max_rounds=8)
-        best = math.inf
-        for _ in range(2):
+    # k=2 and k=256 alternate, so drift in the machine's speed hits both
+    for _ in range(3):
+        for k in (2, 256):
+            cfg = PipelineConfig(k=k, alpha=0.03, seed=0, max_outer_iters=2,
+                                 minla_max_rounds=8)
             t0 = time.perf_counter()
             combine(g, cfg)
-            best = min(best, time.perf_counter() - t0)
-        per_k[k] = best
+            per_k[k] = min(per_k.get(k, math.inf), time.perf_counter() - t0)
     gap = abs(per_k[2] - per_k[256]) / max(per_k.values())
     assert gap < 0.10, per_k
     print(f"\nPASS criterion 9: log-log slope {slope:.2f} < 1.5 over "

@@ -5,9 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
+from linepart import boundary
 from linepart.boundary import (
     SplitPoints,
     Window,
+    _window_edges,
     apply_window_stage,
     contract_blocks,
     crossing_cost,
@@ -50,6 +52,22 @@ def naive_window_cost(g, o, lo, hi, left_window_vertices):
         if side(u) != side(v):
             total += float(g.edge_w[e])
     return total
+
+
+def linopt_split(g, o, win):
+    """The split ``linopt_window`` picks, after checking its mask is a prefix."""
+    mask = linopt_window(_window_edges(g, o, win), win)
+    s = win.lo + int(mask.sum())
+    assert mask.tolist() == [r < s for r in range(win.lo, win.hi)]
+    return s
+
+
+def mincut_sides(g, o, win, **kwargs):
+    """``mincut_window`` on the window's edges, with its left and right
+    vertex lists (each in the ordering's relative order)."""
+    res = mincut_window(_window_edges(g, o, win), win, **kwargs)
+    members = o.vertex_at[win.lo : win.hi]
+    return res, members[res.left_mask].tolist(), members[~res.left_mask].tolist()
 
 
 def naive_split_cost(g, o, win, s):
@@ -208,7 +226,7 @@ def test_linopt_picks_zero_weight_gap():
                    weights=[1, 1, 1, 0, 1, 1, 1])
     o = Ordering.identity(8)
     win = Window(index=1, center=4, lo=2, hi=6)
-    s = linopt_window(g, o, win)
+    s = linopt_split(g, o, win)
     assert s == 4
     assert window_crossing_weight(g, o, win, s) == 0.0
 
@@ -226,7 +244,7 @@ def make_figure_instance():
 
 def test_linopt_figure_instance_cut_four():
     g, o, win = make_figure_instance()
-    s = linopt_window(g, o, win)
+    s = linopt_split(g, o, win)
     assert window_crossing_weight(g, o, win, s) == 4.0
     assert s == 2  # split right after window vertex 1
 
@@ -243,7 +261,7 @@ def test_linopt_matches_naive_evaluation():
         lo = int(rng.integers(1, 6))
         hi = int(rng.integers(lo, 13))
         win = Window(index=1, center=int(rng.integers(lo, hi + 1)), lo=lo, hi=hi)
-        s = linopt_window(g, o, win)
+        s = linopt_split(g, o, win)
         values = {cand: naive_split_cost(g, o, win, cand) for cand in range(lo, hi + 1)}
         assert naive_split_cost(g, o, win, s) == pytest.approx(min(values.values()))
         # tie rule: nothing strictly better, and among minima s is closest
@@ -259,24 +277,24 @@ def test_linopt_matches_naive_evaluation():
 
 def test_mincut_figure_instance_cut_one():
     g, o, win = make_figure_instance()
-    res = mincut_window(g, o, win)
+    res, left, right = mincut_sides(g, o, win)
     assert res.cut_value == 1.0
-    assert sorted(res.left) == [1, 3, 7, 8]
-    assert sorted(res.right) == [2, 4, 5, 6]
+    assert sorted(left) == [1, 3, 7, 8]
+    assert sorted(right) == [2, 4, 5, 6]
     assert res.split == win.lo + 4
     assert not res.used_fallback
     # stable within sides: previous relative order preserved
-    assert res.left == [1, 3, 7, 8]
-    assert res.right == [2, 4, 5, 6]
+    assert left == [1, 3, 7, 8]
+    assert right == [2, 4, 5, 6]
 
 
 def test_mincut_no_edges_keeps_balanced_split_and_order():
     g = make_graph([], n=10)
     o = Ordering.identity(10)
     win = Window(index=1, center=5, lo=2, hi=8)
-    res = mincut_window(g, o, win)
+    res, left, right = mincut_sides(g, o, win)
     assert res.split == 5
-    assert res.order == [2, 3, 4, 5, 6, 7]
+    assert left + right == [2, 3, 4, 5, 6, 7]
 
 
 def test_mincut_matches_exhaustive_bipartitions():
@@ -291,14 +309,14 @@ def test_mincut_matches_exhaustive_bipartitions():
         lo = int(rng.integers(1, 5))
         hi = lo + int(rng.integers(1, 11))
         win = Window(index=1, center=(lo + hi) // 2, lo=lo, hi=hi)
-        res = mincut_window(g, o, win)
+        res, left, _ = mincut_sides(g, o, win)
         members = [int(v) for v in o.vertex_at[lo:hi]]
         best = min(
             naive_window_cost(g, o, lo, hi, [v for i, v in enumerate(members) if (bits >> i) & 1])
             for bits in range(1 << len(members))
         )
         assert res.cut_value == pytest.approx(best)
-        assert naive_window_cost(g, o, lo, hi, res.left) == pytest.approx(best)
+        assert naive_window_cost(g, o, lo, hi, left) == pytest.approx(best)
 
 
 def test_mincut_dominates_linopt():
@@ -308,26 +326,27 @@ def test_mincut_dominates_linopt():
         g = random_graph(rng, n, int(rng.integers(5, 40)))
         o = Ordering.from_vertex_at(rng.permutation(n))
         win = Window(index=1, center=7, lo=3, hi=11)
-        res = mincut_window(g, o, win)
-        s = linopt_window(g, o, win)
+        res = mincut_window(_window_edges(g, o, win), win)
+        s = linopt_split(g, o, win)
         assert res.cut_value <= naive_split_cost(g, o, win, s) + 1e-9
 
 
 def test_mincut_budget_falls_back_to_scan():
     g, o, win = make_figure_instance()
-    res = mincut_window(g, o, win, max_augmentations=1)
+    res, left, right = mincut_sides(g, o, win, max_augmentations=1)
     assert res.used_fallback
     assert res.cut_value == 4.0  # the order-respecting optimum
+    assert (left, right, res.split) == ([1], [2, 3, 4, 5, 6, 7, 8], 2)
 
 
 def test_mincut_rerun_is_stable():
     g, o, win = make_figure_instance()
-    res = mincut_window(g, o, win)
+    res, left, right = mincut_sides(g, o, win)
     vertex_at = o.vertex_at.copy()
-    vertex_at[win.lo : win.hi] = res.order
+    vertex_at[win.lo : win.hi] = left + right
     o2 = Ordering.from_vertex_at(vertex_at)
-    res2 = mincut_window(g, o2, win)
-    assert res2.order == res.order
+    res2, left2, right2 = mincut_sides(g, o2, win)
+    assert left2 + right2 == left + right
     assert res2.split == res.split
 
 
@@ -355,6 +374,15 @@ def test_contract_block_sizes_near_equal():
     sizes = np.diff(cg.block_starts)
     assert sizes.sum() == 11
     assert sizes.max() - sizes.min() <= 1
+
+
+def test_contract_default_and_invalid_block_counts():
+    for n in (7, boundary.DEFAULT_DP_BLOCKS + 5):
+        cg = contract_blocks(path_graph(n), Ordering.identity(n))
+        assert cg.block_count == min(n, boundary.DEFAULT_DP_BLOCKS)
+    for bad in (0, -1, 8):
+        with pytest.raises(ValueError, match=f"must be in \\[1, 7\\], got {bad}"):
+            contract_blocks(path_graph(7), Ordering.identity(7), bad)
 
 
 def test_contract_aggregates_cross_block_weight():
@@ -531,6 +559,24 @@ def test_apply_window_stage_monotone_and_balanced():
             assert len(diag) == 3
             sizes = np.diff(s2.q)
             assert sizes.sum() == n and (sizes > 0).all()
+
+
+def test_window_stage_gathers_each_window_once(monkeypatch):
+    gathered = []
+
+    def counting_window_edges(g, o, win):
+        gathered.append(win.index)
+        return _window_edges(g, o, win)
+
+    monkeypatch.setattr(boundary, "_window_edges", counting_window_edges)
+    rng = np.random.default_rng(8)
+    g = random_graph(rng, 40, 120)
+    o = Ordering.from_vertex_at(rng.permutation(40))
+    splits = make_split_points(g, o, 5, 0.3)
+    for method in ("linopt", "mincut"):
+        gathered.clear()
+        _, _, diag = apply_window_stage(g, o, splits, method)
+        assert gathered == [1, 2, 3, 4] == [row[0] for row in diag]
 
 
 def test_frozen_local_cut_matches_direct_count():

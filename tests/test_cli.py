@@ -170,6 +170,30 @@ def test_postprocess_dp_allow_empty_parts_writes_optimal_splits(tmp_path, capsys
     assert cut.split("\t")[1] == evaluated.splitlines()[0].split("\t")[1]
 
 
+def test_blocks_below_one_exit_one(tmp_path, capsys, cliques):
+    ord_path = tmp_path / "ord.tsv"
+    run(capsys, "order", "--method", "random", "--graph", cliques, "-o", ord_path)
+    for blocks in ("0", "-2"):
+        out = tmp_path / "splits.txt"
+        code, _, err = run(
+            capsys, "postprocess", "--method", "dp", "--graph", cliques,
+            "--ordering", ord_path, "-k", "2", "--alpha", "0.5",
+            "--blocks", blocks, "-o", out,
+        )
+        assert code == 1
+        assert f"block_count must be in [1, 8], got {blocks}" in err
+        assert not out.exists()
+        for stages in ("dp", "metric,swap"):
+            out = tmp_path / "part.tsv"
+            code, _, err = run(
+                capsys, "combine", "--graph", cliques, "-k", "2", "--alpha", "0.5",
+                "--stages", stages, "--blocks", blocks, "-o", out,
+            )
+            assert code == 1
+            assert "dp block count must be at least 1" in err
+            assert not out.exists()
+
+
 def test_weigh_queries(tmp_path, capsys):
     g = tmp_path / "path.tsv"
     g.write_text("a\tb\nb\tc\nc\td\nx\ty\n")

@@ -3,17 +3,21 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from linepart.graph import Partition, common_neighbors_similarity, cut_weight
 from linepart.hilbert import hilbert_index
 from linepart.ordering import (
+    AFFINITY_ROUND_CAP,
+    AffinityHierarchy,
     affinity_ordering,
     hilbert_ordering,
     random_ordering,
 )
-from linepart.synth import disjoint_cliques
+from linepart.synth import disjoint_cliques, erdos_renyi, ring_of_cliques, rmat
 
-from conftest import make_graph, small_graph_and_order
+from conftest import make_graph, random_graph, small_graph_and_order
 
 
 # -- Hilbert index oracle ---------------------------------------------------
@@ -112,6 +116,111 @@ def test_hilbert_ordering_translation_and_scale_invariant():
     base = hilbert_ordering(make_graph([], n=40, geo=pts), 10)
     shifted = hilbert_ordering(make_graph([], n=40, geo=pts * 3.0 + 11.0), 10)
     assert base == shifted
+
+
+def reference_affinity_ordering(g, max_rounds=AFFINITY_ROUND_CAP):
+    """The label loop and label sort that ``affinity_ordering`` replaced with
+    numpy, verbatim; returns (vertex_at, hierarchy)."""
+    n = g.n
+    cluster = np.arange(n, dtype=np.int64)  # representative = min member id
+    rev_labels: list[list[int]] = [[v] for v in range(n)]
+    hierarchy = AffinityHierarchy(levels=[cluster.copy()])
+
+    eu, ev, ew = g.edge_u, g.edge_v, g.edge_w
+    for _ in range(max_rounds):
+        cu = cluster[eu]
+        cv = cluster[ev]
+        cross = cu != cv
+        if not cross.any():
+            break
+        a = np.minimum(cu[cross], cv[cross])
+        b = np.maximum(cu[cross], cv[cross])
+        key = a * np.int64(n) + b
+        uniq, inverse = np.unique(key, return_inverse=True)
+        sums = np.bincount(inverse, weights=ew[cross], minlength=len(uniq))
+        counts = np.bincount(inverse, minlength=len(uniq))
+        means = sums / counts
+        pos = means > 0
+        if not pos.any():
+            break
+        pa = (uniq[pos] // n).astype(np.int64)
+        pb = (uniq[pos] % n).astype(np.int64)
+        pw = means[pos]
+
+        # Best neighbor per cluster: max similarity, ties to smaller rep id.
+        src = np.concatenate([pa, pb])
+        dst = np.concatenate([pb, pa])
+        sim = np.concatenate([pw, pw])
+        order = np.lexsort((dst, -sim, src))
+        src_sorted = src[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = src_sorted[1:] != src_sorted[:-1]
+        sel_src = src_sorted[first]
+        sel_dst = dst[order][first]
+
+        # Merge connected components of the undirected selection graph.
+        reps = np.unique(cluster)
+        comp_of_rep = np.full(n, -1, dtype=np.int64)
+        ri = np.searchsorted(reps, sel_src)
+        rj = np.searchsorted(reps, sel_dst)
+        m = len(reps)
+        sel_graph = coo_matrix(
+            (np.ones(len(ri)), (ri, rj)), shape=(m, m)
+        )
+        n_comp, comp = connected_components(sel_graph, directed=False)
+        comp_of_rep[reps] = comp
+
+        # New representative per component: minimum member id.
+        comp_min = np.full(n_comp, n, dtype=np.int64)
+        np.minimum.at(comp_min, comp, reps)
+        comp_size = np.bincount(comp, minlength=n_comp)
+
+        merged = comp_size[comp_of_rep[cluster]] >= 2
+        if not merged.any():
+            break
+        new_cluster = cluster.copy()
+        new_cluster[merged] = comp_min[comp_of_rep[cluster[merged]]]
+        for v in np.flatnonzero(merged):
+            rev_labels[v].append(int(new_cluster[v]))
+        cluster = new_cluster
+        hierarchy.levels.append(cluster.copy())
+
+    hierarchy.labels = [tuple(reversed(lbl)) for lbl in rev_labels]
+    vertex_at = np.array(
+        sorted(range(n), key=lambda v: (hierarchy.labels[v], v)), dtype=np.int64
+    )
+    return vertex_at, hierarchy
+
+
+def affinity_cases():
+    rng = np.random.default_rng(12)
+    cases = [
+        common_neighbors_similarity(rmat(9, 4000, seed=3)),
+        common_neighbors_similarity(ring_of_cliques(6, 5)),
+        common_neighbors_similarity(disjoint_cliques(3, 4)),
+        common_neighbors_similarity(erdos_renyi(60, 0.2, 4)),
+        make_graph([], n=5),
+        make_graph([], n=0),
+        make_graph([(0, 1), (0, 2), (0, 3), (0, 4)]),
+    ]
+    for _ in range(40):
+        n = int(rng.integers(2, 40))
+        g = random_graph(rng, n, int(rng.integers(0, 3 * n)))
+        w = rng.choice([0.0, 0.5, 1.0, 2.0], size=g.edge_count)  # ties and zeros
+        cases.append(g.with_edge_weights(w))
+    return cases
+
+
+def test_affinity_order_and_labels_match_reference_loop():
+    for g in affinity_cases():
+        for max_rounds in (AFFINITY_ROUND_CAP, 1, 2):
+            order, hierarchy = affinity_ordering(g, max_rounds)
+            ref_at, ref = reference_affinity_ordering(g, max_rounds)
+            assert order.vertex_at.tolist() == ref_at.tolist()
+            assert hierarchy.labels == ref.labels
+            assert [lv.tolist() for lv in hierarchy.levels] == [
+                lv.tolist() for lv in ref.levels
+            ]
 
 
 def test_affinity_single_edge():

@@ -5,7 +5,8 @@ import pytest
 
 from linepart.boundary import make_split_points
 from linepart.graph import Partition, check_balance, cut_weight
-from linepart.ordering import Ordering
+from linepart import pipeline
+from linepart.ordering import Ordering, random_ordering
 from linepart.pipeline import PipelineConfig, combine, run_stage
 from linepart.synth import disjoint_cliques, erdos_renyi, ring_of_cliques, rmat
 
@@ -102,14 +103,21 @@ def test_linopt_stage_reaches_a_fixed_point():
 
 
 def test_dp_stage_with_identity_blocks_matches_exhaustive():
+    # combine gates the dp proposal, so the stage ends at the better of the
+    # exhaustive optimum and the starting chop
     rng = np.random.default_rng(23)
     g = random_graph(rng, 12, 30)
-    o = Ordering.from_vertex_at(rng.permutation(12))
+    cfg = PipelineConfig(
+        k=3, alpha=0.25, initial_ordering="random", stages=("dp",),
+        seed=int(rng.integers(100)), max_outer_iters=1, dp_blocks=12,
+    )
+    o = random_ordering(g, cfg.seed)
     splits = make_split_points(g, o, 3, 0.25)
-    cfg = PipelineConfig(k=3, alpha=0.25, dp_blocks=12)
-    o2, s2, _ = run_stage("dp", g, o, splits, cfg)
+    report = combine(g, cfg)
+    o2, s2 = report.ordering, report.splits
     assert np.array_equal(o2.vertex_at, o.vertex_at)  # dp never reorders
     value = cut_weight(g, Partition.from_contiguous(o2, s2, g))[0]
+    assert value == report.records[1].cut_weight
     cg = contract_blocks(g, o, 12)
     best = exhaustive_contiguous_cut(cg, 3, 0.25)
     start = cut_weight(g, Partition.from_contiguous(o, splits, g))[0]
@@ -117,6 +125,54 @@ def test_dp_stage_with_identity_blocks_matches_exhaustive():
         assert np.array_equal(s2.q, splits.q)
     else:
         assert value == pytest.approx(min(best, start))
+
+
+def test_combine_rejects_a_cut_raising_proposal(monkeypatch):
+    inputs = []
+
+    def spy(stage, g, o, s, cfg=None, iteration=0):
+        inputs.append((o.vertex_at.copy(), s.q.copy()))
+        return run_stage(stage, g, o, s, cfg, iteration)
+
+    monkeypatch.setattr(pipeline, "run_stage", spy)
+    rng = np.random.default_rng(42)
+    for _ in range(4):  # the last graph of test_final_cut_never_exceeds_initial_chop
+        graph, seed = random_graph(rng, 60, 200), int(rng.integers(100))
+    cases = [
+        # the coarse dp optimum cuts more than the refined rank-level splits
+        (ring_of_cliques(16, 8), PipelineConfig(
+            k=4, alpha=0.1, initial_ordering="random",
+            stages=("metric", "swap", "linopt", "mincut", "dp"),
+            seed=0, max_outer_iters=3, dp_blocks=20,
+        ), {"dp"}),
+        # windows that each pass acceptance raise the cut together
+        (graph, PipelineConfig(
+            k=4, alpha=0.1, initial_ordering="random",
+            stages=("metric", "swap", "linopt", "mincut", "dp"),
+            seed=seed, max_outer_iters=4,
+        ), {"linopt", "mincut"}),
+    ]
+    for g, cfg, expected in cases:
+        inputs.clear()
+        report = combine(g, cfg)
+        assert "final state replaced by best intermediate state" not in report.warnings
+        assert len(inputs) == len(report.records) - 1
+        # the state each stage starts from, and the one combine returns
+        states = inputs[1:] + [(report.ordering.vertex_at, report.splits.q)]
+        rejected = set()
+        for i, rec in enumerate(report.records[1:]):
+            if "rejected" not in rec.note:
+                continue
+            rejected.add(rec.stage)
+            assert rec.note.startswith(f"{rec.stage} stage rejected: ")
+            assert rec.changed == 0
+            prev = report.records[i]
+            assert (rec.cut_weight, rec.cut_fraction, rec.balanced) == (
+                prev.cut_weight, prev.cut_fraction, prev.balanced
+            )
+            assert np.array_equal(states[i][0], inputs[i][0])
+            assert np.array_equal(states[i][1], inputs[i][1])
+        assert rejected == expected
 
 
 def test_infeasible_dp_skipped_with_warning():
@@ -158,6 +214,8 @@ def test_config_validation():
         combine(g, PipelineConfig(k=9, alpha=0.0))
     with pytest.raises(ValueError, match="alpha"):
         combine(g, PipelineConfig(k=2, alpha=-0.1))
+    with pytest.raises(ValueError, match="dp block count"):
+        combine(g, PipelineConfig(k=2, alpha=0.0, stages=("dp",), dp_blocks=0))
     with pytest.raises(ValueError, match="initial ordering"):
         combine(g, PipelineConfig(k=2, alpha=0.0, initial_ordering="sorted"))
     with pytest.raises(ValueError, match="coordinates"):
