@@ -191,14 +191,17 @@ def load_graph(edge_source: Source, vertex_source: Source | None = None) -> Grap
     )
 
 
-def load_partition(g: Graph, source: Source) -> Partition:
-    label = _source_label(source, "<partition>")
-    assignment = np.full(g.n, -1, dtype=np.int64)
-    max_part = -1
+def _load_vertex_values(
+    g: Graph, source: Source, label: str, field: str, what: str
+) -> np.ndarray:
+    """Per-vertex values from ``id <tab> integer`` rows; -1 where no row
+    names the vertex. A value outside [0, n) is rejected at its line, so no
+    part id or rank can exceed the vertex count."""
+    values = np.full(g.n, -1, dtype=np.int64)
     for lineno, fields in _rows(source, label):
         if len(fields) != 2:
             raise GraphFormatError(
-                f"{label}:{lineno}: expected 'id part', got {len(fields)} fields"
+                f"{label}:{lineno}: expected 'id {field}', got {len(fields)} fields"
             )
         try:
             v = g.internal_id(fields[0])
@@ -207,44 +210,34 @@ def load_partition(g: Graph, source: Source) -> Partition:
                 f"{label}:{lineno}: unknown vertex {fields[0]!r}"
             ) from None
         try:
-            part = int(fields[1])
+            value = int(fields[1])
         except ValueError:
             raise GraphFormatError(
-                f"{label}:{lineno}: cannot parse part id {fields[1]!r}"
+                f"{label}:{lineno}: cannot parse {what} {fields[1]!r}"
             ) from None
-        if part < 0:
-            raise GraphFormatError(f"{label}:{lineno}: negative part id {part}")
-        assignment[v] = part
-        max_part = max(max_part, part)
+        if not 0 <= value < g.n:
+            raise GraphFormatError(
+                f"{label}:{lineno}: {what} {value} is outside [0, {g.n})"
+            )
+        values[v] = value
+    return values
+
+
+def load_partition(g: Graph, source: Source) -> Partition:
+    label = _source_label(source, "<partition>")
+    assignment = _load_vertex_values(g, source, label, "part", "part id")
     if (assignment < 0).any():
         v = int(np.argmin(assignment))
         raise GraphFormatError(
             f"{label}: vertex {g.external_ids[v]!r} has no part assignment"
         )
-    return Partition.from_assignment(assignment, max_part + 1, g)
+    k = int(assignment.max(initial=-1)) + 1
+    return Partition.from_assignment(assignment, k, g)
 
 
 def load_ordering(g: Graph, source: Source) -> Ordering:
     label = _source_label(source, "<ordering>")
-    rank_of = np.full(g.n, -1, dtype=np.int64)
-    for lineno, fields in _rows(source, label):
-        if len(fields) != 2:
-            raise GraphFormatError(
-                f"{label}:{lineno}: expected 'id rank', got {len(fields)} fields"
-            )
-        try:
-            v = g.internal_id(fields[0])
-        except KeyError:
-            raise GraphFormatError(
-                f"{label}:{lineno}: unknown vertex {fields[0]!r}"
-            ) from None
-        try:
-            rank = int(fields[1])
-        except ValueError:
-            raise GraphFormatError(
-                f"{label}:{lineno}: cannot parse rank {fields[1]!r}"
-            ) from None
-        rank_of[v] = rank
+    rank_of = _load_vertex_values(g, source, label, "rank", "rank")
     if sorted(rank_of.tolist()) != list(range(g.n)):
         raise GraphFormatError(f"{label}: ranks are not a permutation of 0..n-1")
     return Ordering.from_rank_of(rank_of)

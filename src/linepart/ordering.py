@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .graph import Graph
 from .hilbert import hilbert_index
@@ -146,8 +144,10 @@ def affinity_ordering(
 
     Per round every cluster selects its highest-similarity neighbor (ties to
     the neighbor with the smaller minimum member id); connected components of
-    the undirected selection graph merge. Cluster-pair similarity is the mean
-    of edge similarities between their members that are adjacent in ``g``.
+    the undirected selection graph merge. Each cluster selects at most one
+    neighbor, so the components are found by pointer jumping along the
+    selections. Cluster-pair similarity is the mean of edge similarities
+    between their members that are adjacent in ``g``.
     Each merged cluster's minimum member id is prepended to its members'
     labels; the final order sorts label paths lexicographically, then by id.
 
@@ -191,22 +191,24 @@ def affinity_ordering(
         sel_src = src_sorted[first]
         sel_dst = dst[order][first]
 
-        # Merge connected components of the undirected selection graph.
+        # Components of the selection graph by pointer jumping: its only cycles
+        # are mutual pairs (a longer one needs equal similarities and x[i+1] <
+        # x[i-1] all round), so 2^t > m jumps reach the pair, labelled by its min.
         reps = np.unique(cluster)
         comp_of_rep = np.full(n, -1, dtype=np.int64)
-        ri = np.searchsorted(reps, sel_src)
-        rj = np.searchsorted(reps, sel_dst)
         m = len(reps)
-        sel_graph = coo_matrix(
-            (np.ones(len(ri)), (ri, rj)), shape=(m, m)
-        )
-        n_comp, comp = connected_components(sel_graph, directed=False)
+        sel = np.arange(m)
+        sel[np.searchsorted(reps, sel_src)] = np.searchsorted(reps, sel_dst)
+        comp = sel
+        for _ in range(m.bit_length()):
+            comp = comp[comp]
+        comp = np.minimum(comp, sel[comp])
         comp_of_rep[reps] = comp
 
         # New representative per component: minimum member id.
-        comp_min = np.full(n_comp, n, dtype=np.int64)
+        comp_min = np.full(m, n, dtype=np.int64)
         np.minimum.at(comp_min, comp, reps)
-        comp_size = np.bincount(comp, minlength=n_comp)
+        comp_size = np.bincount(comp, minlength=m)
 
         merged = comp_size[comp_of_rep[cluster]] >= 2
         if not merged.any():

@@ -1,5 +1,10 @@
 """Command-line surface tests: behaviors, formats, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from linepart.cli import main
@@ -225,6 +230,47 @@ def test_validation_errors_exit_one(tmp_path, capsys, k3):
     assert code == 1
     assert "bad.tsv:1" in err
     assert not (tmp_path / "x.out").exists()
+
+
+@pytest.mark.parametrize("value", ["99999999999999999999", "3"])
+def test_out_of_range_part_or_rank_exits_one(tmp_path, capsys, k3, value):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text(f"a\t0\nb\t{value}\nc\t1\n")
+    out = tmp_path / "out.tsv"
+    for argv in (
+        ["evaluate", "--graph", k3, "--partition", bad],
+        ["refine", "--method", "swap", "--graph", k3, "--ordering", bad,
+         "-k", "2", "-o", out],
+        ["postprocess", "--method", "mincut", "--graph", k3, "--ordering", bad,
+         "-k", "2", "--alpha", "0.5", "-o", out],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:")
+        assert "bad.tsv:2: " in err and f"{value} is outside [0, 3)" in err
+        assert not out.exists()
+
+
+def test_combine_runs_without_scipy(tmp_path, cliques):
+    # numpy is the only runtime dependency: a default (affinity-ordered)
+    # combine in a fresh interpreter must not import scipy
+    src = Path(__file__).resolve().parents[1] / "src"
+    child = (
+        "import sys\n"
+        "from linepart.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert code == 0, code\n"
+        "assert not loaded, loaded[:5]\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "combine", "--graph", str(cliques),
+         "-k", "2", "--alpha", "0", "-o", str(tmp_path / "part.out")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "part.out").exists()
 
 
 def test_no_partial_output_on_failure(tmp_path, capsys, cliques):

@@ -119,6 +119,25 @@ def test_load_ordering_requires_permutation():
         load_ordering(g, stdio.StringIO("0\t0\n1\t0\n2\t2\n"))
 
 
+@pytest.mark.parametrize("loader", [load_partition, load_ordering])
+@pytest.mark.parametrize("value", ["99999999999999999999", "3", "-1"])
+def test_id_value_outside_vertex_range_rejected_at_its_line(loader, value):
+    # values must lie in [0, n): a 20-digit one no longer overflows the
+    # int64 store, and no part id can ask for more than n parts
+    g = make_graph([(0, 1)], n=3)
+    rows = f"0\t0\n1\t1\n2\t{value}\n"
+    with pytest.raises(GraphFormatError, match=rf":3: .* {value} is outside \[0, 3\)"):
+        loader(g, stdio.StringIO(rows))
+
+
+def test_id_value_at_top_of_range_accepted():
+    g = make_graph([(0, 1)], n=3)
+    p = load_partition(g, stdio.StringIO("0\t2\n1\t0\n2\t2\n"))
+    assert p.k == 3 and p.assignment.tolist() == [2, 0, 2]
+    o = load_ordering(g, stdio.StringIO("0\t2\n1\t0\n2\t1\n"))
+    assert o.rank_of.tolist() == [2, 0, 1]
+
+
 def test_load_queries():
     g = make_graph([(0, 1)])
     qs = load_queries(g, stdio.StringIO("0\t1\n1\t0\n"))

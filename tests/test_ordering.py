@@ -202,7 +202,14 @@ def affinity_cases():
         make_graph([], n=5),
         make_graph([], n=0),
         make_graph([(0, 1), (0, 2), (0, 3), (0, 4)]),
+        make_graph([(v, 8) for v in range(8)]),  # equal-weight star, hub last
     ]
+    # Weights rising along a path: one round selects a chain of n - 1
+    # clusters ending in a mutual pair, the longest tail a round can have.
+    # At n = 48 the tail of 46 needs all 6 jumps (2^5 < 46).
+    for n in (2, 3, 33, 48, 64, 65, 1025):
+        edges = [(i, i + 1) for i in range(n - 1)]
+        cases.append(make_graph(edges, weights=[i + 1.0 for i in range(n - 1)]))
     for _ in range(40):
         n = int(rng.integers(2, 40))
         g = random_graph(rng, n, int(rng.integers(0, 3 * n)))
