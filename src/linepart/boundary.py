@@ -9,7 +9,9 @@ optimizers work on windows or the whole boundary set:
 * a linear scan that finds the cheapest order-respecting split per window,
 * a two-terminal minimum cut that may also permute the window's vertices,
 * contraction of contiguous rank blocks into supernodes followed by a
-  dynamic program that places all k-1 boundaries at once.
+  dynamic program that places all k-1 boundaries at once, under the
+  balance rule of ``graph.balance_bounds``: every part nonempty and within
+  the (lo, hi) weight bounds.
 
 A window stage gathers each window's edges once (``_window_edges``); both
 optimizers take that slice and return a left mask over the window, and one
@@ -30,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, Partition, balance_bounds
 from .maxflow import FlowNetwork
 from .ordering import Ordering
 
@@ -53,8 +55,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-_REL_TOL = 1e-9
 
 DEFAULT_DP_BLOCKS = 1000
 
@@ -453,14 +453,9 @@ def contract_blocks(g: Graph, o: Ordering, block_count: int | None = None) -> Co
     starts = np.array(
         [(b * n) // block_count for b in range(block_count + 1)], dtype=np.int64
     )
-    block_of_rank = np.repeat(np.arange(block_count, dtype=np.int64), np.diff(starts))
-    block_of_vertex = np.empty(n, dtype=np.int64)
-    block_of_vertex[o.vertex_at] = block_of_rank
-    block_weights = np.bincount(
-        block_of_vertex, weights=g.vertex_weights, minlength=block_count
-    )
-    bu = block_of_vertex[g.edge_u]
-    bv = block_of_vertex[g.edge_v]
+    blocks = Partition.from_contiguous(o, starts, g)
+    bu = blocks.assignment[g.edge_u]
+    bv = blocks.assignment[g.edge_v]
     cross = bu != bv
     lo = np.minimum(bu[cross], bv[cross])
     hi = np.maximum(bu[cross], bv[cross])
@@ -474,7 +469,7 @@ def contract_blocks(g: Graph, o: Ordering, block_count: int | None = None) -> Co
         se_u = se_v = np.zeros(0, dtype=np.int64)
         w = np.zeros(0, dtype=np.float64)
     return ContractedGraph(
-        starts, block_weights, se_u, se_v, w, g.total_vertex_weight
+        starts, blocks.part_weights, se_u, se_v, w, g.total_vertex_weight
     )
 
 
@@ -492,54 +487,29 @@ class DpResult:
     feasible: bool
     cut_value: float
     split_ranks: np.ndarray | None  # k+1 boundaries on original ranks
-    split_blocks: np.ndarray | None  # k+1 boundaries in block space
 
     def split_points(self, alpha: float) -> SplitPoints:
-        """The result as split points.
-
-        Raises ValueError if the result is infeasible, or if it has an empty
-        part (only possible with ``allow_empty_parts``): split points must be
-        strictly increasing, so such a result exists only as ``split_ranks``.
-        """
+        """The result as split points; ValueError if it is infeasible."""
         if not self.feasible or self.split_ranks is None:
             raise ValueError("no feasible partition to convert")
-        empty = np.flatnonzero(np.diff(self.split_ranks) == 0)
-        if len(empty):
-            raise ValueError(
-                f"part {int(empty[0])} of the dp result is empty; split points "
-                "cannot hold empty parts, read split_ranks instead"
-            )
         return SplitPoints(self.split_ranks, alpha)
 
 
-def dp_base_layer(
-    cg: ContractedGraph, k: int, alpha: float, allow_empty_parts: bool = False
-) -> np.ndarray:
-    """A[i][e] for one part over block range [i, e): 0 if feasible else +inf.
+def dp_base_layer(cg: ContractedGraph, k: int, alpha: float) -> np.ndarray:
+    """A[i][e] for one part over block range [i, e): 0 if balanced else +inf.
 
-    Feasible means the range weight is at most (1+alpha)*w(V)/k, and, unless
-    empty parts are allowed, at least (1-alpha)*w(V)/k.
+    Balanced is ``graph.balance_bounds``' rule: the range is nonempty
+    (i < e) and its weight lies within the (lo, hi) bounds.
     """
-    b = cg.block_count
-    target = cg.total_vertex_weight / k
-    tol = _REL_TOL * max(1.0, target)
-    hi_bound = (1.0 + alpha) * target + tol
-    lo_bound = -np.inf if allow_empty_parts else (1.0 - alpha) * target - tol
+    lo, hi = balance_bounds(cg.total_vertex_weight, k, alpha)
     wp = cg.weight_prefix
     rangew = wp[None, :] - wp[:, None]  # weight of [i, e); negative if e < i
-    layer = np.where(
-        (rangew >= lo_bound) & (rangew <= hi_bound), 0.0, np.inf
-    )
-    layer[np.arange(b + 1)[:, None] > np.arange(b + 1)[None, :]] = np.inf
-    return layer
+    ends = np.arange(cg.block_count + 1)
+    ok = (ends[:, None] < ends[None, :]) & (rangew >= lo) & (rangew <= hi)
+    return np.where(ok, 0.0, np.inf)
 
 
-def dp_partition(
-    cg: ContractedGraph,
-    k: int,
-    alpha: float,
-    allow_empty_parts: bool = False,
-) -> DpResult:
+def dp_partition(cg: ContractedGraph, k: int, alpha: float) -> DpResult:
     """Optimal alpha-balanced contiguous k-partition of the supernode line.
 
     A left-to-right chain DP over block boundaries. Each cut edge is counted
@@ -549,16 +519,14 @@ def dp_partition(
     f_1(s) = C[0, s], f_j(s) = min over s' of f_{j-1}(s') + C[s', s], and
     the optimum is f_k(b). Ties go to the smallest s'. Runs in O(k b^2) time
     with two (b+1)^2 float arrays (the cost matrix and one reused buffer)
-    plus a (k, b+1) backpointer table. By default every part must also meet
-    the lower balance bound (so exactly k nonempty parts come out);
-    ``allow_empty_parts`` switches to the upper-bound-only rule where empty
-    parts are legal.
+    plus a (k, b+1) backpointer table. Every part is nonempty and within
+    the alpha bound, for any alpha, so exactly k parts come out.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     b = cg.block_count
     s = cg._prefix
-    cost = dp_base_layer(cg, k, alpha, allow_empty_parts)
+    cost = dp_base_layer(cg, k, alpha)
     cost += s  # infeasible ranges stay inf
     cost -= s.diagonal()[:, None]
 
@@ -573,10 +541,9 @@ def dp_partition(
 
     answer = float(f[b])
     if not np.isfinite(answer):
-        return DpResult(False, np.inf, None, None)
+        return DpResult(False, np.inf, None)
     split_blocks = np.empty(k + 1, dtype=np.int64)
     split_blocks[k] = b
     for j in range(k - 1, -1, -1):
         split_blocks[j] = backptr[j, split_blocks[j + 1]]
-    split_ranks = cg.block_starts[split_blocks]
-    return DpResult(True, answer, split_ranks, split_blocks)
+    return DpResult(True, answer, cg.block_starts[split_blocks])

@@ -111,13 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"dp contraction block count (default min(n, {DEFAULT_DP_BLOCKS}))",
     )
     p.add_argument(
-        "--allow-empty-parts",
-        action="store_true",
-        help="dp only: drop the lower balance bound so parts may be empty",
-    )
-    p.add_argument(
         "--ordering-out", metavar="F",
-        help="mincut reorders window vertices; write the updated ordering here",
+        help="write the resulting ordering here (only mincut changes it)",
     )
     p.add_argument("-o", "--output", required=True, metavar="OUT_SPLITS")
 
@@ -214,20 +209,20 @@ def _cmd_postprocess(args) -> int:
     splits = make_split_points(g, ordering, args.k, args.alpha)
     if args.method == "dp":
         cg = contract_blocks(g, ordering, args.blocks)
-        res = dp_partition(cg, args.k, args.alpha, args.allow_empty_parts)
+        res = dp_partition(cg, args.k, args.alpha)
         if not res.feasible:
             raise _Infeasible(
                 f"no alpha-balanced contiguous partition for k={args.k}, "
                 f"alpha={args.alpha} at {cg.block_count} blocks"
             )
         print(f"cut_value\t{res.cut_value:.6g}")
-        io.write_splits(res.split_ranks, args.output)
-        return EXIT_OK
-    ordering, splits, diagnostics = apply_window_stage(
-        g, ordering, splits, args.method
-    )
-    for idx, old, new, moved in diagnostics:
-        print(f"window\t{idx}\told\t{old:.6g}\tnew\t{new:.6g}\tmoved\t{moved}")
+        splits = res.split_points(args.alpha)
+    else:
+        ordering, splits, diagnostics = apply_window_stage(
+            g, ordering, splits, args.method
+        )
+        for idx, old, new, moved in diagnostics:
+            print(f"window\t{idx}\told\t{old:.6g}\tnew\t{new:.6g}\tmoved\t{moved}")
     io.write_splits(splits, args.output)
     if args.ordering_out:
         io.write_ordering(g, ordering, args.ordering_out)

@@ -28,6 +28,7 @@ __all__ = [
     "VertexRecord",
     "common_neighbors_similarity",
     "cut_weight",
+    "balance_bounds",
     "check_balance",
     "cross_shard_rate",
     "query_weighted_graph",
@@ -200,9 +201,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edge_w)
 
-    def degree(self, v: int) -> int:
-        return int(self.adj_indptr[v + 1] - self.adj_indptr[v])
-
     def neighbors(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """(neighbor ids, edge weights) views, neighbors sorted by id."""
         lo, hi = self.adj_indptr[v], self.adj_indptr[v + 1]
@@ -213,9 +211,6 @@ class Graph:
         if self.geo is not None and not np.isnan(self.geo[v]).any():
             geo = (float(self.geo[v, 0]), float(self.geo[v, 1]))
         return VertexRecord(v, self.external_ids[v], float(self.vertex_weights[v]), geo)
-
-    def vertices(self) -> Iterable[VertexRecord]:
-        return (self.vertex(v) for v in range(self.n))
 
     @property
     def ext_index(self) -> dict[str, int]:
@@ -381,16 +376,28 @@ def cut_weight(g: Graph, p: Partition) -> tuple[float, float]:
     return absolute, fraction
 
 
-def check_balance(g: Graph, p: Partition, alpha: float) -> BalanceReport:
-    """Is every part weight within (1 +/- alpha) * w(V)/k of the ideal?"""
+def balance_bounds(total_weight: float, k: int, alpha: float) -> tuple[float, float]:
+    """(lo, hi): the part weights (1 -/+ alpha) * total_weight/k allows.
+
+    This is the one alpha-balance rule: a part is balanced iff it is
+    nonempty and its weight lies in [lo, hi]. Both ends are widened by the
+    same relative tolerance, so float noise in aggregated weights never
+    decides the verdict.
+    """
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    target = g.total_vertex_weight / p.k
+    target = total_weight / k
     tol = _REL_TOL * max(1.0, target)
-    lo = (1.0 - alpha) * target - tol
-    hi = (1.0 + alpha) * target + tol
+    return (1.0 - alpha) * target - tol, (1.0 + alpha) * target + tol
+
+
+def check_balance(g: Graph, p: Partition, alpha: float) -> BalanceReport:
+    """Is every part nonempty, with weight within (1 +/- alpha) * w(V)/k?"""
+    lo, hi = balance_bounds(g.total_vertex_weight, p.k, alpha)
+    target = g.total_vertex_weight / p.k
     w = p.part_weights
-    balanced = bool((w >= lo).all() and (w <= hi).all())
+    # vertex weights are positive, so a part is nonempty iff its weight is
+    balanced = bool(((w > 0) & (w >= lo) & (w <= hi)).all())
     deviations = (w - target) / target if target > 0 else np.zeros_like(w)
     return BalanceReport(balanced, alpha, target, w.copy(), deviations)
 

@@ -291,11 +291,10 @@ def write_ordering(g: Graph, o: Ordering, sink: Sink) -> None:
             fh.write(f"{g.external_ids[v]}\t{o.rank_of[v]}\n")
 
 
-def write_splits(splits: SplitPoints | np.ndarray, sink: Sink) -> None:
+def write_splits(splits: SplitPoints, sink: Sink) -> None:
     """One boundary index per line, from q_0 = 0 through q_k = n."""
-    q = splits.q if isinstance(splits, SplitPoints) else np.asarray(splits)
     with _open_sink(sink) as fh:
-        for value in q:
+        for value in splits.q:
             fh.write(f"{value}\n")
 
 

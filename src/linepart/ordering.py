@@ -95,9 +95,6 @@ class AffinityHierarchy:
     def cluster_counts(self) -> list[int]:
         return [len(np.unique(level)) for level in self.levels]
 
-    def label_of(self, v: int) -> tuple[int, ...]:
-        return self.labels[v]
-
 
 def random_ordering(g: Graph, seed: int) -> Ordering:
     """Uniformly random permutation, fully determined by the seed."""

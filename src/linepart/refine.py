@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import SplitPoints
-from .graph import Graph
+from .graph import Graph, Partition, balance_bounds
 from .ordering import Ordering
 
 __all__ = [
@@ -97,18 +97,13 @@ def _perm_digest(o: Ordering) -> bytes:
     return hashlib.blake2b(o.vertex_at.tobytes(), digest_size=16).digest()
 
 
-def minla_refine(
-    g: Graph,
-    o: Ordering,
-    max_rounds: int,
-    epsilon: float = 0.0,
-) -> MinLAState:
+def minla_refine(g: Graph, o: Ordering, max_rounds: int) -> MinLAState:
     """Iterate minla_round until convergence, cap, or oscillation.
 
-    Stops when the permutation is unchanged, when the objective's relative
-    improvement drops below epsilon, when a permutation from the last few
-    rounds recurs (the simultaneous proposals can cycle), or at max_rounds.
-    Returns the best ordering seen, which is never worse than the input.
+    Stops when the permutation is unchanged, when the objective rises, when
+    a permutation from the last few rounds recurs (the simultaneous
+    proposals can cycle), or at max_rounds. Returns the best ordering seen,
+    which is never worse than the input.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
@@ -129,12 +124,12 @@ def minla_refine(
         if np.array_equal(nxt.vertex_at, current.vertex_at):
             current = nxt
             break
-        improvement = (obj - new_obj) / obj if obj > 0 else 0.0
+        rose = new_obj > obj
         digest = _perm_digest(nxt)
         oscillating = digest in seen
         seen.append(digest)
         current, obj = nxt, new_obj
-        if improvement < epsilon or oscillating:
+        if rose or oscillating:
             break
     return MinLAState(best, best_obj, rounds, trace)
 
@@ -196,17 +191,13 @@ class _SwapState:
         self.g = g
         self.vertex_at = o.vertex_at.copy()
         self.rank_of = o.rank_of.copy()
-        q = splits.q
-        self.part_of = np.empty(g.n, dtype=np.int64)
-        for j in range(splits.k):
-            self.part_of[self.vertex_at[q[j] : q[j + 1]]] = j
-        self.part_weights = np.bincount(
-            self.part_of, weights=g.vertex_weights, minlength=splits.k
-        )
+        parts = Partition.from_contiguous(o, splits, g)
+        self.part_of = parts.assignment
+        self.part_weights = parts.part_weights
         self.target = g.total_vertex_weight / splits.k
-        tol = 1e-9 * max(1.0, self.target)
-        self.lo_bound = (1.0 - splits.alpha) * self.target - tol
-        self.hi_bound = (1.0 + splits.alpha) * self.target + tol
+        self.lo_bound, self.hi_bound = balance_bounds(
+            g.total_vertex_weight, splits.k, splits.alpha
+        )
         scale = float(g.edge_w.max()) if g.edge_count else 1.0
         self.gain_tol = 1e-12 * max(1.0, scale)
         self.swaps = 0

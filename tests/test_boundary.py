@@ -86,19 +86,16 @@ def naive_crossing_cost(cg, i, j, m):
     return total
 
 
-def exhaustive_contiguous_cut(cg, k, alpha, allow_empty=False):
-    """Best alpha-feasible contiguous k-composition by enumeration."""
+def exhaustive_contiguous_cut(cg, k, alpha):
+    """Best alpha-feasible contiguous k-composition (nonempty parts) by
+    enumeration."""
     b = cg.block_count
     wp = np.concatenate([[0.0], np.cumsum(cg.block_weights)])
     target = cg.total_vertex_weight / k
     hi_bound = (1 + alpha) * target + 1e-9 * max(1.0, target)
-    lo_bound = -np.inf if allow_empty else (1 - alpha) * target - 1e-9 * max(1.0, target)
-    if allow_empty:
-        combos = itertools.combinations_with_replacement(range(b + 1), k - 1)
-    else:
-        combos = itertools.combinations(range(1, b), k - 1)
+    lo_bound = (1 - alpha) * target - 1e-9 * max(1.0, target)
     best = np.inf
-    for combo in combos:
+    for combo in itertools.combinations(range(1, b), k - 1):
         q = [0, *combo, b]
         ok = all(
             lo_bound <= wp[q[j + 1]] - wp[q[j]] <= hi_bound for j in range(k)
@@ -115,10 +112,10 @@ def exhaustive_contiguous_cut(cg, k, alpha, allow_empty=False):
     return best
 
 
-def reference_dp_value(cg, k, alpha, allow_empty=False):
+def reference_dp_value(cg, k, alpha):
     """Full one-part-at-a-time recursion (peel the first part, recurse)."""
     b = cg.block_count
-    base = dp_base_layer(cg, k, alpha, allow_empty)
+    base = dp_base_layer(cg, k, alpha)
 
     def crossing(i, mid, e):
         return cg.rect_weight(i, mid, mid, e)
@@ -449,15 +446,14 @@ def test_dp_infeasible_is_explicit():
 def test_dp_base_layer_is_zero_or_infinite():
     rng = np.random.default_rng(14)
     cg = random_contracted(rng, 7)
-    for allow in (False, True):
-        layer = dp_base_layer(cg, 3, 0.25, allow)
+    for alpha in (0.25, 1.0, 1.5):
+        layer = dp_base_layer(cg, 3, alpha)
         finite = np.isfinite(layer)
         assert np.all(layer[finite] == 0.0)
-        if allow:
-            assert np.isfinite(np.diag(layer)).all()  # empty ranges allowed
+        assert np.isinf(np.diag(layer)).all()  # empty ranges never balance
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.25])
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0, 1.5])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_dp_matches_exhaustive(alpha, k):
     rng = np.random.default_rng(100 * k + int(alpha * 4))
@@ -478,39 +474,12 @@ def test_dp_chain_equals_full_recursion():
         cg = random_contracted(rng, b)
         k = int(rng.integers(2, 6))
         alpha = float(rng.choice([0.0, 0.25, 0.6]))
-        for allow in (False, True):
-            chain = dp_partition(cg, k, alpha, allow)
-            full = reference_dp_value(cg, k, alpha, allow)
-            if not chain.feasible:
-                assert np.isinf(full)
-            else:
-                assert chain.cut_value == pytest.approx(full)
-
-
-def test_dp_allow_empty_parts_reproduces_upper_bound_only_rule():
-    # 3 unit blocks, k=2, alpha=0: strict is infeasible; the literal rule
-    # puts everything feasible in fewer parts
-    g = path_graph(3)
-    cg = contract_blocks(g, Ordering.identity(3), 3)
-    strict = dp_partition(cg, 2, 0.0)
-    literal = dp_partition(cg, 2, 1.0, allow_empty_parts=True)
-    assert not strict.feasible
-    assert literal.feasible
-    assert literal.cut_value == pytest.approx(
-        exhaustive_contiguous_cut(cg, 2, 1.0, allow_empty=True)
-    )
-
-
-def test_dp_split_points_names_empty_part():
-    # feasible only because a part may be empty: split_ranks holds the
-    # result, split points cannot
-    g = path_graph(3)
-    cg = contract_blocks(g, Ordering.identity(3), 3)
-    res = dp_partition(cg, 2, 1.0, allow_empty_parts=True)
-    assert res.feasible
-    assert res.split_ranks.tolist() == [0, 0, 3]
-    with pytest.raises(ValueError, match=r"part 0 .*empty.*split_ranks"):
-        res.split_points(1.0)
+        chain = dp_partition(cg, k, alpha)
+        full = reference_dp_value(cg, k, alpha)
+        if not chain.feasible:
+            assert np.isinf(full)
+        else:
+            assert chain.cut_value == pytest.approx(full)
 
 
 def test_dp_value_matches_reconstructed_partition():
@@ -533,12 +502,15 @@ def test_dp_large_k_matches_full_recursion():
     rng = np.random.default_rng(15)
     cg = random_contracted(rng, 10)
     for k in (2, 3, 5, 7, 11, 23, 40):
-        res = dp_partition(cg, k, 1.0, allow_empty_parts=True)
-        full = reference_dp_value(cg, k, 1.0, allow_empty=True)
+        res = dp_partition(cg, k, 1.0)
+        full = reference_dp_value(cg, k, 1.0)
+        if k > cg.block_count:  # k nonempty parts need k blocks
+            assert not res.feasible
         if not res.feasible:
             assert np.isinf(full)
         else:
             assert res.cut_value == pytest.approx(full)
+            assert (np.diff(res.split_ranks) > 0).all()
 
 
 # -- window stage plumbing -----------------------------------------------------------

@@ -149,21 +149,20 @@ def test_postprocess_dp_infeasible_exit_code(tmp_path, capsys):
     assert not (tmp_path / "splits.txt").exists()
 
 
-def test_postprocess_dp_allow_empty_parts_writes_optimal_splits(tmp_path, capsys, cliques):
+def test_postprocess_dp_alpha_one_writes_nonempty_optimal_splits(tmp_path, capsys, cliques):
     ord_path = tmp_path / "ord.tsv"
     run(capsys, "order", "--method", "random", "--graph", cliques, "--seed", "3",
         "-o", ord_path)
     splits_path = tmp_path / "splits.txt"
     code, out, _ = run(
         capsys, "postprocess", "--method", "dp", "--graph", cliques,
-        "--ordering", ord_path, "-k", "3", "--alpha", "0.5",
-        "--allow-empty-parts", "-o", splits_path,
+        "--ordering", ord_path, "-k", "3", "--alpha", "1", "-o", splits_path,
     )
     assert code == 0
     values = [int(x) for x in splits_path.read_text().split()]
     assert len(values) == 4 and values[0] == 0 and values[-1] == 8
     sizes = [b - a for a, b in zip(values, values[1:])]
-    assert all(0 <= size <= 4 for size in sizes)  # (1 + alpha) * n / k = 4
+    assert all(1 <= size <= 5 for size in sizes)  # (1 + alpha) * n / k = 5.33
     part = tmp_path / "part.tsv"
     rank_of = {line.split("\t")[0]: int(line.split("\t")[1])
                for line in ord_path.read_text().splitlines()}
@@ -173,6 +172,58 @@ def test_postprocess_dp_allow_empty_parts_writes_optimal_splits(tmp_path, capsys
     _, evaluated, _ = run(capsys, "evaluate", "--graph", cliques, "--partition", part)
     cut = next(line for line in out.splitlines() if line.startswith("cut_value\t"))
     assert cut.split("\t")[1] == evaluated.splitlines()[0].split("\t")[1]
+
+
+def test_postprocess_dp_writes_unchanged_ordering(tmp_path, capsys, cliques):
+    ord_path = tmp_path / "ord.tsv"
+    run(capsys, "order", "--method", "random", "--graph", cliques, "--seed", "3",
+        "-o", ord_path)
+    new_ord = tmp_path / "ord2.tsv"
+    code, _, _ = run(
+        capsys, "postprocess", "--method", "dp", "--graph", cliques,
+        "--ordering", ord_path, "-k", "2", "--alpha", "0.5",
+        "-o", tmp_path / "splits.txt", "--ordering-out", new_ord,
+    )
+    assert code == 0
+    assert new_ord.exists()
+    assert new_ord.read_text() == ord_path.read_text()
+
+
+def test_allow_empty_parts_flag_is_gone(tmp_path, capsys, cliques):
+    ord_path = tmp_path / "ord.tsv"
+    run(capsys, "order", "--method", "random", "--graph", cliques, "-o", ord_path)
+    out = tmp_path / "splits.txt"
+    code, _, _ = run(
+        capsys, "postprocess", "--method", "dp", "--graph", cliques,
+        "--ordering", ord_path, "-k", "3", "--alpha", "1",
+        "--allow-empty-parts", "-o", out,
+    )
+    assert code == 1
+    assert not out.exists()
+
+
+def test_combine_dp_alpha_one_gives_k_nonempty_parts(tmp_path, capsys):
+    g = tmp_path / "triangles.tsv"
+    g.write_text("a\tb\nb\tc\na\tc\nx\ty\ny\tz\nx\tz\n")
+    out = tmp_path / "part.tsv"
+    code, _, err = run(
+        capsys, "combine", "--graph", g, "--stages", "dp", "--alpha", "1",
+        "-k", "3", "--initial", "random", "-o", out,
+    )
+    assert code == 0, err
+    parts = [int(line.split("\t")[1]) for line in out.read_text().splitlines()]
+    assert sorted(set(parts)) == [0, 1, 2]
+
+
+def test_evaluate_flags_empty_part_unbalanced(tmp_path, capsys, k3):
+    part = tmp_path / "part.tsv"
+    part.write_text("a\t0\nb\t2\nc\t2\n")  # part 1 is empty
+    code, out, _ = run(
+        capsys, "evaluate", "--graph", k3, "--partition", part, "--alpha", "1",
+    )
+    assert code == 0
+    assert "part\t1\tweight\t0\t" in out
+    assert "balanced\tfalse\talpha\t1" in out
 
 
 def test_blocks_below_one_exit_one(tmp_path, capsys, cliques):
