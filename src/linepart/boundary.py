@@ -1,10 +1,12 @@
 """Boundary postprocessing inside imbalance windows.
 
-Split points chop an ordering into k contiguous parts. Around every interior
-boundary sits a window whose half-width is the rank slack the imbalance
-parameter allows; boundaries may move only inside their window, so part
-weights stay within the alpha bound no matter how many passes run. Three
-optimizers work on windows or the whole boundary set:
+Split points chop an ordering into k contiguous parts. ``make_windows`` is
+the one rule for where each interior boundary belongs: a window whose prefix
+weight stays within half the alpha slack of the ideal, around a center that
+is also the boundary's place in the balanced chop (``make_split_points``).
+Boundaries move only inside their window, so part weights stay within the
+alpha bound no matter how many passes run. Three optimizers work on windows
+or the whole boundary set:
 
 * a linear scan that finds the cheapest order-respecting split per window,
 * a two-terminal minimum cut that may also permute the window's vertices,
@@ -26,7 +28,6 @@ each whole stage.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -99,18 +100,16 @@ class SplitPoints:
 
 
 def make_split_points(g: Graph, o: Ordering, k: int, alpha: float) -> SplitPoints:
-    """Fully balanced boundaries q_j = floor(j*n/k)."""
-    n = g.n
-    if o.n != n:
-        raise ValueError("ordering does not cover the graph")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if k > n:
-        raise ValueError(f"cannot split {n} vertices into {k} parts")
+    """The balanced chop: every boundary at its window's center.
+
+    With unit weights the centers are the ranks floor(j*n/k).
+    """
+    if k > g.n:
+        raise ValueError(f"cannot split {g.n} vertices into {k} parts")
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    q = np.array([(j * n) // k for j in range(k + 1)], dtype=np.int64)
-    return SplitPoints(q, alpha)
+    centers = [w.center for w in make_windows(g, o, k, alpha)]
+    return SplitPoints(np.array([0, *centers, g.n], dtype=np.int64), alpha)
 
 
 @dataclass(frozen=True)
@@ -118,8 +117,9 @@ class Window:
     """Movement range for one interior boundary.
 
     Candidate split indices are [lo, hi] inclusive; the vertices at ranks
-    [lo, hi) are the ones whose side can change. ``center`` is the fully
-    balanced boundary position the window is anchored to.
+    [lo, hi) are the ones whose side can change. ``center`` is the balanced
+    position of the boundary, inside [lo, hi]: the last rank whose prefix
+    weight is at most j*w(V)/k, clipped into the window.
     """
 
     index: int
@@ -132,29 +132,20 @@ class Window:
         return self.hi - self.lo
 
 
-def window_half_width(n: int, k: int, alpha: float) -> int:
-    """Rank half-width of a boundary window under uniform vertex weights.
-
-    floor(alpha*n / 2k), guarded against float noise in the product: each
-    boundary absorbs at most half of a part's permitted imbalance, so two
-    moving boundaries can never push a part past the alpha bound.
-    """
-    v = alpha * n / (2 * k)
-    return int(math.floor(v + 1e-9 * (1.0 + abs(v))))
-
-
 def make_windows(g: Graph, o: Ordering, k: int, alpha: float) -> list[Window]:
-    """Windows around the fully balanced boundaries.
+    """Windows around the balanced boundaries; the one placement rule.
 
-    Boundary j may sit at rank s only while the cumulative vertex weight at
-    s stays within alpha*w(V)/2k of the ideal boundary weight j*w(V)/k, so
-    any combination of in-window splits keeps every part inside the alpha
-    bound. With unit weights this is the classic alpha*n/2k half-width
-    (floored). Windows anchor at the balanced positions, not at the current
-    splits, which bounds drift across any number of passes; adjacent windows
-    are clamped at midpoints so their vertex ranges stay disjoint and splits
-    remain strictly increasing even for extreme alpha. A window whose slack
-    admits no rank degenerates to the balanced position (no movement).
+    Boundary j is anchored at the last rank whose prefix weight is at most
+    the ideal boundary weight j*w(V)/k (floor(j*n/k) with unit weights). It
+    may sit at rank s only while the prefix weight at s stays within
+    alpha*w(V)/2k of that ideal, so any combination of in-window splits
+    keeps every part inside the alpha bound. With unit weights this is the
+    classic alpha*n/2k half-width (floored). Windows anchor at the balanced
+    positions, not at the current splits, which bounds drift across any
+    number of passes. Anchor and window are clamped into the rank band
+    between the midpoints of adjacent ranks floor(j*n/k), so vertex ranges
+    stay disjoint and centers strictly increasing for any alpha or weights.
+    A window whose slack admits no rank degenerates to its anchor.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -165,22 +156,19 @@ def make_windows(g: Graph, o: Ordering, k: int, alpha: float) -> list[Window]:
     total = cw[-1]
     slack = alpha * total / (2 * k)
     tol = 1e-9 * max(1.0, slack)
-    centers = [(j * n) // k for j in range(k + 1)]
+    ranks = [(j * n) // k for j in range(k + 1)]
     windows = []
     for j in range(1, k):
-        c = centers[j]
         ideal = j * total / k
+        band_lo = (ranks[j - 1] + ranks[j]) // 2 + 1 if j > 1 else 1
+        band_hi = (ranks[j] + ranks[j + 1]) // 2 if j < k - 1 else n - 1
+        anchor = int(np.searchsorted(cw, ideal + tol, side="right")) - 1
         lo = int(np.searchsorted(cw, ideal - slack - tol, side="left"))
         hi = int(np.searchsorted(cw, ideal + slack + tol, side="right")) - 1
-        lo = max(lo, 1)
-        hi = min(hi, n - 1)
-        if j > 1:
-            lo = max(lo, (centers[j - 1] + c) // 2 + 1)
-        if j < k - 1:
-            hi = min(hi, (c + centers[j + 1]) // 2)
+        lo, hi = max(lo, band_lo), min(hi, band_hi)
         if lo > hi:
-            lo = hi = min(max(c, 1), n - 1)
-        windows.append(Window(j, c, lo, hi))
+            lo = hi = min(max(anchor, band_lo), band_hi)
+        windows.append(Window(j, min(max(anchor, lo), hi), lo, hi))
     return windows
 
 
@@ -350,9 +338,12 @@ def apply_window_stage(
     left mask is accepted only if it does not increase the true local cut
     against the frozen exterior (the window objective alone can overcount
     edges to far-away parts as variable), and then the left vertices move
-    before the split, each side in its previous order. Returns the new
+    before the split, each side in its previous order. A window whose
+    current split lies outside it is left alone: moving that split onto
+    the window would carry vertices no window prices. Returns the new
     ordering, the new split points, and per-window diagnostic rows (window
-    index, old local cut, new local cut, vertices moved).
+    index, old local cut, new local cut, vertices moved) for the windows
+    that ran.
     """
     if method not in ("linopt", "mincut"):
         raise ValueError(f"unknown window method {method!r}")
@@ -367,6 +358,11 @@ def apply_window_stage(
     vertex_at = o.vertex_at.copy()
     diagnostics = []
     for win in windows:
+        if not win.lo <= splits.q[win.index] <= win.hi:
+            # only a dp proposal or an unequal-weight swap puts a split here;
+            # moving it would skip vertices no window prices
+            log.info("window\t%d\tskipped: split outside [%d, %d]", win.index, win.lo, win.hi)
+            continue
         edges = _window_edges(g, o, win)
         new_mask = optimize(edges, win)
         old_mask = np.arange(win.lo, win.hi) < splits.q[win.index]

@@ -47,14 +47,13 @@ Source = str | Path | IO[str]
 Sink = str | Path | IO[str]
 
 
-def _rows(source: Source, name: str) -> Iterator[tuple[int, list[str]]]:
+def _rows(source: Source) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, fields) for data rows; comments and blanks skip."""
     if isinstance(source, (str, Path)):
         fh = open(source, "r", encoding="utf-8")
         close = True
-        label = str(source)
     else:
-        fh, close, label = source, False, name
+        fh, close = source, False
     try:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -131,7 +130,7 @@ def load_graph(edge_source: Source, vertex_source: Source | None = None) -> Grap
 
     if vertex_source is not None:
         label = _source_label(vertex_source, "<vertices>")
-        for lineno, fields in _rows(vertex_source, label):
+        for lineno, fields in _rows(vertex_source):
             if len(fields) not in (1, 2, 3, 4):
                 raise GraphFormatError(
                     f"{label}:{lineno}: expected 1-4 fields, got {len(fields)}"
@@ -157,7 +156,7 @@ def load_graph(edge_source: Source, vertex_source: Source | None = None) -> Grap
     heads: list[int] = []
     arc_w: list[float] = []
     label = _source_label(edge_source, "<edges>")
-    for lineno, fields in _rows(edge_source, label):
+    for lineno, fields in _rows(edge_source):
         if len(fields) not in (2, 3):
             raise GraphFormatError(
                 f"{label}:{lineno}: expected 'u v [weight]', got {len(fields)} fields"
@@ -198,7 +197,7 @@ def _load_vertex_values(
     names the vertex. A value outside [0, n) is rejected at its line, so no
     part id or rank can exceed the vertex count."""
     values = np.full(g.n, -1, dtype=np.int64)
-    for lineno, fields in _rows(source, label):
+    for lineno, fields in _rows(source):
         if len(fields) != 2:
             raise GraphFormatError(
                 f"{label}:{lineno}: expected 'id {field}', got {len(fields)} fields"
@@ -247,7 +246,7 @@ def load_queries(g: Graph, source: Source) -> np.ndarray:
     """(m, 2) internal-id pairs; unknown endpoints raise with the line."""
     label = _source_label(source, "<queries>")
     pairs: list[tuple[int, int]] = []
-    for lineno, fields in _rows(source, label):
+    for lineno, fields in _rows(source):
         if len(fields) != 2:
             raise GraphFormatError(
                 f"{label}:{lineno}: expected 'src dst', got {len(fields)} fields"

@@ -1,7 +1,7 @@
 """Driver that combines embedding, refinement, and boundary optimization.
 
 One run weights the graph for affinity, embeds the vertices on a line, sets
-fully balanced split points, then repeats the configured stage list until a
+the balanced split points, then repeats the configured stage list until a
 full pass changes neither the ordering nor the splits (or the iteration cap
 is hit). Each stage only proposes a new state (``run_stage``); ``combine``
 prices a proposal once, if it changed the state, and enforces the

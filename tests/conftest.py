@@ -38,7 +38,9 @@ def random_graph(rng: np.random.Generator, n: int, m: int, weighted=False) -> Gr
 
 
 @st.composite
-def small_graph_and_order(draw, max_n=10, max_m=20, weighted=False):
+def small_graph_and_order(draw, max_n=10, max_m=20, weighted=False, vertex_weighted=False):
+    """A small graph and a random ordering of it. ``weighted`` draws edge
+    weights in [0, 9]; ``vertex_weighted`` draws vertex weights in [1e-3, 1e3]."""
     n = draw(st.integers(min_value=1, max_value=max_n))
     m = draw(st.integers(min_value=0, max_value=max_m))
     pairs = st.tuples(
@@ -56,6 +58,9 @@ def small_graph_and_order(draw, max_n=10, max_m=20, weighted=False):
         )
     else:
         ws = [1.0] * len(edges)
-    g = make_graph(edges, n=n, weights=ws)
+    vw = None
+    if vertex_weighted:
+        vw = draw(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=n, max_size=n))
+    g = make_graph(edges, n=n, weights=ws, vertex_weights=vw)
     perm = draw(st.permutations(list(range(n))))
     return g, Ordering.from_vertex_at(np.array(perm, dtype=np.int64))

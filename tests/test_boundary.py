@@ -2,8 +2,10 @@
 
 import itertools
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from linepart import boundary
 from linepart.boundary import (
@@ -20,12 +22,11 @@ from linepart.boundary import (
     make_windows,
     mincut_window,
     window_crossing_weight,
-    window_half_width,
 )
 from linepart.graph import Graph, Partition, check_balance, cut_weight
 from linepart.ordering import Ordering
 
-from conftest import make_graph, path_graph, random_graph
+from conftest import make_graph, path_graph, random_graph, small_graph_and_order
 
 
 # -- independent oracles ------------------------------------------------------
@@ -169,11 +170,15 @@ def test_split_points_validation():
 
 
 def test_half_width_formula_and_float_guard():
+    def spans(n, k, alpha):
+        g = make_graph([], n=n)
+        return [(w.lo, w.center, w.hi) for w in make_windows(g, Ordering.identity(n), k, alpha)]
+
     # exact slack of 5 ranks; the float product must not round it away
-    assert window_half_width(1000, 10, 0.1) == 5
-    assert window_half_width(1000, 2, 0.0) == 0
+    assert spans(1000, 10, 0.1) == [(100 * j - 5, 100 * j, 100 * j + 5) for j in range(1, 10)]
+    assert spans(1000, 2, 0.0) == [(500, 500, 500)]
     # fractional slack rounds down: half a vertex cannot move
-    assert window_half_width(300, 3, 0.07) == 3
+    assert spans(300, 3, 0.07) == [(97, 100, 103), (197, 200, 203)]
 
 
 def test_windows_disjoint_and_clipped():
@@ -196,7 +201,7 @@ def test_alpha_zero_windows_allow_no_movement():
 def test_windows_match_uniform_half_width():
     g = make_graph([], n=64)
     for k, alpha in [(4, 0.25), (8, 0.5), (2, 0.125)]:
-        half = window_half_width(64, k, alpha)
+        half = int(alpha * 64 / (2 * k))  # exact in binary for these cases
         for w in make_windows(g, Ordering.identity(64), k, alpha):
             assert w.lo == max(1, w.center - half) or w.lo > w.center - half
             assert w.hi - w.lo <= 2 * half
@@ -212,6 +217,40 @@ def test_weighted_windows_respect_weight_slack():
     g2 = make_graph([], n=6, vertex_weights=[1, 1, 1, 1, 3, 1])
     (w2,) = make_windows(g2, Ordering.identity(6), 2, 0.5)
     assert (w2.lo, w2.hi) == (3, 4)  # crossing the heavy vertex is out
+
+
+def test_balanced_chop_is_the_window_centers():
+    # alpha*n/2k < 1: the rank floor(2n/k) = 6 misses its window [7, 7]
+    g = make_graph([], n=10)
+    o = Ordering.identity(10)
+    splits = make_split_points(g, o, 3, 0.3)
+    assert splits.q.tolist() == [0, 3, 7, 10]
+    for w in make_windows(g, o, 3, 0.3):
+        assert w.lo <= splits.q[w.index] == w.center <= w.hi
+    # weighted: the boundary follows prefix weight, not rank (floor(n/2) = 3)
+    heavy = make_graph([], n=6, vertex_weights=[3, 3, 1, 1, 1, 1])
+    assert make_split_points(heavy, Ordering.identity(6), 2, 0.5).q.tolist() == [0, 2, 6]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.booleans())
+def test_balanced_chop_properties(data, vertex_weighted):
+    g, o = data.draw(small_graph_and_order(max_n=12, vertex_weighted=vertex_weighted))
+    n = g.n
+    k = data.draw(st.sampled_from(sorted({1, min(2, n), n})))
+    alpha = data.draw(st.sampled_from([0.0, 0.01, 0.3, 1.0, 1.5]))
+    q = make_split_points(g, o, k, alpha).q
+    wins = make_windows(g, o, k, alpha)
+    assert (np.diff(q) > 0).all()
+    assert all(w.lo <= q[w.index] <= w.hi for w in wins)
+    cw = np.concatenate([[0.0], np.cumsum(g.vertex_weights[o.vertex_at])])
+    total = cw[-1]
+    slack = alpha * total / (2 * k)
+    if all(abs(cw[w.center] - w.index * total / k) <= slack for w in wins):
+        part = Partition.from_contiguous(o, SplitPoints(q, alpha), g)
+        assert check_balance(g, part, alpha).balanced
+    if not vertex_weighted and alpha * n / (2 * k) >= 1:
+        assert q.tolist() == [j * n // k for j in range(k + 1)]
 
 
 # -- linear scan -----------------------------------------------------------------
@@ -531,6 +570,32 @@ def test_apply_window_stage_monotone_and_balanced():
             assert len(diag) == 3
             sizes = np.diff(s2.q)
             assert sizes.sum() == n and (sizes > 0).all()
+
+
+def test_window_stage_leaves_splits_outside_their_windows_alone():
+    # the dp puts the splits of a path at the lowest balanced ranks, 4 and
+    # 14, outside the windows [7, 13] and [17, 23]
+    g = path_graph(30)
+    o = Ordering.identity(30)
+    splits = dp_partition(contract_blocks(g, o, 30), 3, 0.6).split_points(0.6)
+    assert splits.q.tolist() == [0, 4, 14, 30]
+    wins = make_windows(g, o, 3, 0.6)
+    assert [(w.lo, w.hi) for w in wins] == [(7, 13), (17, 23)]
+    for method in ("linopt", "mincut"):
+        o2, s2, diag = apply_window_stage(g, o, splits, method)
+        assert np.array_equal(o2.vertex_at, o.vertex_at)
+        assert s2.q.tolist() == [0, 4, 14, 30]
+        assert diag == []
+    # only the window whose split lies inside it runs
+    rng = np.random.default_rng(4)
+    g = random_graph(rng, 30, 80)
+    o = Ordering.from_vertex_at(rng.permutation(30))
+    mixed = SplitPoints(np.array([0, 4, 20, 30]), 0.6)
+    for method in ("linopt", "mincut"):
+        o2, s2, diag = apply_window_stage(g, o, mixed, method)
+        assert [row[0] for row in diag] == [2]
+        assert np.array_equal(o2.vertex_at[:17], o.vertex_at[:17])
+        assert s2.q[1] == 4
 
 
 def test_window_stage_gathers_each_window_once(monkeypatch):

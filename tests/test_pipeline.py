@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from linepart.boundary import make_split_points
+from linepart.boundary import apply_window_stage, contract_blocks, make_split_points, make_windows
 from linepart.graph import Partition, check_balance, cut_weight
 from linepart import pipeline
 from linepart.ordering import Ordering, random_ordering
@@ -12,7 +12,6 @@ from linepart.synth import disjoint_cliques, erdos_renyi, ring_of_cliques, rmat
 
 from conftest import make_graph, random_graph
 from test_boundary import exhaustive_contiguous_cut, make_figure_instance
-from linepart.boundary import contract_blocks
 
 
 NONMETRIC = ("swap", "linopt", "mincut", "dp")
@@ -135,9 +134,6 @@ def test_combine_rejects_a_cut_raising_proposal(monkeypatch):
         return run_stage(stage, g, o, s, cfg, iteration)
 
     monkeypatch.setattr(pipeline, "run_stage", spy)
-    rng = np.random.default_rng(42)
-    for _ in range(4):  # the last graph of test_final_cut_never_exceeds_initial_chop
-        graph, seed = random_graph(rng, 60, 200), int(rng.integers(100))
     cases = [
         # the coarse dp optimum cuts more than the refined rank-level splits
         (ring_of_cliques(16, 8), PipelineConfig(
@@ -145,11 +141,12 @@ def test_combine_rejects_a_cut_raising_proposal(monkeypatch):
             stages=("metric", "swap", "linopt", "mincut", "dp"),
             seed=0, max_outer_iters=3, dp_blocks=20,
         ), {"dp"}),
-        # windows that each pass acceptance raise the cut together
-        (graph, PipelineConfig(
-            k=4, alpha=0.1, initial_ordering="random",
-            stages=("metric", "swap", "linopt", "mincut", "dp"),
-            seed=seed, max_outer_iters=4,
+        # in-window moves that each pass acceptance against the frozen
+        # exterior raise the cut together: adjacent windows share edges
+        (random_graph(np.random.default_rng(12), 70, 180), PipelineConfig(
+            k=6, alpha=1.0, initial_ordering="random",
+            stages=("metric", "swap", "linopt", "mincut"),
+            seed=12, max_outer_iters=4,
         ), {"linopt", "mincut"}),
     ]
     for g, cfg, expected in cases:
@@ -173,6 +170,30 @@ def test_combine_rejects_a_cut_raising_proposal(monkeypatch):
             assert np.array_equal(states[i][0], inputs[i][0])
             assert np.array_equal(states[i][1], inputs[i][1])
         assert rejected == expected
+
+
+def test_window_stages_start_from_in_window_splits(monkeypatch):
+    # with unit weights and no dp, the chop and every window move keep each
+    # split in its window, alpha*n/2k < 1 included
+    handed = []
+
+    def spy(g, o, s, method):
+        handed.append([(w.lo, int(s.q[w.index]), w.hi) for w in make_windows(g, o, s.k, s.alpha)])
+        return apply_window_stage(g, o, s, method)
+
+    monkeypatch.setattr(pipeline, "apply_window_stage", spy)
+    rng = np.random.default_rng(7)
+    for case in range(30):
+        n = int(rng.integers(10, 60))
+        k, alpha = int(rng.integers(2, 6)), float(rng.choice([0.05, 0.1, 0.3]))
+        cfg = PipelineConfig(
+            k=k, alpha=alpha, initial_ordering="random",
+            stages=("metric", "swap", "linopt", "mincut"), seed=case, max_outer_iters=3,
+        )
+        combine(random_graph(rng, n, 2 * n), cfg)
+    assert handed
+    for spans in handed:
+        assert all(lo <= q <= hi for lo, q, hi in spans), spans
 
 
 def test_infeasible_dp_skipped_with_warning():
