@@ -13,13 +13,11 @@ from .boundary import (
     WindowCutResult,
     apply_window_stage,
     contract_blocks,
-    crossing_cost,
     dp_partition,
     linopt_window,
     make_split_points,
     make_windows,
     mincut_window,
-    window_crossing_weight,
 )
 from .graph import (
     BalanceReport,

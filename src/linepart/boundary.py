@@ -16,13 +16,15 @@ or the whole boundary set:
   the (lo, hi) weight bounds.
 
 A window stage gathers each window's edges once (``_window_edges``); both
-optimizers take that slice and return a left mask over the window, and one
-vectorized evaluator (``_window_cut``) prices bipartitions: against a
-before/after exterior for the optimizers' objective, and against the frozen
-current parts for acceptance, since an edge to a part not next to the
-window is cut whichever side its window end takes. Windows moved together
-can still interact, so ``pipeline.combine`` enforces the never-raise rule on
-each whole stage.
+optimizers take that slice and return a left mask over the window. The
+optimizers minimize the window objective, with everything before the
+window on the left and everything after on the right; the minimum cut
+builds its flow network from the slice as arc arrays in one pass. One
+vectorized evaluator (``_window_cut``) prices a mask for acceptance against
+the frozen current parts, since an edge to a part not next to the window is
+cut whichever side its window end takes. Windows moved together can still
+interact, so ``pipeline.combine`` enforces the never-raise rule on each
+whole stage.
 """
 
 from __future__ import annotations
@@ -45,12 +47,11 @@ __all__ = [
     "DpResult",
     "make_split_points",
     "make_windows",
-    "window_crossing_weight",
+    "window_slack",
     "linopt_window",
     "mincut_window",
     "apply_window_stage",
     "contract_blocks",
-    "crossing_cost",
     "dp_partition",
     "dp_base_layer",
 ]
@@ -84,9 +85,6 @@ class SplitPoints:
 
     def part_range(self, j: int) -> tuple[int, int]:
         return int(self.q[j]), int(self.q[j + 1])
-
-    def part_sizes(self) -> np.ndarray:
-        return np.diff(self.q)
 
     def copy(self) -> "SplitPoints":
         return SplitPoints(self.q.copy(), self.alpha)
@@ -127,9 +125,16 @@ class Window:
     lo: int
     hi: int
 
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo
+
+def window_slack(total_weight: float, k: int, alpha: float) -> tuple[float, float]:
+    """How far a boundary's prefix weight may stray from j*w(V)/k.
+
+    Returns (slack, tol): the half slack alpha*w(V)/2k and the float
+    tolerance added to it. Windows and rank swaps both keep a boundary
+    within slack + tol of its ideal prefix weight.
+    """
+    slack = alpha * total_weight / (2 * k)
+    return slack, 1e-9 * max(1.0, slack)
 
 
 def make_windows(g: Graph, o: Ordering, k: int, alpha: float) -> list[Window]:
@@ -154,8 +159,7 @@ def make_windows(g: Graph, o: Ordering, k: int, alpha: float) -> list[Window]:
         raise ValueError("ordering does not cover the graph")
     cw = np.concatenate([[0.0], np.cumsum(g.vertex_weights[o.vertex_at])])
     total = cw[-1]
-    slack = alpha * total / (2 * k)
-    tol = 1e-9 * max(1.0, slack)
+    slack, tol = window_slack(total, k, alpha)
     ranks = [(j * n) // k for j in range(k + 1)]
     windows = []
     for j in range(1, k):
@@ -194,34 +198,19 @@ def _window_edges(g: Graph, o: Ordering, win: Window) -> _Edges:
     return row[keep], rank[keep], g.adj_weights[slot[keep]]
 
 
-def _window_cut(
-    edges: _Edges, win: Window, left_mask: np.ndarray, q: np.ndarray | None = None
-) -> float:
+def _window_cut(edges: _Edges, win: Window, left_mask: np.ndarray, q: np.ndarray) -> float:
     """Weight of the window's edges whose ends land in different parts.
 
     Window vertex i joins part win.index-1 if ``left_mask[i]``, else part
-    win.index. With ``q=None`` every other vertex sits before or after the
-    window (parts win.index-1 and win.index): the window objective, which
-    leaves out the constant before-to-after edges. With split points ``q``
-    every other vertex keeps its part under ``q`` (the frozen exterior).
+    win.index; every other vertex keeps its part under the split points
+    ``q`` (the frozen exterior).
     """
     row, rank, w = edges
     side = np.where(left_mask, win.index - 1, win.index)
-    if q is None:
-        part = np.where(rank < win.lo, win.index - 1, win.index)
-    else:
-        part = np.searchsorted(q, rank, side="right") - 1
+    part = np.searchsorted(q, rank, side="right") - 1
     inside = (rank >= win.lo) & (rank < win.hi)
     part[inside] = side[rank[inside] - win.lo]
     return float(w[side[row] != part].sum())
-
-
-def window_crossing_weight(g: Graph, o: Ordering, win: Window, split: int) -> float:
-    """Weight of edges crossing ``split``, excluding constant before-to-after
-    edges (those with no endpoint among the window's vertices)."""
-    if not win.lo <= split <= win.hi:
-        raise ValueError(f"split {split} outside window [{win.lo}, {win.hi}]")
-    return _window_cut(_window_edges(g, o, win), win, np.arange(win.lo, win.hi) < split)
 
 
 # -- per-window optimizers -----------------------------------------------
@@ -253,12 +242,10 @@ def linopt_window(edges: _Edges, win: Window) -> np.ndarray:
 
 @dataclass
 class WindowCutResult:
-    """Outcome of a window minimum cut: the left side as a window mask."""
+    """Outcome of a window minimum cut: the left side as a window mask, and
+    whether the flow budget ran out and the linear scan chose it instead."""
 
-    window: Window
     left_mask: np.ndarray
-    split: int
-    cut_value: float
     used_fallback: bool = False
 
 
@@ -272,9 +259,10 @@ def mincut_window(
     Everything before the window contracts into the source, everything after
     into the sink; window-internal edges keep their weight in both
     directions. The terminal capacities come from one ``np.bincount`` each
-    over the window's edge slice, which also gives the reported cut value.
-    Among minimum cuts the canonical source-side-minimal one is taken
-    (residual reachability). Vertices with no incident instance edges are
+    over the window's edge slice, and the network is built from those arc
+    arrays in one pass. Among minimum cuts the canonical source-side-minimal
+    one is taken: the vertices the flow's last BFS still reaches in the
+    residual network. Vertices with no incident instance edges are
     indifferent, so they are placed to pull the split toward the balanced
     center. Both sides keep their previous relative order, which makes a
     rerun a no-op. If the flow exceeds the augmentation budget the
@@ -283,7 +271,7 @@ def mincut_window(
     lo, hi = win.lo, win.hi
     nw = hi - lo
     if nw == 0:
-        return WindowCutResult(win, np.zeros(0, dtype=bool), lo, 0.0, False)
+        return WindowCutResult(np.zeros(0, dtype=bool))
     if max_augmentations is None:
         max_augmentations = 1000 + 100 * nw
     row, rank, w = edges
@@ -293,7 +281,6 @@ def mincut_window(
     snk_cap = np.bincount(row[after], w[after], nw)
     incident = np.bincount(row, w, nw) + np.bincount(rank[inner] - lo, w[inner], nw)
 
-    net = FlowNetwork(nw + 2)
     s, t = nw, nw + 1
     # Arcs go in vertex by vertex: s->i, i->t, then i's positive internal
     # edges to later window vertices (each with its weight both ways).
@@ -306,22 +293,20 @@ def mincut_window(
     cap = np.concatenate([src_cap[src], snk_cap[snk], w[both]])
     cap_rev = np.concatenate([np.zeros(len(src) + len(snk)), w[both]])
     arcs = np.argsort(owner, kind="stable")
-    for u, v, c, c_rev in zip(*(a[arcs].tolist() for a in (tail, head, cap, cap_rev))):
-        net.add_edge(u, v, c, c_rev)
+    net = FlowNetwork(nw + 2, *(a[arcs] for a in (tail, head, cap, cap_rev)))
     _, exceeded = net.max_flow(s, t, max_augmentations)
     if exceeded:
         log.warning("window %d: flow budget exhausted, linear-scan fallback", win.index)
         left_mask = linopt_window(edges, win)
     else:
-        reach = net.source_side(s)[:nw]
+        reach = np.array(net.level[:nw]) >= 0
         free = incident <= 0.0
         left_mask = reach & ~free
         # Indifferent vertices drift toward the balanced center.
         need = int(np.clip(win.center - lo - int(left_mask.sum()), 0, int(free.sum())))
         if need:
             left_mask[np.flatnonzero(free)[:need]] = True
-    value = _window_cut(edges, win, left_mask)
-    return WindowCutResult(win, left_mask, lo + int(left_mask.sum()), value, exceeded)
+    return WindowCutResult(left_mask, exceeded)
 
 
 def apply_window_stage(
@@ -428,11 +413,6 @@ class ContractedGraph:
         s[1:, 1:] = m
         return s
 
-    def rect_weight(self, i1: int, i2: int, j1: int, j2: int) -> float:
-        """Superedge weight between block ranges [i1, i2) x [j1, j2)."""
-        s = self._prefix
-        return float(s[i2, j2] - s[i1, j2] - s[i2, j1] + s[i1, j1])
-
     @cached_property
     def weight_prefix(self) -> np.ndarray:
         return np.concatenate([[0.0], np.cumsum(self.block_weights)])
@@ -467,13 +447,6 @@ def contract_blocks(g: Graph, o: Ordering, block_count: int | None = None) -> Co
     return ContractedGraph(
         starts, blocks.part_weights, se_u, se_v, w, g.total_vertex_weight
     )
-
-
-def crossing_cost(cg: ContractedGraph, i: int, j: int, m: int) -> float:
-    """Superedge weight between block ranges [i..j] and [j+1..m], inclusive."""
-    if not (0 <= i <= j < m < cg.block_count):
-        raise ValueError(f"need 0 <= i <= j < m < {cg.block_count}")
-    return cg.rect_weight(i, j + 1, j + 1, m + 1)
 
 
 @dataclass

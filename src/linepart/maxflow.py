@@ -1,9 +1,13 @@
 """Dinic maximum flow on small dense-ish networks with float capacities.
 
-Used for the two-terminal minimum cuts inside boundary windows. Capacities
-are real-valued; residual arcs below a scale-relative epsilon count as
-saturated so float drift cannot stall termination. The number of BFS phases
-is bounded by the node count regardless of capacity values.
+Used for the two-terminal minimum cuts inside boundary windows. The network
+is built once from arc arrays. Capacities are real-valued; residual arcs
+below a scale-relative epsilon count as saturated so float drift cannot
+stall termination. The number of BFS phases is bounded by the node count
+regardless of capacity values. The last BFS of a completed flow, which no
+longer reaches the sink, leaves ``level[v] >= 0`` exactly on the vertices
+residual-reachable from the source: the minimal source side of a minimum
+cut.
 """
 
 from __future__ import annotations
@@ -16,35 +20,40 @@ __all__ = ["FlowNetwork"]
 
 
 class FlowNetwork:
-    def __init__(self, n: int):
+    """Residual network on vertices 0..n-1 from arc arrays.
+
+    Edge i gives arc 2i, tail[i] -> head[i] with capacity cap[i], and its
+    reverse arc 2i+1 with capacity cap_rev[i]. Each vertex lists its
+    outgoing arcs in arc order.
+    """
+
+    def __init__(self, n: int, tail, head, cap, cap_rev):
+        tail = np.asarray(tail, dtype=np.int64)
+        head = np.asarray(head, dtype=np.int64)
+        origin = np.stack([tail, head], axis=1).ravel()
+        to = np.stack([head, tail], axis=1).ravel()
+        caps = np.stack([np.asarray(cap, float), np.asarray(cap_rev, float)], axis=1).ravel()
+        arcs = np.argsort(origin, kind="stable").tolist()
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(origin, minlength=n))]).tolist()
         self.n = n
-        self.to: list[int] = []
-        self.cap: list[float] = []
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        self._max_cap = 0.0
-
-    def add_edge(self, u: int, v: int, cap: float, cap_rev: float = 0.0) -> None:
-        """Arc u->v with capacity cap and reverse capacity cap_rev."""
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(float(cap))
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(float(cap_rev))
-        self._max_cap = max(self._max_cap, cap, cap_rev)
-
-    @property
-    def eps(self) -> float:
-        return 1e-12 * max(1.0, self._max_cap)
+        self.to: list[int] = to.tolist()
+        self.cap: list[float] = caps.tolist()
+        self.adj = [arcs[bounds[u] : bounds[u + 1]] for u in range(n)]
+        self.eps = 1e-12 * max(1.0, float(caps.max()) if len(caps) else 0.0)
+        self.level = [-1] * n
 
     def max_flow(
         self, s: int, t: int, max_augmentations: int | None = None
     ) -> tuple[float, bool]:
-        """Returns (flow value, budget_exceeded)."""
+        """Returns (flow value, budget_exceeded).
+
+        When the flow completes, ``level[v] >= 0`` marks the vertices
+        residual-reachable from s.
+        """
         eps = self.eps
         flow = 0.0
         augmentations = 0
-        level = [0] * self.n
+        level = self.level
         it = [0] * self.n
         while self._bfs(s, t, level, eps):
             it[:] = [0] * self.n
@@ -99,18 +108,3 @@ class FlowNetwork:
                 level[u] = -1  # dead end; prune
                 last = path.pop()
                 u = self.to[last ^ 1]  # back to the tail of the last arc
-
-    def source_side(self, s: int) -> np.ndarray:
-        """Residual-reachable set from s: the canonical minimal source side."""
-        eps = self.eps
-        seen = np.zeros(self.n, dtype=bool)
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for a in self.adj[u]:
-                v = self.to[a]
-                if not seen[v] and self.cap[a] > eps:
-                    seen[v] = True
-                    queue.append(v)
-        return seen

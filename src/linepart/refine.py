@@ -3,28 +3,27 @@
 The median iteration drives the weighted linear-arrangement objective
 sum |rank(u) - rank(v)| * w(u,v): every vertex proposes the weighted median
 of its neighbors' ranks, then a global sort resolves collisions. Proposals
-are simultaneous, so a single round may overshoot; the driver keeps the best
-ordering seen and stops on convergence, round cap, or a detected
-oscillation.
+are simultaneous, so a single round may overshoot or cycle; the driver
+keeps a round only while it lowers the objective.
 
-Rank swaps improve the cut of the k-way chop directly: partitions are paired
-along the line, each partition is sliced into intervals, paired intervals
-exchange their best-improving vertex pairs until no swap helps. Swaps are
-one-for-one, so part sizes never change.
+Rank swaps improve the cut of the k-way chop directly: adjacent partitions
+are paired along the line, each partition is sliced into intervals, paired
+intervals exchange their best-improving vertex pairs until no swap helps.
+Swaps are one-for-one, so part sizes never change, and a swap of unequal
+weights is taken only if the boundary between the pair stays in its window
+(``boundary.window_slack``) or moves no further from its ideal weight.
 """
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import logging
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import SplitPoints
-from .graph import Graph, Partition, balance_bounds
+from .boundary import SplitPoints, window_slack
+from .graph import Graph, Partition
 from .ordering import Ordering
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-_OSCILLATION_MEMORY = 4
 
 
 def minla_objective(g: Graph, o: Ordering) -> float:
@@ -85,7 +82,7 @@ def minla_round(g: Graph, o: Ordering) -> Ordering:
 
 @dataclass
 class MinLAState:
-    """Result of the median iteration: best ordering, objective, rounds run."""
+    """Result of the median iteration: kept ordering, objective, rounds run."""
 
     ordering: Ordering
     objective: float
@@ -93,45 +90,29 @@ class MinLAState:
     trace: list[float] = field(default_factory=list)
 
 
-def _perm_digest(o: Ordering) -> bytes:
-    return hashlib.blake2b(o.vertex_at.tobytes(), digest_size=16).digest()
-
-
 def minla_refine(g: Graph, o: Ordering, max_rounds: int) -> MinLAState:
-    """Iterate minla_round until convergence, cap, or oscillation.
+    """Iterate minla_round while each round lowers the objective.
 
-    Stops when the permutation is unchanged, when the objective rises, when
-    a permutation from the last few rounds recurs (the simultaneous
-    proposals can cycle), or at max_rounds. Returns the best ordering seen,
-    which is never worse than the input.
+    The first round that does not lower it (the permutation converged, the
+    objective rose or stayed level, or the proposals cycled) is discarded
+    and ends the run, as does max_rounds. The kept objective falls strictly
+    every round, so the result is the best ordering seen and never worse
+    than the input.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     current = o
     obj = minla_objective(g, current)
     trace = [obj]
-    best, best_obj = current, obj
-    seen: deque[bytes] = deque([_perm_digest(current)], maxlen=_OSCILLATION_MEMORY)
-    rounds = 0
-    for _ in range(max_rounds):
+    for rounds in range(1, max_rounds + 1):
         nxt = minla_round(g, current)
-        rounds += 1
         new_obj = minla_objective(g, nxt)
         trace.append(new_obj)
         log.info("minla\tround\t%d\tobjective\t%.6g", rounds, new_obj)
-        if new_obj < best_obj:
-            best, best_obj = nxt, new_obj
-        if np.array_equal(nxt.vertex_at, current.vertex_at):
-            current = nxt
+        if new_obj >= obj:
             break
-        rose = new_obj > obj
-        digest = _perm_digest(nxt)
-        oscillating = digest in seen
-        seen.append(digest)
         current, obj = nxt, new_obj
-        if rose or oscillating:
-            break
-    return MinLAState(best, best_obj, rounds, trace)
+    return MinLAState(current, obj, rounds, trace)
 
 
 @dataclass
@@ -147,7 +128,6 @@ class SwapPlan:
     r: int
     partition_pairs: list[tuple[int, int]]
     interval_pairs: list[tuple[tuple[int, int], tuple[int, int]]]
-    seed: int
 
 
 def make_swap_plan(k: int, r: int, round_index: int, seed: int) -> SwapPlan:
@@ -169,7 +149,7 @@ def make_swap_plan(k: int, r: int, round_index: int, seed: int) -> SwapPlan:
         perm = rng.permutation(r)
         for i in range(r):
             interval_pairs.append(((a, i), (b, int(perm[i]))))
-    return SwapPlan(k, r, partition_pairs, interval_pairs, seed)
+    return SwapPlan(k, r, partition_pairs, interval_pairs)
 
 
 def _interval_range(q: np.ndarray, part: int, idx: int, r: int) -> tuple[int, int]:
@@ -185,6 +165,8 @@ class _SwapState:
     weight to the paired part minus weight to its own part. It is seeded by
     one vectorized edge pass per round and maintained incrementally, so
     later interval pairs of the same partition pair see the true state.
+    ``excess[j]`` is the prefix weight before boundary j minus its ideal
+    j*w(V)/k.
     """
 
     def __init__(self, g: Graph, o: Ordering, splits: SplitPoints, plan: SwapPlan):
@@ -193,11 +175,10 @@ class _SwapState:
         self.rank_of = o.rank_of.copy()
         parts = Partition.from_contiguous(o, splits, g)
         self.part_of = parts.assignment
-        self.part_weights = parts.part_weights
-        self.target = g.total_vertex_weight / splits.k
-        self.lo_bound, self.hi_bound = balance_bounds(
-            g.total_vertex_weight, splits.k, splits.alpha
-        )
+        total, k = g.total_vertex_weight, splits.k
+        self.excess = np.concatenate([[0.0], np.cumsum(parts.part_weights)])
+        self.excess -= np.arange(k + 1) * total / k
+        self.slack, self.slack_tol = window_slack(total, k, splits.alpha)
         scale = float(g.edge_w.max()) if g.edge_count else 1.0
         self.gain_tol = 1e-12 * max(1.0, scale)
         self.swaps = 0
@@ -219,20 +200,15 @@ class _SwapState:
         return np.bincount(idx, weights=deltas, minlength=g.n)
 
     def weight_feasible(self, u: int, v: int) -> bool:
-        """Would swapping u and v keep (or not worsen) the alpha bound?"""
+        """Would swapping u (part a) and v (part a+1) keep boundary a+1 in
+        its window, or at least no further from its ideal weight?"""
         wu = self.g.vertex_weights[u]
         wv = self.g.vertex_weights[v]
         if wu == wv:
             return True
-        pa, pb = int(self.part_of[u]), int(self.part_of[v])
-        delta = wv - wu
-        for part, neww in ((pa, self.part_weights[pa] + delta),
-                           (pb, self.part_weights[pb] - delta)):
-            if self.lo_bound <= neww <= self.hi_bound:
-                continue
-            if abs(neww - self.target) > abs(self.part_weights[part] - self.target):
-                return False
-        return True
+        old = self.excess[self.part_of[v]]
+        new = old + wv - wu
+        return abs(new) <= self.slack + self.slack_tol or abs(new) <= abs(old)
 
     def swap(self, u: int, v: int) -> np.ndarray:
         """Exchange u (in part a) and v (in part b); update the reductions.
@@ -260,9 +236,7 @@ class _SwapState:
         self.rank_of[u], self.rank_of[v] = rv, ru
         self.vertex_at[ru], self.vertex_at[rv] = v, u
         self.part_of[u], self.part_of[v] = pb, pa
-        dw = g.vertex_weights[v] - g.vertex_weights[u]
-        self.part_weights[pa] += dw
-        self.part_weights[pb] -= dw
+        self.excess[pb] += g.vertex_weights[v] - g.vertex_weights[u]
         self.swaps += 1
 
         parts = self.part_of[nbr]
@@ -390,16 +364,20 @@ def rank_swap_round(
 ) -> Ordering:
     """Execute one planned round of interval-paired swaps.
 
-    Partition pairs are fully independent (a vertex's reduction only reads
-    the two parts it could belong to); interval pairs within a partition
-    pair run in a fixed order against live state, so the true cut weight
-    never increases. Vertex counts per part are untouched; a swap that would
-    worsen a part's weight deviation beyond the alpha bound is rejected.
+    Partition pairs are adjacent and fully independent (a vertex's
+    reduction only reads the two parts it could belong to); interval pairs
+    within a partition pair run in a fixed order against live state, so the
+    true cut weight never increases. Vertex counts per part are untouched.
+    A swap moves only the boundary between its pair, by w(v) - w(u); it is
+    rejected if that carries the boundary out of its window and further
+    from its ideal weight.
     """
     if plan.k != splits.k:
         raise ValueError(
             f"plan is for k={plan.k}, split points have k={splits.k}"
         )
+    if any(b != a + 1 for a, b in plan.partition_pairs):
+        raise ValueError("swap plans pair adjacent partitions only")
     if splits.n != g.n or o.n != g.n:
         raise ValueError("ordering/split points do not cover the graph")
     if not plan.interval_pairs:  # k=2 on odd rounds: nothing to pair

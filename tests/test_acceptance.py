@@ -110,14 +110,14 @@ def mincut_suite():
             )
             for bits in range(1 << len(members))
         )
-        suite.append((g, o, win, *mincut_sides(g, o, win)[:2], brute))
+        suite.append((g, o, win, mincut_sides(g, o, win), brute))
     return suite
 
 
 def test_criterion_02_mincut_matches_bipartition_enumeration(mincut_suite):
-    for g, o, win, res, left, brute in mincut_suite:
-        assert res.cut_value == pytest.approx(brute, abs=1e-9)
-        assert naive_window_cost(g, o, win.lo, win.hi, left) == pytest.approx(
+    for g, o, win, res, brute in mincut_suite:
+        assert res.cut == pytest.approx(brute, abs=1e-9)
+        assert naive_window_cost(g, o, win.lo, win.hi, res.left) == pytest.approx(
             brute, abs=1e-9
         )
     print(f"\nPASS criterion 2: window min cut exact on {len(mincut_suite)} windows")
@@ -140,12 +140,12 @@ def test_criterion_03_linopt_matches_naive_scan():
 
 
 def test_criterion_04_mincut_dominates_linopt(mincut_suite):
-    for g, o, win, res, _left, _brute in mincut_suite:
+    for g, o, win, res, _brute in mincut_suite:
         s = linopt_split(g, o, win)
-        assert res.cut_value <= naive_split_cost(g, o, win, s) + 1e-9
+        assert res.cut <= naive_split_cost(g, o, win, s) + 1e-9
     g, o, win = make_figure_instance()
     lin = naive_split_cost(g, o, win, linopt_split(g, o, win))
-    cut = mincut_sides(g, o, win)[0].cut_value
+    cut = mincut_sides(g, o, win).cut
     assert (lin, cut) == (4.0, 1.0)
     print("\nPASS criterion 4: min cut dominates the scan on every window; "
           "hand-built window improves 4 -> 1")

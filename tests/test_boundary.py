@@ -1,6 +1,7 @@
 """Window optimizers, contraction, and dynamic-program tests."""
 
 import itertools
+from collections import namedtuple
 
 import hypothesis.strategies as st
 import numpy as np
@@ -11,17 +12,16 @@ from linepart import boundary
 from linepart.boundary import (
     SplitPoints,
     Window,
+    _window_cut,
     _window_edges,
     apply_window_stage,
     contract_blocks,
-    crossing_cost,
     dp_base_layer,
     dp_partition,
     linopt_window,
     make_split_points,
     make_windows,
     mincut_window,
-    window_crossing_weight,
 )
 from linepart.graph import Graph, Partition, check_balance, cut_weight
 from linepart.ordering import Ordering
@@ -63,12 +63,30 @@ def linopt_split(g, o, win):
     return s
 
 
+def window_objective(edges, win, left_mask, n):
+    """``_window_cut`` with everything before the window in part win.index-1
+    and everything after it in part win.index: the optimizers' objective."""
+    return _window_cut(edges, win, left_mask, np.array([0] * win.index + [win.lo, n]))
+
+
+MincutSides = namedtuple("MincutSides", "cut split left right used_fallback")
+
+
 def mincut_sides(g, o, win, **kwargs):
-    """``mincut_window`` on the window's edges, with its left and right
-    vertex lists (each in the ordering's relative order)."""
-    res = mincut_window(_window_edges(g, o, win), win, **kwargs)
+    """``mincut_window`` on the window's edges: the window objective and
+    split of its mask, its left and right vertex lists (each in the
+    ordering's relative order), and its fallback flag."""
+    edges = _window_edges(g, o, win)
+    res = mincut_window(edges, win, **kwargs)
+    mask = res.left_mask
     members = o.vertex_at[win.lo : win.hi]
-    return res, members[res.left_mask].tolist(), members[~res.left_mask].tolist()
+    return MincutSides(
+        window_objective(edges, win, mask, g.n),
+        win.lo + int(mask.sum()),
+        members[mask].tolist(),
+        members[~mask].tolist(),
+        res.used_fallback,
+    )
 
 
 def naive_split_cost(g, o, win, s):
@@ -118,8 +136,8 @@ def reference_dp_value(cg, k, alpha):
     b = cg.block_count
     base = dp_base_layer(cg, k, alpha)
 
-    def crossing(i, mid, e):
-        return cg.rect_weight(i, mid, mid, e)
+    def crossing(i, mid, e):  # between block ranges [i, mid) and [mid, e)
+        return naive_crossing_cost(cg, i, mid - 1, e - 1)
 
     table = {1: base}
     for q in range(2, k + 1):
@@ -264,7 +282,7 @@ def test_linopt_picks_zero_weight_gap():
     win = Window(index=1, center=4, lo=2, hi=6)
     s = linopt_split(g, o, win)
     assert s == 4
-    assert window_crossing_weight(g, o, win, s) == 0.0
+    assert naive_split_cost(g, o, win, s) == 0.0
 
 
 def make_figure_instance():
@@ -281,7 +299,7 @@ def make_figure_instance():
 def test_linopt_figure_instance_cut_four():
     g, o, win = make_figure_instance()
     s = linopt_split(g, o, win)
-    assert window_crossing_weight(g, o, win, s) == 4.0
+    assert naive_split_cost(g, o, win, s) == 4.0
     assert s == 2  # split right after window vertex 1
 
 
@@ -313,24 +331,24 @@ def test_linopt_matches_naive_evaluation():
 
 def test_mincut_figure_instance_cut_one():
     g, o, win = make_figure_instance()
-    res, left, right = mincut_sides(g, o, win)
-    assert res.cut_value == 1.0
-    assert sorted(left) == [1, 3, 7, 8]
-    assert sorted(right) == [2, 4, 5, 6]
+    res = mincut_sides(g, o, win)
+    assert res.cut == 1.0
+    assert sorted(res.left) == [1, 3, 7, 8]
+    assert sorted(res.right) == [2, 4, 5, 6]
     assert res.split == win.lo + 4
     assert not res.used_fallback
     # stable within sides: previous relative order preserved
-    assert left == [1, 3, 7, 8]
-    assert right == [2, 4, 5, 6]
+    assert res.left == [1, 3, 7, 8]
+    assert res.right == [2, 4, 5, 6]
 
 
 def test_mincut_no_edges_keeps_balanced_split_and_order():
     g = make_graph([], n=10)
     o = Ordering.identity(10)
     win = Window(index=1, center=5, lo=2, hi=8)
-    res, left, right = mincut_sides(g, o, win)
+    res = mincut_sides(g, o, win)
     assert res.split == 5
-    assert left + right == [2, 3, 4, 5, 6, 7]
+    assert res.left + res.right == [2, 3, 4, 5, 6, 7]
 
 
 def test_mincut_matches_exhaustive_bipartitions():
@@ -345,14 +363,14 @@ def test_mincut_matches_exhaustive_bipartitions():
         lo = int(rng.integers(1, 5))
         hi = lo + int(rng.integers(1, 11))
         win = Window(index=1, center=(lo + hi) // 2, lo=lo, hi=hi)
-        res, left, _ = mincut_sides(g, o, win)
+        res = mincut_sides(g, o, win)
         members = [int(v) for v in o.vertex_at[lo:hi]]
         best = min(
             naive_window_cost(g, o, lo, hi, [v for i, v in enumerate(members) if (bits >> i) & 1])
             for bits in range(1 << len(members))
         )
-        assert res.cut_value == pytest.approx(best)
-        assert naive_window_cost(g, o, lo, hi, left) == pytest.approx(best)
+        assert res.cut == pytest.approx(best)
+        assert naive_window_cost(g, o, lo, hi, res.left) == pytest.approx(best)
 
 
 def test_mincut_dominates_linopt():
@@ -362,27 +380,27 @@ def test_mincut_dominates_linopt():
         g = random_graph(rng, n, int(rng.integers(5, 40)))
         o = Ordering.from_vertex_at(rng.permutation(n))
         win = Window(index=1, center=7, lo=3, hi=11)
-        res = mincut_window(_window_edges(g, o, win), win)
+        res = mincut_sides(g, o, win)
         s = linopt_split(g, o, win)
-        assert res.cut_value <= naive_split_cost(g, o, win, s) + 1e-9
+        assert res.cut <= naive_split_cost(g, o, win, s) + 1e-9
 
 
 def test_mincut_budget_falls_back_to_scan():
     g, o, win = make_figure_instance()
-    res, left, right = mincut_sides(g, o, win, max_augmentations=1)
+    res = mincut_sides(g, o, win, max_augmentations=1)
     assert res.used_fallback
-    assert res.cut_value == 4.0  # the order-respecting optimum
-    assert (left, right, res.split) == ([1], [2, 3, 4, 5, 6, 7, 8], 2)
+    assert res.cut == 4.0  # the order-respecting optimum
+    assert (res.left, res.right, res.split) == ([1], [2, 3, 4, 5, 6, 7, 8], 2)
 
 
 def test_mincut_rerun_is_stable():
     g, o, win = make_figure_instance()
-    res, left, right = mincut_sides(g, o, win)
+    res = mincut_sides(g, o, win)
     vertex_at = o.vertex_at.copy()
-    vertex_at[win.lo : win.hi] = left + right
+    vertex_at[win.lo : win.hi] = res.left + res.right
     o2 = Ordering.from_vertex_at(vertex_at)
-    res2, left2, right2 = mincut_sides(g, o2, win)
-    assert left2 + right2 == left + right
+    res2 = mincut_sides(g, o2, win)
+    assert res2.left + res2.right == res.left + res.right
     assert res2.split == res.split
 
 
@@ -439,20 +457,6 @@ def test_contract_aggregates_cross_block_weight():
         for e in range(len(cg.edge_w))
     }
     assert got == pytest.approx(expected)
-
-
-def test_crossing_cost_examples_and_oracle():
-    g = make_graph([(2, 5)], n=8, weights=[3.0])
-    cg = contract_blocks(g, Ordering.identity(8), 8)
-    assert crossing_cost(cg, 1, 3, 6) == 3.0
-    assert crossing_cost(cg, 0, 1, 4) == 0.0
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        cg = random_contracted(rng, 9)
-        i = int(rng.integers(0, 7))
-        j = int(rng.integers(i, 8))
-        m = int(rng.integers(j + 1, 9))
-        assert crossing_cost(cg, i, j, m) == pytest.approx(naive_crossing_cost(cg, i, j, m))
 
 
 # -- dynamic program ----------------------------------------------------------------
@@ -618,8 +622,6 @@ def test_window_stage_gathers_each_window_once(monkeypatch):
 
 def test_frozen_local_cut_matches_direct_count():
     # the acceptance evaluator must agree with a direct edge classification
-    from linepart.boundary import _window_cut, _window_edges
-
     rng = np.random.default_rng(31)
     n = 24
     cases = []
@@ -672,7 +674,7 @@ def test_frozen_local_cut_matches_direct_count():
     far_edges = _window_edges(far, Ordering.identity(n), far_win)
     assert _window_cut(far_edges, far_win, far_mask, far_splits.q) == 6.0
     # the window objective would see neither far-part edge
-    assert _window_cut(far_edges, far_win, far_mask) == 1.0
+    assert window_objective(far_edges, far_win, far_mask, n) == 1.0
 
 
 def test_hilbert_index_max_order_headroom():

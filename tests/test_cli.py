@@ -324,6 +324,21 @@ def test_combine_runs_without_scipy(tmp_path, cliques):
     assert (tmp_path / "part.out").exists()
 
 
+@pytest.mark.parametrize(
+    "script", sorted(p.name for p in (Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+)
+def test_script_help_runs(script):
+    # no test imports the scripts otherwise, so a removed library name
+    # they use would go unnoticed
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / script), "--help"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_no_partial_output_on_failure(tmp_path, capsys, cliques):
     target = tmp_path / "no-such-dir" / "part.out"
     code, _, _ = run(capsys, "combine", "--graph", cliques, "-k", "2",

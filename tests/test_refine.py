@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from linepart.boundary import make_split_points
+from linepart.boundary import make_split_points, make_windows
 from linepart.graph import Partition, cut_weight
 from linepart.ordering import Ordering
 from linepart.refine import (
@@ -261,6 +261,31 @@ def test_rank_swap_rejects_balance_breaking_swap():
     plan = make_swap_plan(2, 1, 0, 0)
     o2 = rank_swap_round(g, o, splits, plan)
     assert o2 == o  # improving pairs (0,3) and (1,2) rejected on weight
+
+
+def test_rank_swap_keeps_boundary_in_its_window():
+    # Swapping 0 (weight 1) with 4 (weight 4) uncuts all four edges and
+    # keeps both parts within the alpha bound [3, 9], but carries the
+    # prefix weight at the split from 5 to 8, outside 6 +- 1.5.
+    g = make_graph([(0, 5), (0, 6), (4, 1), (4, 2)], n=8,
+                   vertex_weights=[1, 1, 1, 2, 4, 1, 1, 1])
+    o = Ordering.identity(8)
+    splits = make_split_points(g, o, 2, 0.5)
+    assert splits.q.tolist() == [0, 4, 8]
+    o2 = rank_swap_round(g, o, splits, make_swap_plan(2, 1, 0, 0))
+    (win,) = make_windows(g, o2, 2, 0.5)
+    assert win.lo <= splits.q[1] <= win.hi
+
+
+def test_rank_swap_rejects_non_adjacent_pairs():
+    g = make_graph([(0, 5)], n=6)
+    o = Ordering.identity(6)
+    splits = make_split_points(g, o, 3, 0.0)
+    plan = make_swap_plan(3, 1, 0, 0)
+    plan.partition_pairs = [(0, 2)]
+    plan.interval_pairs = [((0, 0), (2, 0))]
+    with pytest.raises(ValueError, match="adjacent"):
+        rank_swap_round(g, o, splits, plan)
 
 
 def test_swap_keeps_live_reductions_exact():
