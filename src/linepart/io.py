@@ -11,6 +11,12 @@ their tab-separated forms, and an id cannot contain whitespace:
 * ordering: ``external_id <tab> rank``
 * queries: ``src <tab> dst``
 
+The graph loader parses its input in chunks of whole lines. A chunk with no
+comment, no blank line and one field count on every row is parsed with
+array operations; any other chunk, or one that fails a value check, goes
+through the row loop, which words every format error, so an anomalous
+chunk raises the same error at the same line either way.
+
 Writers sort rows by external id and emit byte-identical output for
 identical inputs. Path sinks are written atomically (temp file + rename) so
 a failure never leaves partial output.
@@ -21,7 +27,9 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from contextlib import contextmanager
+from array import array
+from contextlib import contextmanager, nullcontext
+from itertools import filterfalse
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -46,23 +54,56 @@ __all__ = [
 Source = str | Path | IO[str]
 Sink = str | Path | IO[str]
 
+# Input is read in runs of whole lines of about this many characters. Small
+# runs keep each chunk's transient strings and buffers small enough that the
+# allocator reuses them, so loading does not raise the process's peak memory.
+_CHUNK_CHARS = 1 << 15
+# The ASCII characters that str.split() splits on.
+_ASCII_SPACE = np.array([chr(c).isspace() for c in range(128)])
+
+
+def _chunks(source: Source) -> Iterator[tuple[int, list[str]]]:
+    """Yield (number of the first line, lines) in runs of whole lines of
+    about ``_CHUNK_CHARS`` characters, in file order."""
+    path = isinstance(source, (str, Path))
+    with open(source, "r", encoding="utf-8") if path else nullcontext(source) as fh:
+        start = 1
+        while lines := fh.readlines(_CHUNK_CHARS):
+            yield start, lines
+            start += len(lines)
+
+
+def _line_rows(lines: list[str], start: int) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) for data rows; comments and blanks skip."""
+    for lineno, raw in enumerate(lines, start=start):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        yield lineno, line.split()
+
 
 def _rows(source: Source) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, fields) for data rows; comments and blanks skip."""
-    if isinstance(source, (str, Path)):
-        fh = open(source, "r", encoding="utf-8")
-        close = True
-    else:
-        fh, close = source, False
-    try:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line.split()
-    finally:
-        if close:
-            fh.close()
+    for start, lines in _chunks(source):
+        yield from _line_rows(lines, start)
+
+
+def _uniform_tokens(lines: list[str]) -> tuple[list[str], int] | None:
+    """(all fields in row order, fields per row) of a chunk whose lines all
+    hold the same positive number of fields; None if any line is blank or
+    differs, or the chunk has a ``#`` or a non-ASCII character."""
+    text = "".join(lines)
+    if not text.isascii() or "#" in text:
+        return None
+    space = _ASCII_SPACE[np.frombuffer(text.encode("ascii"), np.uint8)]
+    field_start = ~space
+    field_start[1:] &= space[:-1]
+    line_end = np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)))
+    line_start = np.concatenate([[0], line_end[:-1]])
+    counts = np.add.reduceat(field_start, line_start, dtype=np.int64)
+    fields = int(counts[0])
+    if fields == 0 or (counts != fields).any():
+        return None
+    return text.split(), fields
 
 
 def _source_label(source: Source, fallback: str) -> str:
@@ -105,44 +146,93 @@ def _parse_float(text: str, what: str, label: str, lineno: int) -> float:
     return value
 
 
-def load_graph(edge_source: Source, vertex_source: Source | None = None) -> Graph:
-    """Load an undirected graph from an edge list, plus optional vertex rows.
+def _floats(texts: list[str]) -> np.ndarray | None:
+    """``float`` of every text, or None if one does not parse."""
+    try:
+        return np.fromiter(map(float, texts), np.float64, len(texts))
+    except ValueError:
+        return None
 
-    Directed or duplicated input arcs are symmetrized and merged by weight
-    summation; self-loop rows are ignored. Vertices named only in the edge
-    list get weight 1 and no coordinates. Dense internal ids follow
-    first-seen order (vertex file first, then edge endpoints).
-    """
-    ids: dict[str, int] = {}
-    externals: list[str] = []
-    weights: list[float] = []
-    geo_rows: list[tuple[float, float] | None] = []
 
-    def intern(ext: str) -> int:
-        idx = ids.get(ext)
-        if idx is None:
-            idx = len(externals)
-            ids[ext] = idx
-            externals.append(ext)
-            weights.append(1.0)
-            geo_rows.append(None)
-        return idx
+def _last_wins(out: np.ndarray, at: array, values: array) -> np.ndarray:
+    """``out`` after ``out[at[i]] = values row i`` for every i in order:
+    where a vertex has several rows, the last one wins."""
+    at_rev = np.frombuffer(at, np.int64)[::-1]
+    rows_rev = np.frombuffer(values).reshape(len(at_rev), *out.shape[1:])[::-1]
+    _, last = np.unique(at_rev, return_index=True)
+    out[at_rev[last]] = rows_rev[last]
+    return out
 
-    if vertex_source is not None:
-        label = _source_label(vertex_source, "<vertices>")
-        for lineno, fields in _rows(vertex_source):
+
+class _GraphParts:
+    """Interned ids, vertex values and arcs, filled chunk by chunk in file
+    order. A chunk goes through ``*_chunk``, which parses it with array
+    operations or declines it, or else through ``*_rows``, the row loop
+    that words every format error. Values accumulate in growable arrays,
+    so no per-chunk array outlives its chunk."""
+
+    def __init__(self) -> None:
+        self.ids: dict[str, int] = {}  # first-seen order
+        self.weighted, self.weights = array("q"), array("d")  # vertex weight rows
+        self.placed, self.coords = array("q"), array("d")  # vertex (lat, lng) rows
+        self.ends, self.arc_w = array("q"), array("d")  # u0 v0 u1 v1 ..., arc weights
+
+    def parse(self, source: Source, label: str, chunk, rows) -> None:
+        for start, lines in _chunks(source):
+            uniform = _uniform_tokens(lines)
+            if uniform is None or not chunk(*uniform):
+                rows(lines, start, label)
+            del uniform  # keep one chunk's fields alive at a time
+
+    def intern_all(self, names: list[str]) -> bytes:
+        """The ids of ``names`` as int64 bytes; unseen names are interned in
+        first-seen order."""
+        ids = self.ids
+        fresh = dict.fromkeys(filterfalse(ids.__contains__, names))
+        ids.update(zip(fresh, range(len(ids), len(ids) + len(fresh))))
+        return np.fromiter(map(ids.__getitem__, names), np.int64, len(names)).tobytes()
+
+    def vertex_chunk(self, tokens: list[str], fields: int) -> bool:
+        if fields > 4:
+            return False
+        weight = coords = None
+        if fields in (2, 4):
+            weight = _floats(tokens[1::fields])
+            if weight is None or not (np.isfinite(weight) & (weight > 0)).all():
+                return False
+        if fields >= 3:
+            lat = _floats(tokens[fields - 2 :: fields])
+            lng = _floats(tokens[fields - 1 :: fields])
+            if lat is None or lng is None:
+                return False
+            if not ((np.abs(lat) <= 90.0) & (np.abs(lng) <= 180.0)).all():
+                return False
+            coords = np.stack([lat, lng], axis=1)
+        v = self.intern_all(tokens[0::fields])
+        if weight is not None:
+            self.weighted.frombytes(v)
+            self.weights.frombytes(weight.tobytes())
+        if coords is not None:
+            self.placed.frombytes(v)
+            self.coords.frombytes(coords.tobytes())
+        return True
+
+    def vertex_rows(self, lines: list[str], start: int, label: str) -> None:
+        ids = self.ids
+        for lineno, fields in _line_rows(lines, start):
             if len(fields) not in (1, 2, 3, 4):
                 raise GraphFormatError(
                     f"{label}:{lineno}: expected 1-4 fields, got {len(fields)}"
                 )
-            v = intern(fields[0])
+            v = ids.setdefault(fields[0], len(ids))
             if len(fields) in (2, 4):
                 w = _parse_float(fields[1], "vertex weight", label, lineno)
                 if w <= 0:
                     raise GraphFormatError(
                         f"{label}:{lineno}: vertex weight must be positive, got {w}"
                     )
-                weights[v] = w
+                self.weighted.append(v)
+                self.weights.append(w)
             if len(fields) >= 3:
                 lat = _parse_float(fields[-2], "latitude", label, lineno)
                 lng = _parse_float(fields[-1], "longitude", label, lineno)
@@ -150,44 +240,67 @@ def load_graph(edge_source: Source, vertex_source: Source | None = None) -> Grap
                     raise GraphFormatError(
                         f"{label}:{lineno}: coordinates ({lat}, {lng}) out of range"
                     )
-                geo_rows[v] = (lat, lng)
+                self.placed.append(v)
+                self.coords.extend((lat, lng))
 
-    tails: list[int] = []
-    heads: list[int] = []
-    arc_w: list[float] = []
-    label = _source_label(edge_source, "<edges>")
-    for lineno, fields in _rows(edge_source):
-        if len(fields) not in (2, 3):
-            raise GraphFormatError(
-                f"{label}:{lineno}: expected 'u v [weight]', got {len(fields)} fields"
-            )
-        u = intern(fields[0])
-        v = intern(fields[1])
-        w = 1.0
-        if len(fields) == 3:
-            w = _parse_float(fields[2], "edge weight", label, lineno)
-            if w < 0:
+    def edge_chunk(self, tokens: list[str], fields: int) -> bool:
+        if fields not in (2, 3):
+            return False
+        weight = np.ones(len(tokens) // fields)
+        if fields == 3:
+            weight = _floats(tokens[2::3])
+            if weight is None or not (np.isfinite(weight) & (weight >= 0)).all():
+                return False
+            del tokens[2::3]
+        self.ends.frombytes(self.intern_all(tokens))
+        self.arc_w.frombytes(weight.tobytes())
+        return True
+
+    def edge_rows(self, lines: list[str], start: int, label: str) -> None:
+        ids = self.ids
+        for lineno, fields in _line_rows(lines, start):
+            if len(fields) not in (2, 3):
                 raise GraphFormatError(
-                    f"{label}:{lineno}: edge weight must be non-negative, got {w}"
+                    f"{label}:{lineno}: expected 'u v [weight]', got {len(fields)} fields"
                 )
-        tails.append(u)
-        heads.append(v)
-        arc_w.append(w)
+            self.ends.append(ids.setdefault(fields[0], len(ids)))
+            self.ends.append(ids.setdefault(fields[1], len(ids)))
+            w = 1.0
+            if len(fields) == 3:
+                w = _parse_float(fields[2], "edge weight", label, lineno)
+                if w < 0:
+                    raise GraphFormatError(
+                        f"{label}:{lineno}: edge weight must be non-negative, got {w}"
+                    )
+            self.arc_w.append(w)
 
-    geo = None
-    if any(row is not None for row in geo_rows):
-        geo = np.full((len(externals), 2), np.nan)
-        for i, row in enumerate(geo_rows):
-            if row is not None:
-                geo[i] = row
-    return Graph.from_arcs(
-        np.array(tails, dtype=np.int64),
-        np.array(heads, dtype=np.int64),
-        np.array(arc_w, dtype=np.float64),
-        externals,
-        np.array(weights, dtype=np.float64),
-        geo,
-    )
+    def graph(self) -> Graph:
+        n = len(self.ids)
+        weights = _last_wins(np.ones(n), self.weighted, self.weights)
+        geo = None
+        if self.placed:
+            geo = _last_wins(np.full((n, 2), np.nan), self.placed, self.coords)
+        ends = np.frombuffer(self.ends, np.int64)
+        arc_w = np.frombuffer(self.arc_w)
+        return Graph.from_arcs(ends[0::2], ends[1::2], arc_w, list(self.ids), weights, geo)
+
+
+def load_graph(edge_source: Source, vertex_source: Source | None = None) -> Graph:
+    """Load an undirected graph from an edge list, plus optional vertex rows.
+
+    Directed or duplicated input arcs are symmetrized and merged by weight
+    summation; self-loop rows are ignored. Vertices named only in the edge
+    list get weight 1 and no coordinates. Dense internal ids follow
+    first-seen order (vertex file first, then edge endpoints). Where vertex
+    rows repeat an id, each value comes from the last row that gives it.
+    """
+    parts = _GraphParts()
+    if vertex_source is not None:
+        label = _source_label(vertex_source, "<vertices>")
+        parts.parse(vertex_source, label, parts.vertex_chunk, parts.vertex_rows)
+    label = _source_label(edge_source, "<edges>")
+    parts.parse(edge_source, label, parts.edge_chunk, parts.edge_rows)
+    return parts.graph()
 
 
 def _load_vertex_values(
@@ -237,7 +350,8 @@ def load_partition(g: Graph, source: Source) -> Partition:
 def load_ordering(g: Graph, source: Source) -> Ordering:
     label = _source_label(source, "<ordering>")
     rank_of = _load_vertex_values(g, source, label, "rank", "rank")
-    if sorted(rank_of.tolist()) != list(range(g.n)):
+    # every value already lies in [0, n) or is -1 for a vertex with no row
+    if (rank_of < 0).any() or (np.bincount(rank_of, minlength=g.n) != 1).any():
         raise GraphFormatError(f"{label}: ranks are not a permutation of 0..n-1")
     return Ordering.from_rank_of(rank_of)
 
@@ -276,18 +390,21 @@ def write_graph(g: Graph, sink: Sink) -> None:
             fh.write(f"{a}\t{b}\t{w:.12g}\n")
 
 
-def write_partition(g: Graph, p: Partition, sink: Sink) -> None:
-    order = sorted(range(g.n), key=lambda v: g.external_ids[v])
+def _write_by_id(g: Graph, values: list, sink: Sink) -> None:
+    """One ``external_id <tab> values[v]`` row per vertex v, the rows
+    sorted by external id, written at once."""
+    ext = g.external_ids
+    order = sorted(range(g.n), key=ext.__getitem__)
     with _open_sink(sink) as fh:
-        for v in order:
-            fh.write(f"{g.external_ids[v]}\t{p.assignment[v]}\n")
+        fh.write("".join([f"{ext[v]}\t{values[v]}\n" for v in order]))
+
+
+def write_partition(g: Graph, p: Partition, sink: Sink) -> None:
+    _write_by_id(g, p.assignment.tolist(), sink)
 
 
 def write_ordering(g: Graph, o: Ordering, sink: Sink) -> None:
-    order = sorted(range(g.n), key=lambda v: g.external_ids[v])
-    with _open_sink(sink) as fh:
-        for v in order:
-            fh.write(f"{g.external_ids[v]}\t{o.rank_of[v]}\n")
+    _write_by_id(g, o.rank_of.tolist(), sink)
 
 
 def write_splits(splits: SplitPoints, sink: Sink) -> None:
@@ -300,8 +417,5 @@ def write_splits(splits: SplitPoints, sink: Sink) -> None:
 def write_hierarchy(g: Graph, hierarchy: AffinityHierarchy, sink: Sink) -> None:
     """Debug dump: ``external_id <tab> label path`` (representatives joined
     by '/', mapped to external ids)."""
-    order = sorted(range(g.n), key=lambda v: g.external_ids[v])
-    with _open_sink(sink) as fh:
-        for v in order:
-            path = "/".join(g.external_ids[r] for r in hierarchy.labels[v])
-            fh.write(f"{g.external_ids[v]}\t{path}\n")
+    ext = g.external_ids
+    _write_by_id(g, ["/".join(ext[r] for r in path) for path in hierarchy.labels], sink)

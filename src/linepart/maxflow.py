@@ -47,8 +47,10 @@ class FlowNetwork:
     ) -> tuple[float, bool]:
         """Returns (flow value, budget_exceeded).
 
-        When the flow completes, ``level[v] >= 0`` marks the vertices
-        residual-reachable from s.
+        The budget is exceeded only when the flow needs more than
+        ``max_augmentations`` augmenting paths; the value then counts the
+        first ``max_augmentations`` of them. When the flow completes,
+        ``level[v] >= 0`` marks the vertices residual-reachable from s.
         """
         eps = self.eps
         flow = 0.0
@@ -61,10 +63,10 @@ class FlowNetwork:
                 pushed = self._dfs(s, t, level, it, eps)
                 if pushed <= 0.0:
                     break
+                if augmentations == max_augmentations:
+                    return flow, True
                 flow += pushed
                 augmentations += 1
-                if max_augmentations is not None and augmentations >= max_augmentations:
-                    return flow, True
         return flow, False
 
     def _bfs(self, s: int, t: int, level: list[int], eps: float) -> bool:

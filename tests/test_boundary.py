@@ -387,7 +387,9 @@ def test_mincut_dominates_linopt():
 
 def test_mincut_budget_falls_back_to_scan():
     g, o, win = make_figure_instance()
-    res = mincut_sides(g, o, win, max_augmentations=1)
+    # the exact cut needs one augmenting path; a budget of none falls back
+    assert not mincut_sides(g, o, win, max_augmentations=1).used_fallback
+    res = mincut_sides(g, o, win, max_augmentations=0)
     assert res.used_fallback
     assert res.cut == 4.0  # the order-respecting optimum
     assert (res.left, res.right, res.split) == ([1], [2, 3, 4, 5, 6, 7, 8], 2)

@@ -2,9 +2,12 @@
 
 import io as stdio
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+import linepart.io as linepart_io
 from linepart.boundary import SplitPoints
 from linepart.graph import GraphFormatError, Partition
 from linepart.io import (
@@ -13,13 +16,14 @@ from linepart.io import (
     load_partition,
     load_queries,
     write_graph,
+    write_hierarchy,
     write_ordering,
     write_partition,
     write_splits,
 )
-from linepart.ordering import Ordering
+from linepart.ordering import Ordering, affinity_ordering
 
-from conftest import make_graph
+from conftest import make_graph, random_graph
 
 
 def test_partition_round_trip(tmp_path):
@@ -151,3 +155,205 @@ def test_load_rejects_non_finite_weights():
         load_graph(stdio.StringIO("a\tb\tnan\n"))
     with pytest.raises(GraphFormatError, match="finite"):
         load_graph(stdio.StringIO("a\tb\n"), stdio.StringIO("a\tinf\n"))
+
+
+# --- chunked loader against the row loop ----------------------------------
+
+# every (edges, vertices) input that load_graph reads above
+LOADER_INPUTS = [
+    ("b\ta\t2\na\tb\t1\nc\ta\t0.5\n", None),
+    ("a\tb\nb\tc\t2\n", "a\t3\nc\t40.5\t-73.5\n"),
+    ("a b\nb  c 2\n", "a 3\nc \t40.5  -73.5\n"),
+    ("zz\tmm\nmm\taa\n", None),
+    ("a\tb\tnan\n", None),
+    ("a\tb\n", "a\tinf\n"),
+    # field counts that differ by row but total a multiple of the first's
+    ("a b\nc\nd e 2\n", None),
+    ("a b 1\nc d 1 2\ne f\n", None),
+    ("a b\n", "a 1 2 3\nb\nc 4 5\n"),
+]
+
+
+def load_result(edges: str, vertices: str | None):
+    """The loaded graph's arrays as exact bytes, or the format error text."""
+    try:
+        g = load_graph(
+            stdio.StringIO(edges), None if vertices is None else stdio.StringIO(vertices)
+        )
+    except GraphFormatError as exc:
+        return str(exc)
+    geo = None if g.geo is None else g.geo.tobytes()
+    arrays = (g.edge_u, g.edge_v, g.edge_w, g.vertex_weights)
+    return g.external_ids, [(a.dtype, a.tobytes()) for a in arrays], geo
+
+
+def row_loop_and_chunked(monkeypatch, edges, vertices, chunk_chars):
+    """load_result by the row loop alone, then by chunks of chunk_chars."""
+    with monkeypatch.context() as m:
+        m.setattr(linepart_io, "_uniform_tokens", lambda lines: None)
+        rows = load_result(edges, vertices)
+    with monkeypatch.context() as m:
+        m.setattr(linepart_io, "_CHUNK_CHARS", chunk_chars)
+        chunked = load_result(edges, vertices)
+    return rows, chunked
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 3, 7, 1 << 20])
+@pytest.mark.parametrize("edges, vertices", LOADER_INPUTS)
+def test_chunked_loader_matches_row_loop(monkeypatch, edges, vertices, chunk_chars):
+    rows, chunked = row_loop_and_chunked(monkeypatch, edges, vertices, chunk_chars)
+    assert chunked == rows
+
+
+def test_uniform_chunks_skip_the_row_loop(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("row loop used")
+
+    monkeypatch.setattr(linepart_io._GraphParts, "edge_rows", no_rows)
+    monkeypatch.setattr(linepart_io._GraphParts, "vertex_rows", no_rows)
+    monkeypatch.setattr(linepart_io, "_CHUNK_CHARS", 12)
+    g = load_graph(
+        stdio.StringIO("a b 2\r\nb\tc 0.5\r\nc  d 1e-6"),
+        stdio.StringIO("d 2 10 20\nb 1 -90 180\na 3 0.5 -0.25\n"),
+    )
+    assert g.external_ids == ["d", "b", "a", "c"]
+    assert g.vertex_weights.tolist() == [2.0, 1.0, 3.0, 1.0]
+    assert g.edge_w.tolist() == [1e-06, 2.0, 0.5]
+
+
+def test_chunked_loader_reads_paths_with_crlf(tmp_path, monkeypatch):
+    path = tmp_path / "edges.tsv"
+    path.write_bytes(b"a\tb\r\nb\tc\t2\r\n# note\r\nc\ta\t0.5")
+    monkeypatch.setattr(linepart_io, "_CHUNK_CHARS", 5)
+    g = load_graph(path)
+    assert g.external_ids == ["a", "b", "c"]
+    assert g.edge_w.tolist() == [1.0, 0.5, 2.0]
+    path.write_bytes(b"a\tb\r\nb\tc\t2\r\nc\ta\t-1\r\n")
+    with pytest.raises(GraphFormatError, match=r"edges.tsv:3: edge weight must be non-negative"):
+        load_graph(path)
+
+
+IDS = st.sampled_from(["a", "b", "c", "x1", "x2", "17", "-3", "v.v"])
+SEPARATORS = st.sampled_from(["\t", " ", "  ", " \t", "\t\t"])
+GOOD_WEIGHTS = st.one_of(
+    st.floats(1e-6, 1e6).map(repr), st.integers(1, 9).map(str), st.just("1e-6")
+)
+BAD_WEIGHTS = st.sampled_from(["nan", "inf", "-inf", "-1", "-2.5e-3", "x", "1e400", "", "0"])
+LAT = st.floats(-90, 90).map(repr)
+LNG = st.floats(-180, 180).map(repr)
+BAD_COORDS = st.sampled_from(["90.5", "-181", "nan", "inf", "n/a"])
+NOISE = st.sampled_from(["", "  ", "\t", "# comment", "  # indented comment"])
+
+
+@st.composite
+def table(draw, good_row, bad_row=None):
+    """Rows of whitespace-joined fields with noise lines mixed in; maybe one
+    bad row in the later half; CRLF or LF endings, maybe no final one."""
+    rows = draw(st.lists(good_row, max_size=30))
+    if bad_row is not None and draw(st.booleans()):
+        at = draw(st.integers(len(rows) // 2, len(rows)))
+        rows.insert(at, draw(bad_row))
+    lines = []
+    for fields in rows:
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(NOISE))
+        sep = draw(SEPARATORS)
+        lead, trail = draw(st.sampled_from(["", " "])), draw(st.sampled_from(["", "\t"]))
+        lines.append(lead + sep.join(fields) + trail)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines)
+    if lines and draw(st.booleans()):
+        text += end
+    return text
+
+
+EDGE_ROWS = st.one_of(
+    st.tuples(IDS, IDS),
+    st.tuples(IDS, IDS, GOOD_WEIGHTS),
+)
+BAD_EDGE_ROWS = st.one_of(
+    st.tuples(IDS, IDS, BAD_WEIGHTS).map(lambda r: [f for f in r if f]),
+    st.tuples(IDS),
+    st.tuples(IDS, IDS, GOOD_WEIGHTS, GOOD_WEIGHTS),
+)
+VERTEX_ROWS = st.one_of(
+    st.tuples(IDS),
+    st.tuples(IDS, GOOD_WEIGHTS),
+    st.tuples(IDS, LAT, LNG),
+    st.tuples(IDS, GOOD_WEIGHTS, LAT, LNG),
+)
+BAD_VERTEX_ROWS = st.one_of(
+    st.tuples(IDS, BAD_WEIGHTS).map(lambda r: [f for f in r if f]),
+    st.tuples(IDS, BAD_WEIGHTS, LAT, LNG).map(lambda r: [f for f in r if f]),
+    st.tuples(IDS, BAD_COORDS, LNG),
+    st.tuples(IDS, LAT, BAD_COORDS),
+    st.tuples(IDS, GOOD_WEIGHTS, LAT, LNG, LNG),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edges=table(EDGE_ROWS, BAD_EDGE_ROWS), chunk_chars=st.integers(1, 64))
+def test_chunked_loader_matches_row_loop_on_random_edge_files(edges, chunk_chars):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        rows, chunked = row_loop_and_chunked(monkeypatch, edges, None, chunk_chars)
+    assert chunked == rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    vertices=table(VERTEX_ROWS, BAD_VERTEX_ROWS),
+    edges=table(EDGE_ROWS),
+    chunk_chars=st.integers(1, 64),
+)
+def test_chunked_loader_matches_row_loop_on_random_vertex_files(
+    vertices, edges, chunk_chars
+):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        rows, chunked = row_loop_and_chunked(monkeypatch, edges, vertices, chunk_chars)
+        assert chunked == rows
+        if isinstance(rows, str):
+            return
+        monkeypatch.setattr(linepart_io, "_CHUNK_CHARS", chunk_chars)
+        g = load_graph(stdio.StringIO(edges), stdio.StringIO(vertices))
+    # each value comes from the last vertex row that gives it
+    weight, coords = {}, {}
+    for line in vertices.splitlines():
+        fields = line.split()
+        if fields and not fields[0].startswith("#"):
+            if len(fields) in (2, 4):
+                weight[fields[0]] = float(fields[1])
+            if len(fields) >= 3:
+                coords[fields[0]] = [float(fields[-2]), float(fields[-1])]
+    assert g.vertex_weights.tolist() == [weight.get(v, 1.0) for v in g.external_ids]
+    assert (g.geo is None) == (not coords)
+    if coords:
+        expected = [coords.get(v, [np.nan, np.nan]) for v in g.external_ids]
+        np.testing.assert_array_equal(g.geo, expected)
+
+
+# --- writers against one row per write call --------------------------------
+
+
+def per_row_writes(g, values):
+    """The rows as written one fh.write per vertex, in external-id order."""
+    fh = stdio.StringIO()
+    for v in sorted(range(g.n), key=lambda v: g.external_ids[v]):
+        fh.write(f"{g.external_ids[v]}\t{values[v]}\n")
+    return fh.getvalue()
+
+
+def test_writers_match_per_row_writes():
+    g = random_graph(np.random.default_rng(5), 40, 90)
+    g.external_ids[:] = [f"id{(7 * v) % 40}" for v in range(40)]
+    p = Partition.from_assignment(np.arange(40) % 3, 3, g)
+    o = Ordering.from_vertex_at(np.random.default_rng(6).permutation(40))
+    _, hierarchy = affinity_ordering(g)
+    paths = ["/".join(g.external_ids[r] for r in label) for label in hierarchy.labels]
+    for write, obj, values in [
+        (write_partition, p, p.assignment),
+        (write_ordering, o, o.rank_of),
+        (write_hierarchy, hierarchy, paths),
+    ]:
+        buf = stdio.StringIO()
+        write(g, obj, buf)
+        assert buf.getvalue() == per_row_writes(g, values)

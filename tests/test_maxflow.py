@@ -81,3 +81,11 @@ def test_each_vertex_lists_its_arcs_in_arc_order():
     assert net.to == [0, 1, 2, 0, 2, 1]
     assert net.cap == [1.0, 0.5, 2.0, 0.0, 3.0, 0.0]
     assert net.eps == 1e-12 * 3.0
+
+
+def test_budget_that_the_flow_needs_exactly_is_not_exceeded():
+    # two disjoint unit paths take two augmentations: a budget of two
+    # completes the flow, a budget of one does not
+    arrays = ([0, 1, 0, 2], [1, 3, 2, 3], [1.0] * 4, [0.0] * 4)
+    assert FlowNetwork(4, *arrays).max_flow(0, 3, max_augmentations=2) == (2.0, False)
+    assert FlowNetwork(4, *arrays).max_flow(0, 3, max_augmentations=1)[1] is True
