@@ -24,7 +24,6 @@ from .graph import (
     Graph,
     GraphFormatError,
     Partition,
-    VertexRecord,
     check_balance,
     common_neighbors_similarity,
     cross_shard_rate,

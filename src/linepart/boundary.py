@@ -100,7 +100,8 @@ class SplitPoints:
 def make_split_points(g: Graph, o: Ordering, k: int, alpha: float) -> SplitPoints:
     """The balanced chop: every boundary at its window's center.
 
-    With unit weights the centers are the ranks floor(j*n/k).
+    With unit weights a center is the rank floor(j*n/k) whenever its
+    window holds that rank.
     """
     if k > g.n:
         raise ValueError(f"cannot split {g.n} vertices into {k} parts")
@@ -150,7 +151,8 @@ def make_windows(g: Graph, o: Ordering, k: int, alpha: float) -> list[Window]:
     number of passes. Anchor and window are clamped into the rank band
     between the midpoints of adjacent ranks floor(j*n/k), so vertex ranges
     stay disjoint and centers strictly increasing for any alpha or weights.
-    A window whose slack admits no rank degenerates to its anchor.
+    A window whose slack admits no rank degenerates to the rank of its band
+    whose prefix weight is nearest the ideal (ties to the lower rank).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -170,8 +172,9 @@ def make_windows(g: Graph, o: Ordering, k: int, alpha: float) -> list[Window]:
         lo = int(np.searchsorted(cw, ideal - slack - tol, side="left"))
         hi = int(np.searchsorted(cw, ideal + slack + tol, side="right")) - 1
         lo, hi = max(lo, band_lo), min(hi, band_hi)
-        if lo > hi:
-            lo = hi = min(max(anchor, band_lo), band_hi)
+        if lo > hi:  # no rank in the slack: the band's rank nearest the ideal
+            near = np.abs(cw[band_lo : band_hi + 1] - ideal)
+            lo = hi = band_lo + int(np.argmin(near))  # first minimum: ties go low
         windows.append(Window(j, min(max(anchor, lo), hi), lo, hi))
     return windows
 

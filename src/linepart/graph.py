@@ -25,7 +25,6 @@ __all__ = [
     "GraphFormatError",
     "Partition",
     "BalanceReport",
-    "VertexRecord",
     "common_neighbors_similarity",
     "cut_weight",
     "balance_bounds",
@@ -46,16 +45,6 @@ _WEDGE_CHUNK = 1 << 18
 
 class GraphFormatError(ValueError):
     """Malformed input data; message carries file name and line number."""
-
-
-@dataclass(frozen=True)
-class VertexRecord:
-    """One vertex: dense internal id, external name, weight, optional geo."""
-
-    id: int
-    external_id: str
-    weight: float = 1.0
-    geo: tuple[float, float] | None = None  # (latitude, longitude), degrees
 
 
 class Graph:
@@ -205,12 +194,6 @@ class Graph:
         """(neighbor ids, edge weights) views, neighbors sorted by id."""
         lo, hi = self.adj_indptr[v], self.adj_indptr[v + 1]
         return self.adj_indices[lo:hi], self.adj_weights[lo:hi]
-
-    def vertex(self, v: int) -> VertexRecord:
-        geo = None
-        if self.geo is not None and not np.isnan(self.geo[v]).any():
-            geo = (float(self.geo[v, 0]), float(self.geo[v, 1]))
-        return VertexRecord(v, self.external_ids[v], float(self.vertex_weights[v]), geo)
 
     @property
     def ext_index(self) -> dict[str, int]:

@@ -130,7 +130,7 @@ def hilbert_ordering(g: Graph, curve_order: int = 16) -> Ordering:
     xs = to_cells(g.geo[:, 1])  # longitude -> x
     ys = to_cells(g.geo[:, 0])  # latitude  -> y
     idx = hilbert_index(xs, ys, curve_order)
-    vertex_at = np.lexsort((np.arange(g.n), idx))
+    vertex_at = np.argsort(idx, kind="stable")
     return Ordering.from_vertex_at(vertex_at)
 
 

@@ -9,6 +9,8 @@ keeps a round only while it lowers the objective.
 Rank swaps improve the cut of the k-way chop directly: adjacent partitions
 are paired along the line, each partition is sliced into intervals, paired
 intervals exchange their best-improving vertex pairs until no swap helps.
+Each interval walks its vertices best-first from a list sorted by live cut
+reduction, and a swap re-keys only the vertices whose reduction changed.
 Swaps are one-for-one, so part sizes never change, and a swap of unequal
 weights is taken only if the boundary between the pair stays in its window
 (``boundary.window_slack``) or moves no further from its ideal weight.
@@ -16,8 +18,8 @@ weights is taken only if the boundary between the pair stays in its window
 
 from __future__ import annotations
 
-import heapq
 import logging
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,19 +53,20 @@ def minla_round(g: Graph, o: Ordering) -> Ordering:
     Every vertex independently proposes the weighted median of its
     neighbors' current ranks (the smallest rank where the cumulative weight
     reaches half the total); isolated vertices keep their rank. Final ranks
-    come from sorting by (proposed rank, current rank, id).
+    come from sorting by (proposed rank, current rank); current ranks are
+    distinct, so that one int64 key has no ties.
     """
     n = g.n
     ranks = o.rank_of
     deg = np.diff(g.adj_indptr)
-    proposed = ranks.astype(np.float64).copy()
+    proposed = ranks.copy()
     if g.edge_count:
         src = np.repeat(np.arange(n), deg)
         nbr_rank = ranks[g.adj_indices]
         # (src, nbr_rank) as one int64 key: argsort is several times faster
-        # than lexsort and gives the same order
+        # than lexsort and gives the same order; stable, because parallel
+        # edges share a key and the float cumsum must follow CSR order
         order = np.argsort(src * np.int64(n) + nbr_rank, kind="stable")
-        r_sorted = nbr_rank[order].astype(np.float64)
         w_sorted = g.adj_weights[order]
         cw = np.cumsum(w_sorted)
         starts = g.adj_indptr[:-1]
@@ -75,8 +78,8 @@ def minla_round(g: Graph, o: Ordering) -> Ordering:
         cand = np.where(within >= half, idx, len(cw))
         nonempty = deg > 0
         first = np.minimum.reduceat(cand, starts[nonempty])
-        proposed[nonempty] = r_sorted[first]
-    final = np.lexsort((np.arange(n), ranks, proposed))
+        proposed[nonempty] = nbr_rank[order[first]]
+    final = np.argsort(proposed * np.int64(n) + ranks)
     return Ordering.from_vertex_at(final)
 
 
@@ -210,12 +213,13 @@ class _SwapState:
         new = old + wv - wu
         return abs(new) <= self.slack + self.slack_tol or abs(new) <= abs(old)
 
-    def swap(self, u: int, v: int) -> np.ndarray:
+    def swap(self, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
         """Exchange u (in part a) and v (in part b); update the reductions.
 
         A mover's neighbors still in its old part gain 2w, those in its new
         part lose 2w, and the movers get fresh values. Returns the vertices
-        whose reduction changed, u's neighbors first.
+        whose reduction changed, u's neighbors first, and the reductions
+        they had before the swap.
         """
         g = self.g
         pa, pb = int(self.part_of[u]), int(self.part_of[v])
@@ -229,6 +233,7 @@ class _SwapState:
         delta[du:] *= -1.0  # v moves from b to a
         mask = delta != 0.0
         touched = nbr[mask]
+        before = self.red[touched]
         # in order, so a common neighbor of u and v takes u's change first
         np.add.at(self.red, touched, delta[mask])
 
@@ -245,15 +250,13 @@ class _SwapState:
         # np.add.reduce is ndarray.sum without its Python wrapper (same sum)
         self.red[v] = np.add.reduce(wv[in_b[du:]]) - np.add.reduce(wv[in_a[du:]])
         self.red[u] = np.add.reduce(wu[in_a[:du]]) - np.add.reduce(wu[in_b[:du]])
-        return touched
+        return touched, before
 
 
-def _edge_weight_between(g: Graph, u: int, v: int) -> float:
-    nbr, wt = g.neighbors(u)
-    pos = int(nbr.searchsorted(v))
-    if pos < len(nbr) and nbr[pos] == v:
-        return float(wt[pos])
-    return 0.0
+def _sorted_keys(verts: np.ndarray, red: np.ndarray) -> list[tuple[float, int]]:
+    """(-reduction, id) of each vertex, best first."""
+    order = np.lexsort((verts, -red))
+    return list(zip((-red[order]).tolist(), verts[order].tolist()))
 
 
 def _swap_interval_pair(
@@ -263,96 +266,62 @@ def _swap_interval_pair(
 ) -> int:
     """Local optimum between two intervals via best-partner swaps.
 
-    Repeatedly walks the first interval's candidates in descending order of
-    individual cut reduction; the first candidate with an improving,
-    weight-feasible partner in the other interval is swapped (combined gain
-    r(u) + r(v) - 2 w(u,v) must be strictly positive). Reductions of the
-    swapped vertices and their in-play neighbors are updated incrementally.
+    Each interval keeps its vertices as (-reduction, id) keys in a list
+    sorted across steps. A step walks the first list best-first; the first
+    u with an improving, weight-feasible partner (gain r(u) + r(v) -
+    2 w(u,v) above the float tolerance) swaps with its best partner, ties
+    to the partner met first. A swap re-keys only the movers and the
+    touched vertices ranked in either interval.
     """
-    g = state.g
-    red = state.red
-    if range_a[0] >= range_a[1] or range_b[0] >= range_b[1]:
+    (a0, a1), (b0, b1) = range_a, range_b
+    if a0 >= a1 or b0 >= b1:
         return 0
-    tol = state.gain_tol
-    verts_a = state.vertex_at[range_a[0] : range_a[1]]
-    verts_b = state.vertex_at[range_b[0] : range_b[1]]
+    g, red, tol = state.g, state.red, state.gain_tol
+    verts_a, verts_b = state.vertex_at[a0:a1], state.vertex_at[b0:b1]
     red_a, red_b = red[verts_a], red[verts_b]
     # gain <= max r(u) + max r(v): skip the whole pair when nothing can help
     if red_a.max() + red_b.max() <= tol:
         return 0
-    members_a, members_b = verts_a.tolist(), verts_b.tolist()
-    side = {v: 0 for v in members_a}
-    side.update({v: 1 for v in members_b})
-    # Lazy max-heaps keyed by (-reduction, id); entries go stale when a
-    # vertex's reduction changes or it switches sides.
-    heap_a = list(zip((-red_a).tolist(), members_a))
-    heap_b = list(zip((-red_b).tolist(), members_b))
-    heapq.heapify(heap_a)
-    heapq.heapify(heap_b)
-    heaps = (heap_a, heap_b)
-
-    def pop_valid(which: int):
-        heap = heaps[which]
-        while heap:
-            negr, v = heapq.heappop(heap)
-            if side.get(v) == which and -negr == red.item(v):
-                return -negr, v
-        return None
-
-    def push_fresh(v: int) -> None:
-        which = side.get(v)
-        if which is not None:
-            heapq.heappush(heaps[which], (-red.item(v), v))
-
+    keys_a, keys_b = _sorted_keys(verts_a, red_a), _sorted_keys(verts_b, red_b)
     # Strictly improving swaps over a finite configuration space terminate;
     # the cap is a float-drift safety net only.
-    cap = 1000 + 50 * (len(members_a) + len(members_b))
+    cap = 1000 + 50 * (a1 - a0 + b1 - b0)
     swaps = 0
     while swaps < cap:
         chosen = None
-        stash_a = []
-        while True:
-            got = pop_valid(0)
-            if got is None:
+        max_rv = -keys_b[0][0]
+        for i, (neg_ru, u) in enumerate(keys_a):
+            ru = -neg_ru
+            if ru + max_rv <= tol:  # no later u can help either
                 break
-            ru, u = got
-            stash_a.append(got)
-            peek = pop_valid(1)
-            if peek is None:
-                break
-            heapq.heappush(heap_b, (-peek[0], peek[1]))
-            if ru + peek[0] <= tol:
-                break
-            best_gain, best_v = tol, None
-            stash_b = []
-            while True:
-                got_b = pop_valid(1)
-                if got_b is None:
+            best_gain = tol
+            nbr, wt = g.neighbors(u)
+            for j, (neg_rv, v) in enumerate(keys_b):
+                rv = -neg_rv
+                if ru + rv <= best_gain:  # gain <= r(u) + r(v)
                     break
-                rv, v = got_b
-                stash_b.append(got_b)
-                if ru + rv <= best_gain:
-                    break
-                gain = ru + rv - 2.0 * _edge_weight_between(g, u, v)
+                pos = int(nbr.searchsorted(v))
+                w_uv = wt.item(pos) if pos < len(nbr) and nbr[pos] == v else 0.0
+                gain = ru + rv - 2.0 * w_uv
                 if gain > best_gain and state.weight_feasible(u, v):
-                    best_gain, best_v = gain, v
-            for rv, v in stash_b:
-                heapq.heappush(heap_b, (-rv, v))
-            if best_v is not None:
-                chosen = (u, best_v)
+                    best_gain, chosen = gain, (i, u, j, v)
+            if chosen is not None:
                 break
-        for ru, u in stash_a:
-            heapq.heappush(heap_a, (-ru, u))
         if chosen is None:
             break
-        u, v = chosen
-        touched = state.swap(u, v)
-        side[u], side[v] = 1, 0
-        for x in touched.tolist():
-            if x != u and x != v:
-                push_fresh(x)
-        push_fresh(u)
-        push_fresh(v)
+        i, u, j, v = chosen
+        touched, before = state.swap(u, v)
+        del keys_a[i], keys_b[j]
+        insort(keys_a, (-red.item(v), v))
+        insort(keys_b, (-red.item(u), u))
+        ranks = state.rank_of[touched].tolist()
+        done = {u, v}  # a neighbor shared by u and v repeats in touched
+        for x, r_old, rank in zip(touched.tolist(), before.tolist(), ranks):
+            keys = keys_a if a0 <= rank < a1 else keys_b if b0 <= rank < b1 else None
+            if keys is not None and x not in done:
+                done.add(x)
+                del keys[bisect_left(keys, (-r_old, x))]
+                insort(keys, (-red.item(x), x))
         swaps += 1
     if swaps >= cap:
         log.warning("interval pair hit swap cap (%d); float drift suspected", cap)

@@ -175,8 +175,10 @@ def random_contracted(rng, b, max_edges=30, weighted=True):
 def test_split_point_examples():
     g = make_graph([], n=10)
     assert make_split_points(g, Ordering.identity(10), 2, 0.0).q.tolist() == [0, 5, 10]
+    # alpha = 0 leaves no rank within the slack of 7/3 and 14/3: each
+    # boundary takes the nearest rank
     g7 = make_graph([], n=7)
-    assert make_split_points(g7, Ordering.identity(7), 3, 0.0).q.tolist() == [0, 2, 4, 7]
+    assert make_split_points(g7, Ordering.identity(7), 3, 0.0).q.tolist() == [0, 2, 5, 7]
 
 
 def test_split_points_validation():
@@ -248,6 +250,21 @@ def test_balanced_chop_is_the_window_centers():
     # weighted: the boundary follows prefix weight, not rank (floor(n/2) = 3)
     heavy = make_graph([], n=6, vertex_weights=[3, 3, 1, 1, 1, 1])
     assert make_split_points(heavy, Ordering.identity(6), 2, 0.5).q.tolist() == [0, 2, 6]
+
+
+def test_degenerate_window_takes_the_nearest_rank():
+    # the slack 0.5 around w(V)/2 = 5 holds no prefix weight (3, 6, 7, ...):
+    # rank 2 (prefix 6, parts 6 and 4) is nearer than rank 1 (parts 3 and 7)
+    g = make_graph([], n=6, vertex_weights=[3, 3, 1, 1, 1, 1])
+    o = Ordering.identity(6)
+    splits = make_split_points(g, o, 2, 0.2)
+    assert splits.q.tolist() == [0, 2, 6]
+    assert check_balance(g, Partition.from_contiguous(o, splits, g), 0.2).balanced
+    (win,) = make_windows(g, o, 2, 0.2)
+    assert (win.lo, win.center, win.hi) == (2, 2, 2)
+    # a tie goes to the lower rank: prefix weights 4 and 6 around 5
+    tie = make_graph([], n=4, vertex_weights=[4, 2, 2, 2])
+    assert make_split_points(tie, Ordering.identity(4), 2, 0.1).q.tolist() == [0, 1, 4]
 
 
 @settings(max_examples=300, deadline=None)

@@ -62,9 +62,9 @@ def test_load_vertex_metadata():
     vertices = stdio.StringIO("a\t2.5\t10.0\t20.0\nb\nc\t0.5\n")
     g = load_graph(stdio.StringIO("a\tb\nb\tc\nc\td\n"), vertices)
     assert g.vertex_weights.tolist() == [2.5, 1.0, 0.5, 1.0]
-    assert g.vertex(0).geo == (10.0, 20.0)
-    assert g.vertex(1).geo is None
-    assert g.vertex(3).external_id == "d"  # edge-only vertex, defaults
+    assert g.geo[0].tolist() == [10.0, 20.0]
+    assert np.isnan(g.geo[1:]).all()  # no coordinates given
+    assert g.external_ids[3] == "d"  # edge-only vertex, defaults
 
 
 def test_load_first_seen_order():

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from linepart.boundary import make_split_points, make_windows
+from linepart.boundary import make_split_points, make_windows, window_slack
 from linepart.graph import Partition, cut_weight
 from linepart.ordering import Ordering
 from linepart.refine import (
     _SwapState,
+    _swap_interval_pair,
     make_swap_plan,
     minla_objective,
     minla_refine,
@@ -313,3 +314,70 @@ def test_rank_swap_plan_k_mismatch():
     splits = make_split_points(g, o, 2, 0.0)
     with pytest.raises(ValueError, match="k="):
         rank_swap_round(g, o, splits, make_swap_plan(4, 1, 0, 0))
+
+
+def naive_part_swaps(g, o, splits):
+    """Brute-force swap rule between the two parts of a k=2 chop.
+
+    Every step recounts each reduction (weight to the other part minus
+    weight to its own) from the partition; the first u in (-r, id) order
+    with a weight-feasible gain > 0 swaps with its best v, ties to the v
+    first in (-r, id) order. Returns (vertex_at, swaps).
+    """
+    n, q1 = g.n, int(splits.q[1])
+    adj = np.zeros((n, n))
+    adj[g.edge_u, g.edge_v] = adj[g.edge_v, g.edge_u] = g.edge_w
+    vw = g.vertex_weights
+    half = vw.sum() / 2
+    slack, tol = window_slack(vw.sum(), 2, splits.alpha)
+    vertex_at = o.vertex_at.copy()
+    swaps = 0
+    while True:
+        side = np.zeros(n, dtype=bool)
+        side[vertex_at[q1:]] = True
+        cross = side[:, None] != side[None, :]
+        red = (adj * cross).sum(axis=1) - (adj * ~cross).sum(axis=1)
+        old = vw[vertex_at[:q1]].sum() - half
+
+        def best_first(verts):
+            return sorted(verts.tolist(), key=lambda x: (-red[x], x))
+
+        chosen = None
+        for u in best_first(vertex_at[:q1]):
+            best_gain = 0.0
+            for v in best_first(vertex_at[q1:]):
+                gain = red[u] + red[v] - 2 * adj[u, v]
+                new = old + vw[v] - vw[u]
+                feasible = vw[u] == vw[v] or abs(new) <= slack + tol or abs(new) <= abs(old)
+                if feasible and gain > best_gain:
+                    best_gain, chosen = gain, (u, v)
+            if chosen is not None:
+                break
+        if chosen is None:
+            return vertex_at, swaps
+        ru, rv = (int(np.flatnonzero(vertex_at == x)[0]) for x in chosen)
+        vertex_at[ru], vertex_at[rv] = vertex_at[rv], vertex_at[ru]
+        swaps += 1
+
+
+def test_interval_pair_swaps_match_brute_force_rule():
+    # Integer edge weights keep every reduction exact, so the live sorted
+    # state must make the same choice as a full recount at every step.
+    rng = np.random.default_rng(2024)
+    for case in range(300):
+        n = int(rng.integers(4, 18))
+        iu, iv = np.triu_indices(n, k=1)
+        pick = rng.random(len(iu)) < rng.uniform(0.1, 0.6)
+        g = make_graph(
+            list(zip(iu[pick].tolist(), iv[pick].tolist())), n=n,
+            weights=rng.integers(0, 4, int(pick.sum())).astype(float),
+            vertex_weights=rng.choice([1.0, 1.0, 2.0, 3.0], n),
+        )
+        o = Ordering.from_vertex_at(rng.permutation(n))
+        alpha = (0.1, 0.5, 1.0)[case % 3]
+        splits = make_split_points(g, o, 2, alpha)
+        state = _SwapState(g, o, splits, make_swap_plan(2, 1, 0, 0))
+        q1 = int(splits.q[1])
+        swaps = _swap_interval_pair(state, (0, q1), (q1, n))
+        want_at, want_swaps = naive_part_swaps(g, o, splits)
+        assert (state.vertex_at.tolist(), swaps) == (want_at.tolist(), want_swaps), case
