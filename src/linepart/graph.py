@@ -104,15 +104,39 @@ class Graph:
         self.geo = geo
 
         # CSR adjacency over both arc directions, neighbors sorted by id.
-        src = np.concatenate([self.edge_u, self.edge_v])
-        dst = np.concatenate([self.edge_v, self.edge_u])
-        eid = np.concatenate([np.arange(m), np.arange(m)])
-        order = np.argsort(src * np.int64(n) + dst, kind="stable")
+        # Vertex x's list holds first its reversed edges (neighbors < x),
+        # then its forward edges (neighbors > x). With the edges in (u, v)
+        # order, as from_arcs leaves them, forward arcs keep edge order and
+        # reversed arcs take the order of one sort by (v, edge index), so
+        # parallel edges keep their input order on both sides. Other edge
+        # orders are stably sorted by (u, v) first. Transients are dropped
+        # early: this build sets the loader's peak memory.
+        u, v, rank = self.edge_u, self.edge_v, np.arange(m)
+        eid = rank
+        key = u * np.int64(n) + v
+        if (key[1:] < key[:-1]).any():
+            eid = np.argsort(key, kind="stable")
+            u, v = u[eid], v[eid]
+        del key
+        lower = np.bincount(v, minlength=n)  # arcs to lower ids, per vertex
+        higher = np.bincount(u, minlength=n)
         self.adj_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(self.adj_indptr, src + 1, 1)
-        np.cumsum(self.adj_indptr, out=self.adj_indptr)
-        self.adj_indices = dst[order]
-        self.adj_edge = eid[order]
+        np.cumsum(lower + higher, out=self.adj_indptr[1:])
+        self.adj_indices = np.empty(2 * m, dtype=np.int64)
+        self.adj_edge = np.empty(2 * m, dtype=np.int64)
+        # forward arc i goes to i + (lower arcs of vertices <= u[i])
+        at = np.cumsum(lower)[u]
+        at += rank
+        self.adj_indices[at], self.adj_edge[at] = v, eid
+        # the j-th reversed arc in (v, i) order goes to j + (higher arcs of vertices < v)
+        rev = v * np.int64(m)
+        rev += rank
+        rev = np.argsort(rev)
+        at = (np.cumsum(higher) - higher)[v[rev]]
+        at += rank
+        self.adj_indices[at] = u[rev]
+        self.adj_edge[at] = eid[rev]
+        del at, rev
         self.adj_weights = self.edge_w[self.adj_edge]
 
         self.total_edge_weight = float(self.edge_w.sum())
@@ -143,15 +167,20 @@ class Graph:
         weights = np.asarray(list(weights) if not isinstance(weights, np.ndarray) else weights, dtype=np.float64)
         lo = np.minimum(tails, heads)
         hi = np.maximum(tails, heads)
-        keep = lo != hi
-        lo, hi, weights = lo[keep], hi[keep], weights[keep]
+        keep = lo != hi  # intermediates are dropped early to lower the peak
+        if not keep.all():
+            lo, hi, weights = lo[keep], hi[keep], weights[keep]
+        del keep
         if len(lo):
-            key = lo * np.int64(n) + hi
-            uniq, inverse = np.unique(key, return_inverse=True)
-            merged = np.bincount(inverse, weights=weights, minlength=len(uniq))
-            edge_u = (uniq // n).astype(np.int64)
-            edge_v = (uniq % n).astype(np.int64)
-            edge_w = merged.astype(np.float64)
+            key = lo * np.int64(n)
+            key += hi
+            del lo, hi
+            edge_key, inverse = np.unique(key, return_inverse=True)
+            del key
+            edge_w = np.bincount(inverse, weights=weights, minlength=len(edge_key))
+            del inverse
+            edge_u, edge_v = np.divmod(edge_key, n)
+            del edge_key
         else:
             edge_u = edge_v = np.zeros(0, dtype=np.int64)
             edge_w = np.zeros(0, dtype=np.float64)

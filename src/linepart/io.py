@@ -11,11 +11,28 @@ their tab-separated forms, and an id cannot contain whitespace:
 * ordering: ``external_id <tab> rank``
 * queries: ``src <tab> dst``
 
-The graph loader parses its input in chunks of whole lines. A chunk with no
-comment, no blank line and one field count on every row is parsed with
-array operations; any other chunk, or one that fails a value check, goes
-through the row loop, which words every format error, so an anomalous
-chunk raises the same error at the same line either way.
+Files are read in chunks of whole lines. A path is read with universal
+newlines; a stream's lines end at each ``\n`` of the text it returns.
+
+The graph loader parses a chunk from its bytes with array operations when
+the chunk is ASCII, holds no ``#`` and no control character other than
+whitespace, and has one field count on every non-blank line. In such a
+chunk:
+
+* an id that is a canonical decimal (only digits, no leading zero, at most
+  18 of them) is keyed by its value; any other id (``007``, ``+5``,
+  ``1e3``, a 19-digit one) is keyed by a code from a dict of names. The row
+  loop keys ids the same way, and the keys are numbered in first-seen order
+  at the end, so ``external_ids`` keep their exact strings;
+* a value ``[+-]digits[.digits]`` of at most 18 characters whose digits
+  read as an integer M <= 2**53 is parsed as ``M / 10**places``: both are
+  exact doubles, so the one division gives the correctly rounded value
+  that ``float`` returns (Clinger's fast path). Any other value in the
+  chunk (``1e5``, ``nan``, longer mantissas) goes through ``float``.
+
+A chunk that fails any of these conditions, a ``float`` call or a value
+check goes through the row loop, which words every format error, so an
+anomalous chunk raises the same error at the same line either way.
 
 Writers sort rows by external id and emit byte-identical output for
 identical inputs. Path sinks are written atomically (temp file + rename) so
@@ -54,56 +71,161 @@ __all__ = [
 Source = str | Path | IO[str]
 Sink = str | Path | IO[str]
 
-# Input is read in runs of whole lines of about this many characters. Small
-# runs keep each chunk's transient strings and buffers small enough that the
-# allocator reuses them, so loading does not raise the process's peak memory.
-_CHUNK_CHARS = 1 << 15
+# Input is read in runs of whole lines of about this many characters, so a
+# chunk's transient arrays stay a few MiB whatever the file's size.
+_CHUNK_CHARS = 1 << 18
 # The ASCII characters that str.split() splits on.
 _ASCII_SPACE = np.array([chr(c).isspace() for c in range(128)])
+# Longest token the byte path parses: 18 digits fit an int64.
+_DIGITS = 18
+# Leading spaces of a chunk's byte buffer, so every token has a full
+# _DIGITS-wide window of bytes ending at its last character.
+_PAD = _DIGITS
+_P10 = 10 ** np.arange(_DIGITS + 1, dtype=np.int64)
+# Powers of ten as float64; each is exact, as is every mantissa up to 2**53,
+# so mantissa / 10**places is one correctly rounded division.
+_F10 = np.array([float(10**k) for k in range(_DIGITS + 1)])
+_FAST_MANTISSA = 1 << 53
 
 
-def _chunks(source: Source) -> Iterator[tuple[int, list[str]]]:
-    """Yield (number of the first line, lines) in runs of whole lines of
-    about ``_CHUNK_CHARS`` characters, in file order."""
+def _chunks(source: Source) -> Iterator[tuple[int, str]]:
+    """Yield (number of the first line, text) in runs of whole lines of
+    about ``_CHUNK_CHARS`` characters, in file order. Every run but the last
+    ends with a newline."""
     path = isinstance(source, (str, Path))
     with open(source, "r", encoding="utf-8") if path else nullcontext(source) as fh:
-        start = 1
-        while lines := fh.readlines(_CHUNK_CHARS):
-            yield start, lines
-            start += len(lines)
+        start, carry = 1, ""
+        while block := fh.read(_CHUNK_CHARS):
+            cut = block.rfind("\n") + 1
+            if not cut:
+                carry += block
+                continue
+            text, carry = carry + block[:cut], block[cut:]
+            yield start, text
+            start += text.count("\n")
+        if carry:
+            yield start, carry
 
 
-def _line_rows(lines: list[str], start: int) -> Iterator[tuple[int, list[str]]]:
+def _line_rows(text: str, start: int) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, fields) for data rows; comments and blanks skip."""
-    for lineno, raw in enumerate(lines, start=start):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line.split()
+    for lineno, line in enumerate(text.split("\n"), start=start):
+        fields = line.split()
+        if fields and not fields[0].startswith("#"):
+            yield lineno, fields
 
 
 def _rows(source: Source) -> Iterator[tuple[int, list[str]]]:
-    for start, lines in _chunks(source):
-        yield from _line_rows(lines, start)
+    for start, text in _chunks(source):
+        yield from _line_rows(text, start)
 
 
-def _uniform_tokens(lines: list[str]) -> tuple[list[str], int] | None:
-    """(all fields in row order, fields per row) of a chunk whose lines all
-    hold the same positive number of fields; None if any line is blank or
-    differs, or the chunk has a ``#`` or a non-ASCII character."""
-    text = "".join(lines)
+class _Tokens:
+    """A chunk's tokens: their bounds in ``buf``, the chunk's ASCII bytes
+    after ``_PAD`` spaces, and the number of fields on each line. Tokens are
+    numbered in file order."""
+
+    def __init__(self, text: str, buf: np.ndarray, starts, ends, fields: int):
+        self.text, self.buf, self.fields = text, buf, fields
+        self.starts, self.ends = starts, ends
+
+    def columns(self, first: int, stop: int) -> np.ndarray:
+        """Numbers of the tokens in fields first..stop-1 of every row."""
+        numbers = np.arange(len(self.starts)).reshape(-1, self.fields)
+        return numbers[:, first:stop].ravel()
+
+    def words(self, at: np.ndarray) -> list[str]:
+        """The tokens numbered ``at`` (increasing) as strings."""
+        words = self.text.split()
+        if len(at) == len(words):
+            return words
+        return list(map(words.__getitem__, at.tolist()))
+
+    def digits(self, ends: np.ndarray, size: np.ndarray):
+        """(bytes, live, digit, value) of the tokens of ``size`` characters
+        that end at ``ends``, right-aligned in up to ``_DIGITS`` columns,
+        one row per column: the bytes, which of them lie in the token,
+        which of those are digits, and the token's digits read as one
+        integer (multiply-add, column by column)."""
+        width = max(1, min(int(size.max()), _DIGITS))
+        column = np.arange(width)[:, None]
+        win = self.buf[ends - width + column]
+        live = column >= width - size
+        digit = win - np.uint8(48)
+        is_digit = (digit < 10) & live
+        digit *= is_digit
+        value = digit[0].astype(np.int64)
+        for row in digit[1:]:
+            value *= 10
+            value += row
+        return win, live, is_digit, value
+
+    def keys(self, codes_of, at: np.ndarray) -> np.ndarray:
+        """The id key of every token numbered ``at``: its value if it is a
+        canonical decimal, else its name's code from ``codes_of``."""
+        starts, ends = self.starts[at], self.ends[at]
+        size = ends - starts
+        _, live, is_digit, keys = self.digits(ends, size)
+        canonical = (is_digit == live).all(axis=0) & (size <= _DIGITS)
+        canonical &= (self.buf[starts] != 48) | (size == 1)
+        other = np.flatnonzero(~canonical)
+        if len(other):
+            keys[other] = codes_of(self.words(at[other]))
+        return keys
+
+    def floats(self, at: np.ndarray) -> np.ndarray | None:
+        """``float`` of every token numbered ``at``, or None if one does not
+        parse."""
+        starts, ends = self.starts[at], self.ends[at]
+        first = self.buf[starts]
+        signed = (first == 43) | (first == 45)  # '+' or '-'
+        size = ends - starts - signed
+        win, live, is_digit, mantissa = self.digits(ends, size)
+        is_dot = (win == 46) & live
+        dots = is_dot.sum(axis=0)
+        places = np.where(dots == 1, len(win) - 1 - is_dot.argmax(axis=0), 0)
+        # the dot's column reads as a 0 digit: drop it
+        mantissa = np.where(
+            dots == 1,
+            mantissa // _P10[places + 1] * _P10[places] + mantissa % _P10[places],
+            mantissa,
+        )
+        fast = ((is_digit | is_dot) == live).all(axis=0) & (dots <= 1)
+        fast &= (size > dots) & (size <= _DIGITS) & (mantissa <= _FAST_MANTISSA)
+        value = mantissa / _F10[places]
+        np.negative(value, out=value, where=first == 45)
+        slow = np.flatnonzero(~fast)
+        if len(slow):
+            try:
+                value[slow] = list(map(float, self.words(at[slow])))
+            except ValueError:
+                return None
+        return value
+
+
+def _uniform_tokens(text: str) -> _Tokens | None:
+    """The tokens of a chunk whose non-blank lines all hold the same number
+    of fields; None if the chunk has no field, a ``#``, a non-ASCII
+    character or a control character that is not whitespace."""
     if not text.isascii() or "#" in text:
         return None
-    space = _ASCII_SPACE[np.frombuffer(text.encode("ascii"), np.uint8)]
-    field_start = ~space
-    field_start[1:] &= space[:-1]
-    line_end = np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)))
-    line_start = np.concatenate([[0], line_end[:-1]])
-    counts = np.add.reduceat(field_start, line_start, dtype=np.int64)
-    fields = int(counts[0])
-    if fields == 0 or (counts != fields).any():
+    buf = np.frombuffer(b" " * _PAD + text.encode("ascii") + b" ", np.uint8)
+    sep = np.flatnonzero(buf <= 32)
+    if not _ASCII_SPACE[buf[sep]].all():
         return None
-    return text.split(), fields
+    starts, ends = sep[:-1] + 1, sep[1:]
+    token = ends > starts
+    if not token.any():
+        return None
+    # line of each token: newlines up to the separator before it
+    line = np.cumsum(buf[sep[:-1]] == 10)[token]
+    fields = int(np.searchsorted(line, line[0], "right"))
+    if len(line) % fields:
+        return None
+    rows = line.reshape(-1, fields)  # non-decreasing, so a row is one line
+    if (rows[:, 0] != rows[:, -1]).any() or (rows[1:, 0] == rows[:-1, -1]).any():
+        return None
+    return _Tokens(text, buf, starts[token], ends[token], fields)
 
 
 def _source_label(source: Source, fallback: str) -> str:
@@ -146,92 +268,127 @@ def _parse_float(text: str, what: str, label: str, lineno: int) -> float:
     return value
 
 
-def _floats(texts: list[str]) -> np.ndarray | None:
-    """``float`` of every text, or None if one does not parse."""
-    try:
-        return np.fromiter(map(float, texts), np.float64, len(texts))
-    except ValueError:
-        return None
+def _extend(store: array, values: np.ndarray) -> None:
+    """Append the int64 or float64 ``values``, in row order, to ``store``."""
+    store.frombytes(np.ascontiguousarray(values).reshape(-1).view(np.uint8))
 
 
-def _last_wins(out: np.ndarray, at: array, values: array) -> np.ndarray:
+def _last_wins(out: np.ndarray, at: np.ndarray, values: array) -> np.ndarray:
     """``out`` after ``out[at[i]] = values row i`` for every i in order:
     where a vertex has several rows, the last one wins."""
-    at_rev = np.frombuffer(at, np.int64)[::-1]
+    at_rev = at[::-1]
     rows_rev = np.frombuffer(values).reshape(len(at_rev), *out.shape[1:])[::-1]
     _, last = np.unique(at_rev, return_index=True)
     out[at_rev[last]] = rows_rev[last]
     return out
 
 
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct keys in order of first appearance, the index of every
+    key among them). Keys that span no more values than there are keys are
+    numbered through an array indexed by key; sparser ones are sorted."""
+    count = len(keys)
+    if not count:
+        return keys, keys
+    low = int(keys.min())
+    span = int(keys.max()) - low + 1
+    if span > count:
+        distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        number = np.empty(len(order), dtype=np.int64)
+        number[order] = np.arange(len(order))
+        return distinct[order], number[inverse]
+    keys = keys - low
+    first = np.full(span, count, dtype=np.int64)
+    np.minimum.at(first, keys, np.arange(count))
+    new = np.zeros(count, dtype=bool)
+    new[first[first < count]] = True
+    distinct = keys[new]
+    number = first  # reused: distinct key -> its index
+    number[distinct] = np.arange(len(distinct))
+    return distinct + low, number[keys]
+
+
 class _GraphParts:
-    """Interned ids, vertex values and arcs, filled chunk by chunk in file
-    order. A chunk goes through ``*_chunk``, which parses it with array
-    operations or declines it, or else through ``*_rows``, the row loop
-    that words every format error. Values accumulate in growable arrays,
-    so no per-chunk array outlives its chunk."""
+    """Id keys, vertex values and arcs, filled chunk by chunk in file order.
+    A chunk goes through ``*_chunk``, which parses it with array operations
+    or declines it, or else through ``*_rows``, the row loop that words
+    every format error. An id's key is its value if it is a canonical
+    decimal, else the negative code of its name; ``graph`` numbers the keys
+    in first-seen order. Values accumulate in growable arrays, so no
+    per-chunk array outlives its chunk."""
 
     def __init__(self) -> None:
-        self.ids: dict[str, int] = {}  # first-seen order
-        self.weighted, self.weights = array("q"), array("d")  # vertex weight rows
-        self.placed, self.coords = array("q"), array("d")  # vertex (lat, lng) rows
+        self.codes: dict[str, int] = {}  # name -> negative key, first-seen
+        self.rows = array("q")  # key of every vertex row
+        self.weighted, self.weights = array("q"), array("d")  # row numbers, weights
+        self.placed, self.coords = array("q"), array("d")  # row numbers, (lat, lng)
         self.ends, self.arc_w = array("q"), array("d")  # u0 v0 u1 v1 ..., arc weights
 
     def parse(self, source: Source, label: str, chunk, rows) -> None:
-        for start, lines in _chunks(source):
-            uniform = _uniform_tokens(lines)
-            if uniform is None or not chunk(*uniform):
-                rows(lines, start, label)
-            del uniform  # keep one chunk's fields alive at a time
+        for start, text in _chunks(source):
+            tokens = _uniform_tokens(text)
+            if tokens is None or not chunk(tokens):
+                rows(text, start, label)
+            del tokens  # keep one chunk's arrays alive at a time
 
-    def intern_all(self, names: list[str]) -> bytes:
-        """The ids of ``names`` as int64 bytes; unseen names are interned in
-        first-seen order."""
-        ids = self.ids
-        fresh = dict.fromkeys(filterfalse(ids.__contains__, names))
-        ids.update(zip(fresh, range(len(ids), len(ids) + len(fresh))))
-        return np.fromiter(map(ids.__getitem__, names), np.int64, len(names)).tobytes()
+    def codes_of(self, names: list[str]) -> np.ndarray:
+        """The codes of ``names``; unseen names get the next free ones."""
+        codes = self.codes
+        for name in filterfalse(codes.__contains__, names):
+            codes[name] = ~len(codes)
+        return np.fromiter(map(codes.__getitem__, names), np.int64, len(names))
 
-    def vertex_chunk(self, tokens: list[str], fields: int) -> bool:
+    def key(self, name: str) -> int:
+        """The key of an id read by the row loop, as the byte path keys it."""
+        if (
+            name.isdigit()
+            and name.isascii()
+            and len(name) <= _DIGITS
+            and (name[0] != "0" or len(name) == 1)
+        ):
+            return int(name)
+        return self.codes.setdefault(name, ~len(self.codes))
+
+    def vertex_chunk(self, tokens: _Tokens) -> bool:
+        fields = tokens.fields
         if fields > 4:
             return False
-        weight = coords = None
+        if fields > 1:
+            values = tokens.floats(tokens.columns(1, fields))
+            if values is None:
+                return False
+            values = values.reshape(-1, fields - 1)
+            weight, coords = values[:, 0], values[:, -2:]
+            if fields in (2, 4) and not (np.isfinite(weight) & (weight > 0)).all():
+                return False
+            if fields >= 3 and not (np.abs(coords) <= (90.0, 180.0)).all():
+                return False
+        row = np.arange(len(self.rows), len(self.rows) + len(tokens.starts) // fields)
+        _extend(self.rows, tokens.keys(self.codes_of, tokens.columns(0, 1)))
         if fields in (2, 4):
-            weight = _floats(tokens[1::fields])
-            if weight is None or not (np.isfinite(weight) & (weight > 0)).all():
-                return False
+            _extend(self.weighted, row)
+            _extend(self.weights, weight)
         if fields >= 3:
-            lat = _floats(tokens[fields - 2 :: fields])
-            lng = _floats(tokens[fields - 1 :: fields])
-            if lat is None or lng is None:
-                return False
-            if not ((np.abs(lat) <= 90.0) & (np.abs(lng) <= 180.0)).all():
-                return False
-            coords = np.stack([lat, lng], axis=1)
-        v = self.intern_all(tokens[0::fields])
-        if weight is not None:
-            self.weighted.frombytes(v)
-            self.weights.frombytes(weight.tobytes())
-        if coords is not None:
-            self.placed.frombytes(v)
-            self.coords.frombytes(coords.tobytes())
+            _extend(self.placed, row)
+            _extend(self.coords, coords)
         return True
 
-    def vertex_rows(self, lines: list[str], start: int, label: str) -> None:
-        ids = self.ids
-        for lineno, fields in _line_rows(lines, start):
+    def vertex_rows(self, text: str, start: int, label: str) -> None:
+        for lineno, fields in _line_rows(text, start):
             if len(fields) not in (1, 2, 3, 4):
                 raise GraphFormatError(
                     f"{label}:{lineno}: expected 1-4 fields, got {len(fields)}"
                 )
-            v = ids.setdefault(fields[0], len(ids))
+            row = len(self.rows)
+            self.rows.append(self.key(fields[0]))
             if len(fields) in (2, 4):
                 w = _parse_float(fields[1], "vertex weight", label, lineno)
                 if w <= 0:
                     raise GraphFormatError(
                         f"{label}:{lineno}: vertex weight must be positive, got {w}"
                     )
-                self.weighted.append(v)
+                self.weighted.append(row)
                 self.weights.append(w)
             if len(fields) >= 3:
                 lat = _parse_float(fields[-2], "latitude", label, lineno)
@@ -240,31 +397,30 @@ class _GraphParts:
                     raise GraphFormatError(
                         f"{label}:{lineno}: coordinates ({lat}, {lng}) out of range"
                     )
-                self.placed.append(v)
+                self.placed.append(row)
                 self.coords.extend((lat, lng))
 
-    def edge_chunk(self, tokens: list[str], fields: int) -> bool:
-        if fields not in (2, 3):
-            return False
-        weight = np.ones(len(tokens) // fields)
-        if fields == 3:
-            weight = _floats(tokens[2::3])
+    def edge_chunk(self, tokens: _Tokens) -> bool:
+        if tokens.fields == 3:
+            weight = tokens.floats(tokens.columns(2, 3))
             if weight is None or not (np.isfinite(weight) & (weight >= 0)).all():
                 return False
-            del tokens[2::3]
-        self.ends.frombytes(self.intern_all(tokens))
-        self.arc_w.frombytes(weight.tobytes())
+        elif tokens.fields == 2:
+            weight = np.ones(len(tokens.starts) // 2)
+        else:
+            return False
+        _extend(self.ends, tokens.keys(self.codes_of, tokens.columns(0, 2)))
+        _extend(self.arc_w, weight)
         return True
 
-    def edge_rows(self, lines: list[str], start: int, label: str) -> None:
-        ids = self.ids
-        for lineno, fields in _line_rows(lines, start):
+    def edge_rows(self, text: str, start: int, label: str) -> None:
+        for lineno, fields in _line_rows(text, start):
             if len(fields) not in (2, 3):
                 raise GraphFormatError(
                     f"{label}:{lineno}: expected 'u v [weight]', got {len(fields)} fields"
                 )
-            self.ends.append(ids.setdefault(fields[0], len(ids)))
-            self.ends.append(ids.setdefault(fields[1], len(ids)))
+            self.ends.append(self.key(fields[0]))
+            self.ends.append(self.key(fields[1]))
             w = 1.0
             if len(fields) == 3:
                 w = _parse_float(fields[2], "edge weight", label, lineno)
@@ -275,14 +431,26 @@ class _GraphParts:
             self.arc_w.append(w)
 
     def graph(self) -> Graph:
-        n = len(self.ids)
-        weights = _last_wins(np.ones(n), self.weighted, self.weights)
+        rows = len(self.rows)
+        keys = np.concatenate(
+            [np.frombuffer(self.rows, np.int64), np.frombuffer(self.ends, np.int64)]
+        )
+        self.rows = self.ends = None  # keys holds them now
+        distinct, ids = _first_seen(keys)
+        del keys
+        code_names = list(self.codes)
+        names = [code_names[~k] if k < 0 else str(k) for k in distinct.tolist()]
+        n = len(names)
+        weighted = ids[np.frombuffer(self.weighted, np.int64)]
+        weights = _last_wins(np.ones(n), weighted, self.weights)
         geo = None
         if self.placed:
-            geo = _last_wins(np.full((n, 2), np.nan), self.placed, self.coords)
-        ends = np.frombuffer(self.ends, np.int64)
-        arc_w = np.frombuffer(self.arc_w)
-        return Graph.from_arcs(ends[0::2], ends[1::2], arc_w, list(self.ids), weights, geo)
+            placed = ids[np.frombuffer(self.placed, np.int64)]
+            geo = _last_wins(np.full((n, 2), np.nan), placed, self.coords)
+        ends = ids[rows:]
+        return Graph.from_arcs(
+            ends[0::2], ends[1::2], np.frombuffer(self.arc_w), names, weights, geo
+        )
 
 
 def load_graph(edge_source: Source, vertex_source: Source | None = None) -> Graph:

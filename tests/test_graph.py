@@ -94,6 +94,39 @@ def test_graph_rejects_negative_edge_weight():
         make_graph([(0, 1)], weights=[-1.0])
 
 
+def reference_csr(g):
+    """(indptr, indices, edge ids) from one stable sort of all 2m arcs by
+    (tail, head)."""
+    m = g.edge_count
+    src = np.concatenate([g.edge_u, g.edge_v])
+    dst = np.concatenate([g.edge_v, g.edge_u])
+    order = np.argsort(src * g.n + dst, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=g.n))])
+    return indptr, dst[order], np.concatenate([np.arange(m), np.arange(m)])[order]
+
+
+@pytest.mark.parametrize("order", ["sorted", "shuffled", "parallel"])
+@pytest.mark.parametrize("seed", range(20))
+def test_csr_matches_sorting_every_arc(order, seed):
+    rng = np.random.default_rng(seed)
+    base = random_graph(rng, int(rng.integers(1, 40)), int(rng.integers(0, 120)))
+    u, v = base.edge_u, base.edge_v
+    if order == "shuffled":
+        perm = rng.permutation(len(u))
+        u, v = u[perm], v[perm]
+    elif order == "parallel":  # a direct Graph(...) call may repeat an edge
+        pick = rng.integers(0, max(len(u), 1), len(u) // 2)
+        u, v = np.concatenate([u, u[pick]]), np.concatenate([v, v[pick]])
+        perm = rng.permutation(len(u))
+        u, v = u[perm], v[perm]
+    g = Graph(base.external_ids, base.vertex_weights, u, v, np.arange(len(u), dtype=float))
+    indptr, indices, edge = reference_csr(g)
+    assert g.adj_indptr.tobytes() == indptr.astype(np.int64).tobytes()
+    assert g.adj_indices.tobytes() == indices.tobytes()
+    assert g.adj_edge.tobytes() == edge.tobytes()
+    assert g.adj_weights.tobytes() == g.edge_w[edge].tobytes()
+
+
 def test_with_edge_weights_shares_adjacency_and_validates():
     g = make_graph([(0, 1), (1, 2), (0, 2), (2, 3)], n=5, vertex_weights=[1, 2, 1, 1, 3])
     w = np.array([0.5, 0.0, 2.0, 7.0])

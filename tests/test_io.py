@@ -1,6 +1,8 @@
 """File format round trips, determinism, and atomic writes."""
 
 import io as stdio
+import sys
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -171,6 +173,26 @@ LOADER_INPUTS = [
     ("a b\nc\nd e 2\n", None),
     ("a b 1\nc d 1 2\ne f\n", None),
     ("a b\n", "a 1 2 3\nb\nc 4 5\n"),
+    # ids on both sides of the canonical-decimal rule
+    ("0 007\n+5 -1\n1e3 0\n999999999999999999 9223372036854775808\n7 007\n", None),
+    ("7 8\n", "007 2\n7 3\n0 1\n"),
+    # values on both sides of the fast float path
+    (
+        "a b 1e5\nb c 1E5\nc d .5\nd e 5.\ne f -0.0\nf g +1.5\ng h 1234567890123456\n"
+        "h i 9876543210987654\ni j 0.1000000000000000055511\nj k 1e-400\n",
+        "a 1e5 .5 5.\nb +1.5 -0.0 +1.5\nc 1234567890123456 1e-400 -0.1000000000000000055511\n",
+    ),
+    ("a b\n", "a -0.0\n"),
+    ("a b\n", "a 1e-400\n"),
+    ("a b .\n", None),
+    ("a b -\n", None),
+    ("a b 1.2.3\n", None),
+    # CRLF and lone CR line ends: a stream's lines end at "\n" only
+    ("a b 2\r\nb c\r\nc a 1\r\n", "a 1\r\nb 2 1 1\r\n"),
+    ("a b 2\rb c\r", None),
+    ("a b\rb c\r", "a\rb\r"),
+    # a non-ASCII id
+    ("\u00e9 b\nb c\n", "b 2\n\u00e9 3\n"),
 ]
 
 
@@ -233,13 +255,135 @@ def test_chunked_loader_reads_paths_with_crlf(tmp_path, monkeypatch):
         load_graph(path)
 
 
-IDS = st.sampled_from(["a", "b", "c", "x1", "x2", "17", "-3", "v.v"])
-SEPARATORS = st.sampled_from(["\t", " ", "  ", " \t", "\t\t"])
-GOOD_WEIGHTS = st.one_of(
-    st.floats(1e-6, 1e6).map(repr), st.integers(1, 9).map(str), st.just("1e-6")
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+@pytest.mark.parametrize("chunk_chars", [1, 7, 1 << 20])
+def test_path_line_ends_load_like_the_row_loop(tmp_path, monkeypatch, end, chunk_chars):
+    # a path is read with universal newlines: a lone CR ends a line too
+    edges, vertices = tmp_path / "edges.tsv", tmp_path / "vertices.tsv"
+    edges.write_bytes(end.join(["7 8 2", "8 x", "x 7 .5", ""]).encode())
+    vertices.write_bytes(end.join(["x 2 1.5 -2.", "7 3", "8 1 0 0"]).encode())
+
+    def result():
+        g = load_graph(edges, vertices)
+        arrays = (g.edge_u, g.edge_v, g.edge_w, g.vertex_weights, g.geo)
+        return g.external_ids, [a.tobytes() for a in arrays]
+
+    with monkeypatch.context() as m:
+        m.setattr(linepart_io, "_uniform_tokens", lambda text: None)
+        rows = result()
+    monkeypatch.setattr(linepart_io, "_CHUNK_CHARS", chunk_chars)
+    assert result() == rows
+    assert rows[0] == ["x", "7", "8"]
+    edges.write_bytes(end.join(["7 8", "8 x -1"]).encode())
+    message = r"edges.tsv:2: edge weight must be non-negative, got -1.0"
+    with pytest.raises(GraphFormatError, match=message):
+        load_graph(edges)
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 2, 3, 5, 8, 13, 21, 34, 55, 1 << 10, 1 << 20])
+def test_ids_keep_one_internal_id_across_paths_and_files(monkeypatch, chunk_chars):
+    # "17" and "x" are first seen in a chunk with a comment, which the row
+    # loop parses (unless the chunk is a single line), then again in
+    # chunks the byte path parses, in the vertex file and the edge file;
+    # "9" and "007" are first seen in the edge file
+    vertices = "# ids\n17 2\nx 3\n" + "".join(f"{v} 1\n" for v in ["17", "5", "x", "5"])
+    edges = "17 x\n# more\n9 17\n" + "5 007\n007 9\nx 5\n17 9\n" * 3
+    monkeypatch.setattr(linepart_io, "_CHUNK_CHARS", chunk_chars)
+    seen = []
+    for name in ("vertex_rows", "edge_rows"):
+        rows = getattr(linepart_io._GraphParts, name)
+
+        def spy(self, text, start, label, rows=rows):
+            seen.append(text)
+            return rows(self, text, start, label)
+
+        monkeypatch.setattr(linepart_io._GraphParts, name, spy)
+    g = load_graph(stdio.StringIO(edges), stdio.StringIO(vertices))
+    assert g.external_ids == ["17", "x", "5", "9", "007"]
+    assert g.vertex_weights.tolist() == [1.0, 1.0, 1.0, 1.0, 1.0]
+    named = {(g.external_ids[u], g.external_ids[v]) for u, v in zip(g.edge_u, g.edge_v)}
+    assert named == {("17", "x"), ("17", "9"), ("x", "5"), ("5", "007"), ("9", "007")}
+    assert g.edge_w.tolist() == [1.0, 4.0, 3.0, 3.0, 3.0]
+    if chunk_chars >= len(vertices):
+        assert seen[0] == vertices  # first seen by the row loop
+
+
+def test_loader_peak_memory_is_bounded_by_the_graph(tmp_path):
+    # a 20k-vertex geometric-style input with coordinates and ~100k edges
+    rng = np.random.default_rng(7)
+    n, m = 20_000, 100_000
+    lat, lng = 40.0 + rng.random(n), -74.0 + rng.random(n)
+    (tmp_path / "v.tsv").write_text(
+        "".join(f"{i}\t{a:.7f}\t{b:.7f}\n" for i, a, b in zip(range(n), lat, lng))
+    )
+    u = rng.integers(0, n, m)
+    v = (u + rng.integers(1, 50, m)) % n
+    (tmp_path / "e.tsv").write_text(
+        "".join(f"{a}\t{b}\n" for a, b in zip(u.tolist(), v.tolist()))
+    )
+    tracemalloc.start()
+    try:
+        g = load_graph(tmp_path / "e.tsv", tmp_path / "v.tsv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (
+        g.edge_u, g.edge_v, g.edge_w, g.adj_indptr, g.adj_indices, g.adj_edge,
+        g.adj_weights, g.vertex_weights, g.geo,
+    )
+    kept = sum(a.nbytes for a in arrays)
+    kept += sys.getsizeof(g.external_ids) + sum(map(sys.getsizeof, g.external_ids))
+    assert peak <= 2.5 * kept, (peak, kept)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["", "+", "-"]),
+            st.text("0123456789", max_size=20),
+            st.one_of(st.none(), st.text("0123456789", max_size=20)),
+        ),
+        min_size=1,
+        max_size=20,
+    )
 )
-BAD_WEIGHTS = st.sampled_from(["nan", "inf", "-inf", "-1", "-2.5e-3", "x", "1e400", "", "0"])
-LAT = st.floats(-90, 90).map(repr)
+def test_byte_path_floats_are_float(parts):
+    # every decimal the byte path parses itself is exactly float()'s value
+    texts = [sign + a + ("" if b is None else "." + b) for sign, a, b in parts]
+    texts = [t for t in texts if t.lstrip("+-").strip(".")] or ["0"]
+    tokens = linepart_io._uniform_tokens("\n".join(texts) + "\n")
+    values = tokens.floats(tokens.columns(0, 1))
+    expected = np.array([float(t) for t in texts])
+    assert values.tobytes() == expected.tobytes(), texts
+
+
+IDS = st.sampled_from([
+    "a", "b", "c", "x1", "x2", "17", "-3", "v.v",
+    "0", "007", "+5", "-1", "1e3", "999999999999999999", "9223372036854775808", "\u00e9",
+])
+SEPARATORS = st.sampled_from(["\t", " ", "  ", " \t", "\t\t"])
+# decimals on both sides of the fast path: exponents, bare dots, signs, a
+# 16-digit mantissa below and one above 2**53, more digits than float64 holds
+EDGE_VALUES = [
+    "1e5", "1E5", ".5", "5.", "+1.5", "1234567890123456", "9876543210987654",
+    "0.1000000000000000055511",
+]
+GOOD_WEIGHTS = st.one_of(
+    st.floats(1e-6, 1e6).map(repr),
+    st.integers(1, 9).map(str),
+    st.sampled_from(["1e-6", *EDGE_VALUES]),
+)
+BAD_WEIGHTS = st.sampled_from(
+    ["nan", "inf", "-inf", "-1", "-2.5e-3", "x", "1e400", "", "0", "-0.0", "1e-400", "."]
+)
+LAT = st.one_of(
+    st.floats(-90, 90).map(repr),
+    st.sampled_from([
+        ".5", "5.", "-0.0", "+1.5", "1e-400", "1E1", "12.34567890123456",
+        "-0.1000000000000000055511",
+    ]),
+)
 LNG = st.floats(-180, 180).map(repr)
 BAD_COORDS = st.sampled_from(["90.5", "-181", "nan", "inf", "n/a"])
 NOISE = st.sampled_from(["", "  ", "\t", "# comment", "  # indented comment"])
