@@ -8,7 +8,10 @@ and once with ``DIR/src``, and prints the sha256 of the partition, the
 ordering and stdout. It also loads each instance with ``io.load_graph``
 under both trees and prints the sha256 of the loaded graph: its
 ``external_ids``, edge and CSR arrays, ``vertex_weights`` and ``geo``.
-Exits 1 on any mismatch.
+On instance 0 of every workload at seed 1 it also runs ``linepart order
+--method random --seed 1`` and then ``linepart refine --method swap`` with
+the workload's k and alpha and ``--seed 1`` under both trees, and prints
+the sha256 of the refined ordering and of stdout. Exits 1 on any mismatch.
 
     python3 scripts/parity.py --ref ../linepart-parent
 """
@@ -44,18 +47,37 @@ print(h.hexdigest())
 """
 
 
-def combine_digests(src: Path, argv: list[str], work: Path) -> list[str]:
-    """sha256 of (partition, ordering, stdout) of one ``combine`` run."""
-    part, order = work / "partition.tsv", work / "ordering.tsv"
+def run_cli(src: Path, argv: list[str], work: Path) -> bytes:
+    """stdout of one ``linepart`` command run with ``src`` on the path."""
     proc = subprocess.run(
-        [sys.executable, "-c", CLI, *argv,
-         "--ordering-out", str(order), "-o", str(part)],
+        [sys.executable, "-c", CLI, *argv],
         env=dict(os.environ, PYTHONPATH=str(src)), cwd=work, capture_output=True,
     )
     if proc.returncode:
-        sys.exit(f"combine under {src} exited {proc.returncode}:\n{proc.stderr.decode()}")
-    blobs = (part.read_bytes(), order.read_bytes(), proc.stdout)
+        sys.exit(f"{argv[0]} under {src} exited {proc.returncode}:\n{proc.stderr.decode()}")
+    return proc.stdout
+
+
+def sha256s(*blobs: bytes) -> list[str]:
     return [hashlib.sha256(b).hexdigest() for b in blobs]
+
+
+def combine_digests(src: Path, argv: list[str], work: Path) -> list[str]:
+    """sha256 of (partition, ordering, stdout) of one ``combine`` run."""
+    part, order = work / "partition.tsv", work / "ordering.tsv"
+    out = run_cli(src, [*argv, "--ordering-out", str(order), "-o", str(part)], work)
+    return sha256s(part.read_bytes(), order.read_bytes(), out)
+
+
+def refine_digests(src: Path, graph: list[str], k: int, alpha: float, work: Path) -> list[str]:
+    """sha256 of (refined ordering, stdout) of ``refine --method swap``
+    over a seeded random order."""
+    start, refined = work / "random.tsv", work / "refined.tsv"
+    run_cli(src, ["order", "--method", "random", "--seed", "1", *graph, "-o", str(start)], work)
+    out = run_cli(src, ["refine", "--method", "swap", *graph, "--ordering", str(start),
+                        "-k", str(k), "--alpha", str(alpha), "--seed", "1",
+                        "-o", str(refined)], work)
+    return sha256s(refined.read_bytes(), out)
 
 
 def graph_digest(src: Path, files: list[str]) -> str:
@@ -78,7 +100,13 @@ def main() -> int:
     if not (ref_src / "linepart").is_dir():
         ap.error(f"{ref_src} holds no linepart package")
 
-    same = total = 0
+    same = total = refine_same = refine_total = 0
+
+    def report(row: list[str], ours: list[str], theirs: list[str]) -> None:
+        print("\t".join([*row, "same" if ours == theirs else "DIFF", *ours]), flush=True)
+        if ours != theirs:
+            print("\t".join([""] * len(row) + ["ref", *theirs]), flush=True)
+
     print("workload\tseed\tinstance\tverdict\tpartition\tordering\tstdout\tgraph")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -87,23 +115,27 @@ def main() -> int:
         ):
             inputs = workloads.generate(w.name, seed, instance, work / "in")
             files = [str(inputs.edges)]
-            argv = ["combine", "--graph", str(inputs.edges)]
+            graph = ["--graph", str(inputs.edges)]
             if inputs.vertices is not None:
                 files.append(str(inputs.vertices))
-                argv += ["--vertices", str(inputs.vertices)]
-            argv += ["-k", str(w.k), "--alpha", str(w.alpha), *w.flags]
+                graph += ["--vertices", str(inputs.vertices)]
+            argv = ["combine", *graph, "-k", str(w.k), "--alpha", str(w.alpha), *w.flags]
             ours = combine_digests(ROOT / "src", argv, work)
             ours.append(graph_digest(ROOT / "src", files))
             theirs = combine_digests(ref_src, argv, work)
             theirs.append(graph_digest(ref_src, files))
             total += 1
             same += ours == theirs
-            verdict = "same" if ours == theirs else "DIFF"
-            print("\t".join([w.name, str(seed), str(instance), verdict, *ours]), flush=True)
-            if ours != theirs:
-                print("\t".join(["", "", "", "ref", *theirs]), flush=True)
+            report([w.name, str(seed), str(instance)], ours, theirs)
+            if (seed, instance) == (1, 0):
+                ours = refine_digests(ROOT / "src", graph, w.k, w.alpha, work)
+                theirs = refine_digests(ref_src, graph, w.k, w.alpha, work)
+                refine_total += 1
+                refine_same += ours == theirs
+                report([w.name, str(seed), "refine"], ours, theirs)
     print(f"{same}/{total} identical")
-    return 0 if same == total else 1
+    print(f"refine: {refine_same}/{refine_total} identical (refined ordering, stdout)")
+    return 0 if (same, refine_same) == (total, refine_total) else 1
 
 
 if __name__ == "__main__":

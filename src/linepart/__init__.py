@@ -57,8 +57,6 @@ from .pipeline import (
 )
 from .refine import (
     MinLAState,
-    SwapPlan,
-    make_swap_plan,
     minla_objective,
     minla_refine,
     minla_round,

@@ -326,12 +326,13 @@ def apply_window_stage(
     left mask is accepted only if it does not increase the true local cut
     against the frozen exterior (the window objective alone can overcount
     edges to far-away parts as variable), and then the left vertices move
-    before the split, each side in its previous order. A window whose
-    current split lies outside it is left alone: moving that split onto
-    the window would carry vertices no window prices. Returns the new
-    ordering, the new split points, and per-window diagnostic rows (window
-    index, old local cut, new local cut, vertices moved) for the windows
-    that ran.
+    before the split, each side in its previous order. Window j runs only
+    while splits j-1, j and j+1 each lie in their own windows (splits 0 and
+    k always do): moving a split onto its window would carry vertices no
+    window prices, and a displaced neighbour could cross the window or push
+    a part beside it out of the alpha bound. Returns the new ordering, the
+    new split points, and per-window diagnostic rows (window index, old
+    local cut, new local cut, vertices moved) for the windows that ran.
     """
     if method not in ("linopt", "mincut"):
         raise ValueError(f"unknown window method {method!r}")
@@ -345,11 +346,14 @@ def apply_window_stage(
     new_q = splits.q.copy()
     vertex_at = o.vertex_at.copy()
     diagnostics = []
+    # placed[j]: split j lies in window j. Only a dp proposal or an
+    # unequal-weight swap displaces one; window j and both its neighbours
+    # are then skipped.
+    placed = [True, *(w.lo <= splits.q[w.index] <= w.hi for w in windows), True]
     for win in windows:
-        if not win.lo <= splits.q[win.index] <= win.hi:
-            # only a dp proposal or an unequal-weight swap puts a split here;
-            # moving it would skip vertices no window prices
-            log.info("window\t%d\tskipped: split outside [%d, %d]", win.index, win.lo, win.hi)
+        j = win.index
+        if not (placed[j - 1] and placed[j] and placed[j + 1]):
+            log.info("window\t%d\tskipped: it or a neighbour has its split outside", j)
             continue
         edges = _window_edges(g, o, win)
         new_mask = optimize(edges, win)

@@ -32,7 +32,7 @@ from .graph import (
 )
 from .ordering import affinity_ordering, hilbert_ordering, random_ordering
 from .pipeline import INITIAL_ORDERINGS, STAGES, PipelineConfig, combine
-from .refine import make_swap_plan, minla_refine, rank_swap_round
+from .refine import minla_refine, rank_swap_round
 
 log = logging.getLogger(__name__)
 
@@ -189,8 +189,7 @@ def _cmd_refine(args) -> int:
             raise ValueError("swap refinement needs at least two parts (-k)")
         idle = 0
         for rnd in range(args.max_rounds):
-            plan = make_swap_plan(args.k, args.intervals, rnd, args.seed)
-            new_ordering = rank_swap_round(g, ordering, splits, plan)
+            new_ordering = rank_swap_round(g, ordering, splits, rnd, args.intervals, args.seed)
             part = Partition.from_contiguous(new_ordering, splits, g)
             w, f = cut_weight(g, part)
             changed = not np.array_equal(new_ordering.vertex_at, ordering.vertex_at)

@@ -136,12 +136,8 @@ def run_stage(
             # reordering invalidates previous boundary choices
             s = make_split_points(g, o, s.k, s.alpha)
     elif stage == "swap":
-        if s.k >= 2:
-            for parity in (0, 1):
-                plan = refine.make_swap_plan(
-                    s.k, cfg.swap_intervals, 2 * iteration + parity, cfg.seed
-                )
-                o = refine.rank_swap_round(g, o, s, plan)
+        for rnd in (2 * iteration, 2 * iteration + 1):
+            o = refine.rank_swap_round(g, o, s, rnd, cfg.swap_intervals, cfg.seed)
     elif stage in ("linopt", "mincut"):
         o, s, _diag = apply_window_stage(g, o, s, stage)
     elif stage == "dp":

@@ -6,9 +6,11 @@ of its neighbors' ranks, then a global sort resolves collisions. Proposals
 are simultaneous, so a single round may overshoot or cycle; the driver
 keeps a round only while it lowers the objective.
 
-Rank swaps improve the cut of the k-way chop directly: adjacent partitions
-are paired along the line, each partition is sliced into intervals, paired
-intervals exchange their best-improving vertex pairs until no swap helps.
+Rank swaps improve the cut of the k-way chop directly. Round t pairs the
+adjacent parts (a, a+1) with a = t (mod 2), so every boundary is visited
+over two rounds; each part is sliced into intervals, which the seed, t and
+a match one-to-one (``rank_swap_round``). Paired intervals exchange their
+best-improving vertex pairs until no swap helps.
 Each interval walks its vertices best-first from a list sorted by live cut
 reduction, and a swap re-keys only the vertices whose reduction changed.
 Swaps are one-for-one, so part sizes never change, and a swap of unequal
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_left, insort
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,11 +33,9 @@ from .ordering import Ordering
 
 __all__ = [
     "MinLAState",
-    "SwapPlan",
     "minla_objective",
     "minla_round",
     "minla_refine",
-    "make_swap_plan",
     "rank_swap_round",
 ]
 
@@ -118,41 +119,15 @@ def minla_refine(g: Graph, o: Ordering, max_rounds: int) -> MinLAState:
     return MinLAState(current, obj, rounds, trace)
 
 
-@dataclass
-class SwapPlan:
-    """Pairing of partitions and of their intervals for one swap round.
-
-    ``interval_pairs`` holds ((part_a, interval_i), (part_b, interval_j));
-    concrete rank ranges are resolved against the split points at execution
-    time. Each partition appears in at most one pair per round.
-    """
-
-    k: int
-    r: int
-    partition_pairs: list[tuple[int, int]]
-    interval_pairs: list[tuple[tuple[int, int], tuple[int, int]]]
-
-
-def make_swap_plan(k: int, r: int, round_index: int, seed: int) -> SwapPlan:
-    """Pair adjacent partitions, alternating phase by round parity.
-
-    Even rounds pair (0,1), (2,3), ...; odd rounds pair (1,2), (3,4), ...,
-    so every adjacent boundary is visited over two rounds. Intervals between
-    paired partitions are matched uniformly at random by the seed.
-    """
-    if k < 2:
-        raise ValueError("need at least two partitions to swap")
-    if r < 1:
-        raise ValueError("interval count must be positive")
-    start = 0 if round_index % 2 == 0 else 1
-    partition_pairs = [(a, a + 1) for a in range(start, k - 1, 2)]
-    interval_pairs = []
-    for a, b in partition_pairs:
-        rng = np.random.default_rng([abs(int(seed)), int(round_index), a, b])
-        perm = rng.permutation(r)
-        for i in range(r):
-            interval_pairs.append(((a, i), (b, int(perm[i]))))
-    return SwapPlan(k, r, partition_pairs, interval_pairs)
+def _interval_pairs(
+    k: int, intervals: int, round_index: int, seed: int
+) -> Iterator[tuple[int, int, int]]:
+    """(a, i, j) for each interval of round ``round_index``, in swap order:
+    part a's interval i meets part a+1's interval j."""
+    for a in range(round_index % 2, k - 1, 2):
+        rng = np.random.default_rng([abs(int(seed)), int(round_index), a, a + 1])
+        for i, j in enumerate(rng.permutation(intervals).tolist()):
+            yield a, i, j
 
 
 def _interval_range(q: np.ndarray, part: int, idx: int, r: int) -> tuple[int, int]:
@@ -172,7 +147,7 @@ class _SwapState:
     j*w(V)/k.
     """
 
-    def __init__(self, g: Graph, o: Ordering, splits: SplitPoints, plan: SwapPlan):
+    def __init__(self, g: Graph, o: Ordering, splits: SplitPoints, firsts: range):
         self.g = g
         self.vertex_at = o.vertex_at.copy()
         self.rank_of = o.rank_of.copy()
@@ -185,13 +160,14 @@ class _SwapState:
         scale = float(g.edge_w.max()) if g.edge_count else 1.0
         self.gain_tol = 1e-12 * max(1.0, scale)
         self.swaps = 0
-        self.red = self._initial_reductions(plan)
+        self.red = self._initial_reductions(firsts)
 
-    def _initial_reductions(self, plan: SwapPlan) -> np.ndarray:
+    def _initial_reductions(self, firsts: range) -> np.ndarray:
+        """Reductions toward the paired parts (a, a+1), a in ``firsts``."""
         g = self.g
-        paired = np.full(plan.k, -1, dtype=np.int64)
-        for a, b in plan.partition_pairs:
-            paired[a], paired[b] = b, a
+        paired = np.full(len(self.excess) - 1, -1, dtype=np.int64)
+        for a in firsts:
+            paired[a], paired[a + 1] = a + 1, a
         pu = self.part_of[g.edge_u]
         pv = self.part_of[g.edge_v]
         same = pu == pv
@@ -329,34 +305,36 @@ def _swap_interval_pair(
 
 
 def rank_swap_round(
-    g: Graph, o: Ordering, splits: SplitPoints, plan: SwapPlan
+    g: Graph, o: Ordering, splits: SplitPoints, round_index: int, intervals: int, seed: int
 ) -> Ordering:
-    """Execute one planned round of interval-paired swaps.
+    """One round of interval-paired swaps between adjacent parts.
 
-    Partition pairs are adjacent and fully independent (a vertex's
-    reduction only reads the two parts it could belong to); interval pairs
-    within a partition pair run in a fixed order against live state, so the
-    true cut weight never increases. Vertex counts per part are untouched.
-    A swap moves only the boundary between its pair, by w(v) - w(u); it is
-    rejected if that carries the boundary out of its window and further
-    from its ideal weight.
+    Round t pairs the parts (a, a+1) with a = t (mod 2); each part is cut
+    into ``intervals`` equal rank intervals, and part a's interval i meets
+    part a+1's interval perm[i], perm being
+    ``np.random.default_rng([|seed|, t, a, a+1]).permutation(intervals)``.
+    A round with no pair (k = 1, or k = 2 on an odd round) returns ``o``.
+    Part pairs are fully independent (a vertex's reduction only reads the
+    two parts it could belong to); interval pairs within a part pair run in
+    a fixed order against live state, so the true cut weight never
+    increases. Vertex counts per part are untouched. A swap moves only the
+    boundary between its pair, by w(v) - w(u); it is rejected if that
+    carries the boundary out of its window and further from its ideal
+    weight.
     """
-    if plan.k != splits.k:
-        raise ValueError(
-            f"plan is for k={plan.k}, split points have k={splits.k}"
-        )
-    if any(b != a + 1 for a, b in plan.partition_pairs):
-        raise ValueError("swap plans pair adjacent partitions only")
+    if intervals < 1:
+        raise ValueError("interval count must be positive")
     if splits.n != g.n or o.n != g.n:
         raise ValueError("ordering/split points do not cover the graph")
-    if not plan.interval_pairs:  # k=2 on odd rounds: nothing to pair
+    firsts = range(round_index % 2, splits.k - 1, 2)
+    if not firsts:
         log.info("rankswap\tswaps\t0")
         return o
-    state = _SwapState(g, o, splits, plan)
+    state = _SwapState(g, o, splits, firsts)
     q = splits.q
-    for (pa, ia), (pb, ib) in plan.interval_pairs:
-        ra = _interval_range(q, pa, ia, plan.r)
-        rb = _interval_range(q, pb, ib, plan.r)
+    for a, i, j in _interval_pairs(splits.k, intervals, round_index, seed):
+        ra = _interval_range(q, a, i, intervals)
+        rb = _interval_range(q, a + 1, j, intervals)
         _swap_interval_pair(state, ra, rb)
     log.info("rankswap\tswaps\t%d", state.swaps)
     return Ordering(state.vertex_at, state.rank_of)

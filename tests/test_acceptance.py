@@ -21,7 +21,7 @@ from linepart.boundary import (
 from linepart.graph import Partition, check_balance, common_neighbors_similarity, cut_weight
 from linepart.ordering import Ordering, affinity_ordering, random_ordering
 from linepart.pipeline import PipelineConfig, combine
-from linepart.refine import make_swap_plan, rank_swap_round
+from linepart.refine import rank_swap_round
 from linepart.synth import disjoint_cliques, erdos_renyi, ring_of_cliques, rmat
 
 from conftest import random_graph
@@ -194,8 +194,7 @@ def test_criterion_07_postprocessing_never_increases_cut(suite_runs):
         splits = make_split_points(g, o, k, 0.0)
         for rnd in range(4):
             before = cut_weight(g, Partition.from_contiguous(o, splits, g))[0]
-            plan = make_swap_plan(k, 8, rnd, seed=2)
-            o = rank_swap_round(g, o, splits, plan)
+            o = rank_swap_round(g, o, splits, rnd, 8, seed=2)
             after = cut_weight(g, Partition.from_contiguous(o, splits, g))[0]
             assert after <= before + 1e-9, (name, rnd)
             applications += 1

@@ -609,16 +609,30 @@ def test_window_stage_leaves_splits_outside_their_windows_alone():
         assert np.array_equal(o2.vertex_at, o.vertex_at)
         assert s2.q.tolist() == [0, 4, 14, 30]
         assert diag == []
-    # only the window whose split lies inside it runs
+    # split 1 lies outside [7, 13]: windows 1 and 2 are left alone, and
+    # only window 3, whose neighbours are placed, runs
     rng = np.random.default_rng(4)
-    g = random_graph(rng, 30, 80)
-    o = Ordering.from_vertex_at(rng.permutation(30))
-    mixed = SplitPoints(np.array([0, 4, 20, 30]), 0.6)
+    g = random_graph(rng, 40, 110)
+    o = Ordering.from_vertex_at(rng.permutation(40))
+    assert [(w.lo, w.hi) for w in make_windows(g, o, 4, 0.6)] == [(7, 13), (17, 23), (27, 33)]
+    mixed = SplitPoints(np.array([0, 4, 20, 30, 40]), 0.6)
     for method in ("linopt", "mincut"):
         o2, s2, diag = apply_window_stage(g, o, mixed, method)
-        assert [row[0] for row in diag] == [2]
-        assert np.array_equal(o2.vertex_at[:17], o.vertex_at[:17])
-        assert s2.q[1] == 4
+        assert [row[0] for row in diag] == [3]
+        assert np.array_equal(o2.vertex_at[:27], o.vertex_at[:27])
+        assert s2.q[:3].tolist() == [0, 4, 20]
+        assert check_balance(g, Partition.from_contiguous(o2, s2, g), 0.6).balanced
+    # split 1 lies outside [3, 9] and split 2 inside [10, 15]: moving split
+    # 2 down, off the heavy edge (10, 11), would cross split 1
+    g = make_graph([(i, i + 1) for i in range(23)], n=24,
+                   weights=[100.0 if i == 10 else 1.0 for i in range(23)])
+    o = Ordering.identity(24)
+    displaced = SplitPoints(np.array([0, 10, 11, 18, 24]), 1.0)
+    assert [(w.lo, w.hi) for w in make_windows(g, o, 4, 1.0)] == [(3, 9), (10, 15), (16, 21)]
+    for method in ("linopt", "mincut"):
+        o2, s2, diag = apply_window_stage(g, o, displaced, method)
+        assert [row[0] for row in diag] == [3]
+        assert s2.q[:3].tolist() == [0, 10, 11]
 
 
 def test_window_stage_gathers_each_window_once(monkeypatch):

@@ -215,6 +215,22 @@ def test_combine_dp_alpha_one_gives_k_nonempty_parts(tmp_path, capsys):
     assert sorted(set(parts)) == [0, 1, 2]
 
 
+@pytest.mark.parametrize("window", ["mincut", "linopt"])
+def test_combine_dp_then_window_stage_stays_balanced(tmp_path, capsys, window):
+    # the dp places a split outside its window; the window stage must not
+    # move a neighbouring split across it
+    g = tmp_path / "path.tsv"
+    g.write_text("".join(f"{i}\t{i + 1}\n" for i in range(9)))
+    out = tmp_path / "part.tsv"
+    code, _, err = run(
+        capsys, "combine", "--graph", g, "-k", "3", "--alpha", "1",
+        "--initial", "random", "--stages", f"dp,{window}", "-o", out,
+    )
+    assert code == 0, err
+    parts = [int(line.split("\t")[1]) for line in out.read_text().splitlines()]
+    assert all(parts.count(p) <= 2 * 10 / 3 for p in range(3))
+
+
 def test_evaluate_flags_empty_part_unbalanced(tmp_path, capsys, k3):
     part = tmp_path / "part.tsv"
     part.write_text("a\t0\nb\t2\nc\t2\n")  # part 1 is empty

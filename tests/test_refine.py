@@ -9,8 +9,8 @@ from linepart.graph import Partition, cut_weight
 from linepart.ordering import Ordering
 from linepart.refine import (
     _SwapState,
+    _interval_pairs,
     _swap_interval_pair,
-    make_swap_plan,
     minla_objective,
     minla_refine,
     minla_round,
@@ -153,31 +153,41 @@ def test_refine_stops_on_two_cycle():
     assert state.objective == 1.0
 
 
-# -- swap plans --------------------------------------------------------------------
+# -- swap pairing ------------------------------------------------------------------
+
+
+def pairs_of(k, intervals, round_index, seed):
+    return sorted({(a, a + 1) for a, _, _ in _interval_pairs(k, intervals, round_index, seed)})
 
 
 def test_swap_plan_parity_examples():
-    assert make_swap_plan(4, 2, 0, 1).partition_pairs == [(0, 1), (2, 3)]
-    assert make_swap_plan(4, 2, 1, 1).partition_pairs == [(1, 2)]
-    assert make_swap_plan(5, 1, 0, 1).partition_pairs == [(0, 1), (2, 3)]
+    assert pairs_of(4, 2, 0, 1) == [(0, 1), (2, 3)]
+    assert pairs_of(4, 2, 1, 1) == [(1, 2)]
+    assert pairs_of(5, 1, 0, 1) == [(0, 1), (2, 3)]
 
 
 def test_swap_plan_deterministic_and_validated():
-    a = make_swap_plan(2, 3, 0, 42)
-    b = make_swap_plan(2, 3, 0, 42)
-    assert a.interval_pairs == b.interval_pairs
-    with pytest.raises(ValueError):
-        make_swap_plan(1, 3, 0, 0)
-    with pytest.raises(ValueError):
-        make_swap_plan(2, 0, 0, 0)
+    a = list(_interval_pairs(2, 3, 0, 42))
+    b = list(_interval_pairs(2, 3, 0, 42))
+    assert a == b
+    # pinned: partitions depend on this exact seeded matching
+    assert list(_interval_pairs(5, 3, 0, -7)) == [
+        (0, 0, 1), (0, 1, 0), (0, 2, 2), (2, 0, 1), (2, 1, 0), (2, 2, 2)
+    ]
+    g = make_graph([(0, 3)], n=4)
+    o = Ordering.from_vertex_at(np.array([2, 0, 3, 1]))
+    splits = make_split_points(g, o, 2, 0.0)
+    with pytest.raises(ValueError, match="interval count"):
+        rank_swap_round(g, o, splits, 0, 0, 0)
+    # a round with no pair of parts returns its input
+    assert rank_swap_round(g, o, make_split_points(g, o, 1, 0.0), 0, 3, 0) is o
+    assert rank_swap_round(g, o, splits, 1, 3, 0) is o
 
 
 def test_swap_plan_each_interval_paired_once():
-    plan = make_swap_plan(2, 4, 0, 7)
-    lefts = [pair[0] for pair in plan.interval_pairs]
-    rights = [pair[1] for pair in plan.interval_pairs]
-    assert sorted(lefts) == [(0, i) for i in range(4)]
-    assert sorted(rights) == [(1, i) for i in range(4)]
+    pairs = list(_interval_pairs(2, 4, 0, 7))
+    assert sorted((a, i) for a, i, _ in pairs) == [(0, i) for i in range(4)]
+    assert sorted((a + 1, j) for a, _, j in pairs) == [(1, i) for i in range(4)]
 
 
 # -- rank swaps ---------------------------------------------------------------------
@@ -207,8 +217,7 @@ def test_rank_swap_fixes_wrong_side_endpoints():
     splits = make_split_points(g, o, 2, 0.0)
     base, best = brute_best_single_swap(g, o, splits)
     assert (base, best) == (4.0, 0.0)
-    plan = make_swap_plan(2, 1, 0, 0)
-    o2 = rank_swap_round(g, o, splits, plan)
+    o2 = rank_swap_round(g, o, splits, 0, 1, 0)
     after = cut_weight(g, Partition.from_contiguous(o2, splits, g))[0]
     assert after == best
 
@@ -217,8 +226,7 @@ def test_rank_swap_no_improving_pair_is_identity():
     g = make_graph([(0, 1), (4, 5)])
     o = Ordering.identity(6)
     splits = make_split_points(g, o, 2, 0.0)
-    plan = make_swap_plan(2, 2, 0, 3)
-    assert rank_swap_round(g, o, splits, plan) == o
+    assert rank_swap_round(g, o, splits, 0, 2, 3) == o
 
 
 def test_rank_swap_preserves_rank_multiset_per_part():
@@ -228,8 +236,7 @@ def test_rank_swap_preserves_rank_multiset_per_part():
         g = random_graph(rng, n, 40)
         o = Ordering.from_vertex_at(rng.permutation(n))
         splits = make_split_points(g, o, 4, 0.0)
-        plan = make_swap_plan(4, 2, int(rng.integers(0, 2)), 5)
-        o2 = rank_swap_round(g, o, splits, plan)
+        o2 = rank_swap_round(g, o, splits, int(rng.integers(0, 2)), 2, 5)
         o2.validate()
         for j in range(4):
             lo, hi = splits.part_range(j)
@@ -247,8 +254,8 @@ def test_rank_swap_never_increases_cut():
         k = int(rng.choice([2, 3, 4]))
         splits = make_split_points(g, o, k, 0.0)
         before = cut_weight(g, Partition.from_contiguous(o, splits, g))[0]
-        plan = make_swap_plan(k, int(rng.integers(1, 4)), int(rng.integers(0, 2)), 7)
-        o2 = rank_swap_round(g, o, splits, plan)
+        intervals, rnd = int(rng.integers(1, 4)), int(rng.integers(0, 2))
+        o2 = rank_swap_round(g, o, splits, rnd, intervals, 7)
         after = cut_weight(g, Partition.from_contiguous(o2, splits, g))[0]
         assert after <= before + 1e-9
 
@@ -259,8 +266,7 @@ def test_rank_swap_rejects_balance_breaking_swap():
     g = make_graph([(0, 2), (1, 3)], n=4, vertex_weights=[2.0, 1.0, 2.0, 1.0])
     o = Ordering.identity(4)
     splits = make_split_points(g, o, 2, 0.0)
-    plan = make_swap_plan(2, 1, 0, 0)
-    o2 = rank_swap_round(g, o, splits, plan)
+    o2 = rank_swap_round(g, o, splits, 0, 1, 0)
     assert o2 == o  # improving pairs (0,3) and (1,2) rejected on weight
 
 
@@ -273,20 +279,9 @@ def test_rank_swap_keeps_boundary_in_its_window():
     o = Ordering.identity(8)
     splits = make_split_points(g, o, 2, 0.5)
     assert splits.q.tolist() == [0, 4, 8]
-    o2 = rank_swap_round(g, o, splits, make_swap_plan(2, 1, 0, 0))
+    o2 = rank_swap_round(g, o, splits, 0, 1, 0)
     (win,) = make_windows(g, o2, 2, 0.5)
     assert win.lo <= splits.q[1] <= win.hi
-
-
-def test_rank_swap_rejects_non_adjacent_pairs():
-    g = make_graph([(0, 5)], n=6)
-    o = Ordering.identity(6)
-    splits = make_split_points(g, o, 3, 0.0)
-    plan = make_swap_plan(3, 1, 0, 0)
-    plan.partition_pairs = [(0, 2)]
-    plan.interval_pairs = [((0, 0), (2, 0))]
-    with pytest.raises(ValueError, match="adjacent"):
-        rank_swap_round(g, o, splits, plan)
 
 
 def test_swap_keeps_live_reductions_exact():
@@ -298,22 +293,13 @@ def test_swap_keeps_live_reductions_exact():
         g = random_graph(rng, 16, 60, weighted=True)
         o = Ordering.from_vertex_at(rng.permutation(16))
         splits = make_split_points(g, o, 2, 0.5)
-        plan = make_swap_plan(2, 1, 0, 0)
-        state = _SwapState(g, o, splits, plan)
+        state = _SwapState(g, o, splits, range(1))
         for _ in range(6):
             u = int(state.vertex_at[rng.integers(0, 8)])
             v = int(state.vertex_at[rng.integers(8, 16)])
             state.swap(u, v)
-            assert np.array_equal(state.red, state._initial_reductions(plan))
+            assert np.array_equal(state.red, state._initial_reductions(range(1)))
         assert state.part_of[state.vertex_at[:8]].tolist() == [0] * 8
-
-
-def test_rank_swap_plan_k_mismatch():
-    g = make_graph([(0, 1)], n=4)
-    o = Ordering.identity(4)
-    splits = make_split_points(g, o, 2, 0.0)
-    with pytest.raises(ValueError, match="k="):
-        rank_swap_round(g, o, splits, make_swap_plan(4, 1, 0, 0))
 
 
 def naive_part_swaps(g, o, splits):
@@ -376,7 +362,7 @@ def test_interval_pair_swaps_match_brute_force_rule():
         o = Ordering.from_vertex_at(rng.permutation(n))
         alpha = (0.1, 0.5, 1.0)[case % 3]
         splits = make_split_points(g, o, 2, alpha)
-        state = _SwapState(g, o, splits, make_swap_plan(2, 1, 0, 0))
+        state = _SwapState(g, o, splits, range(1))
         q1 = int(splits.q[1])
         swaps = _swap_interval_pair(state, (0, q1), (q1, n))
         want_at, want_swaps = naive_part_swaps(g, o, splits)
