@@ -9,9 +9,11 @@ ordering and stdout. It also loads each instance with ``io.load_graph``
 under both trees and prints the sha256 of the loaded graph: its
 ``external_ids``, edge and CSR arrays, ``vertex_weights`` and ``geo``.
 On instance 0 of every workload at seed 1 it also runs ``linepart order
---method random --seed 1`` and then ``linepart refine --method swap`` with
-the workload's k and alpha and ``--seed 1`` under both trees, and prints
-the sha256 of the refined ordering and of stdout. Exits 1 on any mismatch.
+--method random --seed 1`` and then ``linepart refine --method swap`` and
+``linepart refine --method metric`` with the workload's k and alpha and
+``--seed 1`` under both trees, and prints the sha256 of each refined
+ordering and of stdout (the metric run prints every round's objective).
+Exits 1 on any mismatch.
 
     python3 scripts/parity.py --ref ../linepart-parent
 """
@@ -69,12 +71,14 @@ def combine_digests(src: Path, argv: list[str], work: Path) -> list[str]:
     return sha256s(part.read_bytes(), order.read_bytes(), out)
 
 
-def refine_digests(src: Path, graph: list[str], k: int, alpha: float, work: Path) -> list[str]:
-    """sha256 of (refined ordering, stdout) of ``refine --method swap``
+def refine_digests(
+    src: Path, method: str, graph: list[str], k: int, alpha: float, work: Path
+) -> list[str]:
+    """sha256 of (refined ordering, stdout) of ``refine --method METHOD``
     over a seeded random order."""
     start, refined = work / "random.tsv", work / "refined.tsv"
     run_cli(src, ["order", "--method", "random", "--seed", "1", *graph, "-o", str(start)], work)
-    out = run_cli(src, ["refine", "--method", "swap", *graph, "--ordering", str(start),
+    out = run_cli(src, ["refine", "--method", method, *graph, "--ordering", str(start),
                         "-k", str(k), "--alpha", str(alpha), "--seed", "1",
                         "-o", str(refined)], work)
     return sha256s(refined.read_bytes(), out)
@@ -100,7 +104,10 @@ def main() -> int:
     if not (ref_src / "linepart").is_dir():
         ap.error(f"{ref_src} holds no linepart package")
 
-    same = total = refine_same = refine_total = 0
+    same = total = 0
+    methods = ("swap", "metric")
+    refine_same = dict.fromkeys(methods, 0)
+    refine_total = 0
 
     def report(row: list[str], ours: list[str], theirs: list[str]) -> None:
         print("\t".join([*row, "same" if ours == theirs else "DIFF", *ours]), flush=True)
@@ -128,14 +135,19 @@ def main() -> int:
             same += ours == theirs
             report([w.name, str(seed), str(instance)], ours, theirs)
             if (seed, instance) == (1, 0):
-                ours = refine_digests(ROOT / "src", graph, w.k, w.alpha, work)
-                theirs = refine_digests(ref_src, graph, w.k, w.alpha, work)
                 refine_total += 1
-                refine_same += ours == theirs
-                report([w.name, str(seed), "refine"], ours, theirs)
+                for method in methods:
+                    ours = refine_digests(ROOT / "src", method, graph, w.k, w.alpha, work)
+                    theirs = refine_digests(ref_src, method, graph, w.k, w.alpha, work)
+                    refine_same[method] += ours == theirs
+                    row = "refine" if method == "swap" else method
+                    report([w.name, str(seed), row], ours, theirs)
     print(f"{same}/{total} identical")
-    print(f"refine: {refine_same}/{refine_total} identical (refined ordering, stdout)")
-    return 0 if (same, refine_same) == (total, refine_total) else 1
+    for method in methods:
+        print(f"refine --method {method}: {refine_same[method]}/{refine_total} identical "
+              "(refined ordering, stdout)")
+    ok = same == total and all(c == refine_total for c in refine_same.values())
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

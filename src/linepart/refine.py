@@ -41,6 +41,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# Bits of one packed median sort key (see minla_round); 2·23 bits of vertex
+# ids plus 15 of row offset keep a LiveJournal-sized graph in one sort.
+_KEY_BITS = 63
+
 
 def minla_objective(g: Graph, o: Ordering) -> float:
     """sum over edges of |rank(u) - rank(v)| * w(u, v)."""
@@ -52,45 +56,76 @@ def minla_round(g: Graph, o: Ordering) -> Ordering:
     """One propose-and-resort round.
 
     Every vertex independently proposes the weighted median of its
-    neighbors' current ranks (the smallest rank where the cumulative weight
-    reaches half the total); isolated vertices keep their rank. Final ranks
+    neighbors' current ranks: the smallest rank where the cumulative weight
+    reaches half the total, with parallel edges of equal neighbor rank
+    summed in CSR order. Isolated vertices keep their rank. Final ranks
     come from sorting by (proposed rank, current rank); current ranks are
     distinct, so that one int64 key has no ties.
+
+    Each row of the CSR is sorted by neighbor rank with one unstable sort
+    of packed int64 keys ((src * n + nbr_rank) << b) | off, where off is
+    the arc's offset within its row and b = bit_length(max degree - 1); off
+    breaks ties among parallel arcs in CSR order. A graph whose keys
+    overflow _KEY_BITS sorts runs of consecutive sources apart. The median
+    is then the first position p of the vertex's sorted row with
+    cw[p] - prefix >= half, cw being the cumulative weight over all sorted
+    arcs and prefix its value before the row. fl(x - prefix) never falls
+    as x grows, so a binary search over the rows of all vertices at once
+    finds it in b steps.
     """
     n = g.n
     ranks = o.rank_of
-    deg = np.diff(g.adj_indptr)
+    indptr = g.adj_indptr
+    deg = np.diff(indptr)
     proposed = ranks.copy()
     if g.edge_count:
-        src = np.repeat(np.arange(n), deg)
+        b = int(deg.max() - 1).bit_length()
+        room = _KEY_BITS - b
+        # Sources [s0, s0 + per_sort) sort together, keyed by src - s0, so
+        # that every key stays below 2**_KEY_BITS.
+        per_sort = min(n, (1 << room) // n) if room >= 0 else 0
+        if per_sort == 0:
+            raise ValueError("graph too large for packed median sort keys")
+        row_start = np.repeat(indptr[:-1], deg)
         nbr_rank = ranks[g.adj_indices]
-        # (src, nbr_rank) as one int64 key: argsort is several times faster
-        # than lexsort and gives the same order; stable, because parallel
-        # edges share a key and the float cumsum must follow CSR order
-        order = np.argsort(src * np.int64(n) + nbr_rank, kind="stable")
-        w_sorted = g.adj_weights[order]
-        cw = np.cumsum(w_sorted)
-        starts = g.adj_indptr[:-1]
-        seg_prefix = np.concatenate([[0.0], cw])[starts]
-        within = cw - np.repeat(seg_prefix, deg)
-        seg_total = np.concatenate([[0.0], cw])[g.adj_indptr[1:]] - seg_prefix
-        half = np.repeat(seg_total / 2.0, deg)
-        idx = np.arange(len(cw))
-        cand = np.where(within >= half, idx, len(cw))
-        nonempty = deg > 0
-        first = np.minimum.reduceat(cand, starts[nonempty])
-        proposed[nonempty] = nbr_rank[order[first]]
-    final = np.argsort(proposed * np.int64(n) + ranks)
-    return Ordering.from_vertex_at(final)
+        keys = np.repeat(np.arange(n) % per_sort * np.int64(n), deg)
+        keys += nbr_rank
+        keys <<= b
+        keys |= np.arange(len(keys)) - row_start
+        for s0 in range(0, n, per_sort):
+            keys[indptr[s0]:indptr[min(s0 + per_sort, n)]].sort()
+        keys &= (1 << b) - 1
+        keys += row_start  # a sorted arc's index: its row start plus its offset
+        order = keys
+        cw = np.cumsum(g.adj_weights[order])
+        nonempty = np.flatnonzero(deg)
+        lo = indptr[nonempty]
+        hi = indptr[nonempty + 1] - 1
+        prefix = cw[lo - 1]
+        prefix[lo == 0] = 0.0
+        half = (cw[hi] - prefix) / 2.0
+        for _ in range(b):
+            mid = (lo + hi) >> 1
+            found = cw[mid] - prefix >= half
+            np.copyto(hi, mid, where=found)
+            np.copyto(lo, mid + 1, where=~found)
+        proposed[nonempty] = nbr_rank[order[lo]]
+    # the keys are distinct, so sorting them orders the current ranks (key % n)
+    # exactly as their argsort would
+    final = np.sort(proposed * np.int64(n) + ranks) % n
+    return Ordering.from_vertex_at(o.vertex_at[final])
 
 
 @dataclass
 class MinLAState:
-    """Result of the median iteration: kept ordering, objective, rounds run."""
+    """Result of the median iteration: kept ordering, objective, rounds run
+    and why the run stopped (``"no_gain"``: a round did not lower the
+    objective; ``"cap"``: max_rounds rounds all lowered it)."""
 
     ordering: Ordering
     objective: float
     round: int
+    stop: str
     trace: list[float] = field(default_factory=list)
 
 
@@ -108,15 +143,18 @@ def minla_refine(g: Graph, o: Ordering, max_rounds: int) -> MinLAState:
     current = o
     obj = minla_objective(g, current)
     trace = [obj]
+    stop = "cap"
     for rounds in range(1, max_rounds + 1):
         nxt = minla_round(g, current)
         new_obj = minla_objective(g, nxt)
         trace.append(new_obj)
         log.info("minla\tround\t%d\tobjective\t%.6g", rounds, new_obj)
         if new_obj >= obj:
+            stop = "no_gain"
             break
         current, obj = nxt, new_obj
-    return MinLAState(current, obj, rounds, trace)
+    log.info("minla\tstop\t%s\trounds\t%d", stop, rounds)
+    return MinLAState(current, obj, rounds, stop, trace)
 
 
 def _interval_pairs(

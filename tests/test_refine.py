@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from linepart import refine
 from linepart.boundary import make_split_points, make_windows, window_slack
-from linepart.graph import Partition, cut_weight
+from linepart.graph import Graph, Partition, cut_weight
 from linepart.ordering import Ordering
 from linepart.refine import (
     _SwapState,
@@ -50,6 +51,32 @@ def reference_round(g, o):
     return Ordering.from_vertex_at(np.array(order, dtype=np.int64)), proposals
 
 
+def argsort_round(g, o):
+    """The round as one stable argsort of (src, nbr_rank) keys and a
+    segmented minimum over all arcs: the float sums of the packed-sort
+    round, computed another way."""
+    n = g.n
+    ranks = o.rank_of
+    deg = np.diff(g.adj_indptr)
+    proposed = ranks.copy()
+    if g.edge_count:
+        src = np.repeat(np.arange(n), deg)
+        nbr_rank = ranks[g.adj_indices]
+        order = np.argsort(src * np.int64(n) + nbr_rank, kind="stable")
+        cw = np.cumsum(g.adj_weights[order])
+        starts = g.adj_indptr[:-1]
+        seg_prefix = np.concatenate([[0.0], cw])[starts]
+        within = cw - np.repeat(seg_prefix, deg)
+        seg_total = np.concatenate([[0.0], cw])[g.adj_indptr[1:]] - seg_prefix
+        half = np.repeat(seg_total / 2.0, deg)
+        idx = np.arange(len(cw))
+        cand = np.where(within >= half, idx, len(cw))
+        nonempty = deg > 0
+        first = np.minimum.reduceat(cand, starts[nonempty])
+        proposed[nonempty] = nbr_rank[order[first]]
+    return Ordering.from_vertex_at(np.argsort(proposed * np.int64(n) + ranks))
+
+
 # -- objective ----------------------------------------------------------------
 
 
@@ -62,7 +89,7 @@ def test_objective_path_examples():
 
 def test_objective_weighted():
     g = make_graph([(0, 1)], weights=[2.5])
-    o = Ordering.from_rank_of(np.array([0, 3]) if False else np.array([0, 1]))
+    o = Ordering.from_rank_of(np.array([0, 1]))
     assert minla_objective(g, o) == 2.5
 
 
@@ -116,14 +143,90 @@ def test_round_output_is_permutation(go):
     minla_round(g, o).validate()
 
 
+def oracle_graphs():
+    """(name, graph) cases that stress the packed sort and the median search."""
+    rng = np.random.default_rng(17)
+    n = 60
+    # Graph(...) directly keeps parallel edges, which from_arcs would merge
+    u = rng.integers(0, n - 1, 400)
+    v = u + rng.integers(1, n - u)
+    dup = rng.integers(0, 400, 200)
+    u, v = np.concatenate([u, u[dup]]), np.concatenate([v, v[dup]])
+    yield "parallel", Graph([str(i) for i in range(n)], np.ones(n), u, v,
+                            rng.uniform(0, 1, len(u)))
+    # zero-weight edges; vertices 50..59 are isolated
+    g = random_graph(rng, 50, 300, weighted=True)
+    w = g.edge_w.copy()
+    w[rng.random(len(w)) < 0.4] = 0.0
+    yield "zero-weight", Graph([str(i) for i in range(60)], np.ones(60),
+                               g.edge_u, g.edge_v, w)
+    g = random_graph(rng, n, 500)
+    yield "log-uniform", g.with_edge_weights(10.0 ** rng.uniform(-6, 6, g.edge_count))
+    # a hub of degree 1200 makes the search run 11 steps
+    hub = np.zeros(1200, dtype=np.int64)
+    leaves = np.arange(1, 1201)
+    ring = np.arange(1, 1200)
+    yield "hub", Graph([str(i) for i in range(1201)], np.ones(1201),
+                       np.concatenate([hub, ring]), np.concatenate([leaves, ring + 1]),
+                       10.0 ** rng.uniform(-6, 6, 2399))
+
+
+def one_source_bits(g):
+    """Key bits one source of g needs: its vertex id range plus its row offsets."""
+    return (g.n - 1).bit_length() + int(np.diff(g.adj_indptr).max() - 1).bit_length()
+
+
+@pytest.mark.parametrize("chunked", [False, True])
+def test_round_matches_argsort_round(monkeypatch, chunked):
+    rng = np.random.default_rng(5)
+    for name, g in oracle_graphs():
+        if chunked:  # 2 spare bits: at most 4·2^⌈log2 n⌉ / n <= 8 sources per sort
+            monkeypatch.setattr(refine, "_KEY_BITS", one_source_bits(g) + 2)
+        o = Ordering.from_vertex_at(rng.permutation(g.n))
+        for _ in range(3):  # chained rounds see ranks the sort itself made
+            want = argsort_round(g, o)
+            got = minla_round(g, o)
+            assert got.vertex_at.tobytes() == want.vertex_at.tobytes(), name
+            o = want
+
+
+def test_round_rejects_a_graph_too_large_for_one_key(monkeypatch):
+    _, g = list(oracle_graphs())[-1]
+    monkeypatch.setattr(refine, "_KEY_BITS", one_source_bits(g))
+    minla_round(g, Ordering.identity(g.n))  # one source per sort still fits
+    monkeypatch.setattr(refine, "_KEY_BITS", one_source_bits(g) - 1)
+    with pytest.raises(ValueError, match="too large"):
+        minla_round(g, Ordering.identity(g.n))
+
+
+@settings(max_examples=60)
+@given(small_graph_and_order(weighted=True))
+def test_round_matches_argsort_round_on_random_graphs(go):
+    g, o = go
+    assert minla_round(g, o).vertex_at.tobytes() == argsort_round(g, o).vertex_at.tobytes()
+
+
 # -- refinement loop -------------------------------------------------------------
 
 
 def test_refine_fixed_point_returns_after_one_round():
     g = make_graph([], n=4)
     state = minla_refine(g, Ordering.identity(4), max_rounds=5)
-    assert state.round == 1
+    assert (state.round, state.stop) == (1, "no_gain")
     assert state.ordering == Ordering.identity(4)
+
+
+def test_refine_reports_why_it_stopped(caplog):
+    g = path_graph(8)
+    o = Ordering.from_vertex_at(np.array([3, 6, 0, 5, 2, 7, 1, 4]))
+    with caplog.at_level("INFO", logger="linepart.refine"):
+        capped = minla_refine(g, o, max_rounds=1)
+        full = minla_refine(g, o, max_rounds=20)
+    assert (capped.round, capped.stop) == (1, "cap")
+    assert capped.objective < capped.trace[0]
+    assert full.stop == "no_gain" and full.round < 20
+    stops = [r.getMessage() for r in caplog.records if "\tstop\t" in r.getMessage()]
+    assert stops == ["minla\tstop\tcap\trounds\t1", f"minla\tstop\tno_gain\trounds\t{full.round}"]
 
 
 def test_refine_scrambled_path_improves_first_round():
