@@ -13,6 +13,10 @@ On instance 0 of every workload at seed 1 it also runs ``linepart order
 ``linepart refine --method metric`` with the workload's k and alpha and
 ``--seed 1`` under both trees, and prints the sha256 of each refined
 ordering and of stdout (the metric run prints every round's objective).
+From the same random order it runs ``linepart postprocess --method dp`` at
+``--blocks 300`` and at the default block count, and prints the exit code
+and the sha256 of the splits file and stdout (which holds ``cut_value``),
+or of stderr when the dp finds no balanced split and exits 2.
 Exits 1 on any mismatch.
 
     python3 scripts/parity.py --ref ../linepart-parent
@@ -49,12 +53,17 @@ print(h.hexdigest())
 """
 
 
-def run_cli(src: Path, argv: list[str], work: Path) -> bytes:
-    """stdout of one ``linepart`` command run with ``src`` on the path."""
-    proc = subprocess.run(
+def run(src: Path, argv: list[str], work: Path) -> subprocess.CompletedProcess:
+    """One ``linepart`` command run with ``src`` on the path."""
+    return subprocess.run(
         [sys.executable, "-c", CLI, *argv],
         env=dict(os.environ, PYTHONPATH=str(src)), cwd=work, capture_output=True,
     )
+
+
+def run_cli(src: Path, argv: list[str], work: Path) -> bytes:
+    """stdout of one ``linepart`` command; a failed run aborts the check."""
+    proc = run(src, argv, work)
     if proc.returncode:
         sys.exit(f"{argv[0]} under {src} exited {proc.returncode}:\n{proc.stderr.decode()}")
     return proc.stdout
@@ -84,6 +93,26 @@ def refine_digests(
     return sha256s(refined.read_bytes(), out)
 
 
+def dp_digests(
+    src: Path, graph: list[str], k: int, alpha: float, blocks: int | None, work: Path
+) -> list[str]:
+    """Exit code and sha256 of (splits, stdout) of ``postprocess --method
+    dp`` over a seeded random order, or of stderr if it exits 2."""
+    start, splits = work / "random.tsv", work / "splits.txt"
+    run_cli(src, ["order", "--method", "random", "--seed", "1", *graph, "-o", str(start)], work)
+    splits.unlink(missing_ok=True)
+    argv = ["postprocess", "--method", "dp", *graph, "--ordering", str(start),
+            "-k", str(k), "--alpha", str(alpha), "-o", str(splits)]
+    if blocks is not None:
+        argv += ["--blocks", str(blocks)]
+    proc = run(src, argv, work)
+    if proc.returncode not in (0, 2):
+        sys.exit(f"postprocess under {src} exited {proc.returncode}:\n{proc.stderr.decode()}")
+    if proc.returncode:
+        return [f"exit {proc.returncode}", *sha256s(proc.stderr)]
+    return ["exit 0", *sha256s(splits.read_bytes(), proc.stdout)]
+
+
 def graph_digest(src: Path, files: list[str]) -> str:
     """sha256 of the graph that ``io.load_graph(*files)`` loads."""
     proc = subprocess.run(
@@ -108,6 +137,8 @@ def main() -> int:
     methods = ("swap", "metric")
     refine_same = dict.fromkeys(methods, 0)
     refine_total = 0
+    dp_blocks = (300, None)
+    dp_same = dp_total = 0
 
     def report(row: list[str], ours: list[str], theirs: list[str]) -> None:
         print("\t".join([*row, "same" if ours == theirs else "DIFF", *ours]), flush=True)
@@ -142,11 +173,20 @@ def main() -> int:
                     refine_same[method] += ours == theirs
                     row = "refine" if method == "swap" else method
                     report([w.name, str(seed), row], ours, theirs)
+                for blocks in dp_blocks:
+                    ours = dp_digests(ROOT / "src", graph, w.k, w.alpha, blocks, work)
+                    theirs = dp_digests(ref_src, graph, w.k, w.alpha, blocks, work)
+                    dp_total += 1
+                    dp_same += ours == theirs
+                    report([w.name, str(seed), f"dp --blocks {blocks or 'default'}"], ours, theirs)
     print(f"{same}/{total} identical")
     for method in methods:
         print(f"refine --method {method}: {refine_same[method]}/{refine_total} identical "
               "(refined ordering, stdout)")
-    ok = same == total and all(c == refine_total for c in refine_same.values())
+    print(f"postprocess --method dp: {dp_same}/{dp_total} identical "
+          "(exit code, splits and stdout, or stderr)")
+    ok = (same == total and all(c == refine_total for c in refine_same.values())
+          and dp_same == dp_total)
     return 0 if ok else 1
 
 

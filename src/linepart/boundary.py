@@ -13,7 +13,9 @@ or the whole boundary set:
 * contraction of contiguous rank blocks into supernodes followed by a
   dynamic program that places all k-1 boundaries at once, under the
   balance rule of ``graph.balance_bounds``: every part nonempty and within
-  the (lo, hi) weight bounds.
+  the (lo, hi) weight bounds. The contraction keeps only what the dynamic
+  program reads: the 2-D prefix of cross-block edge weight and the prefix
+  of block weight.
 
 A window stage gathers each window's edges once (``_window_edges``); both
 optimizers take that slice and return a left mask over the window. The
@@ -31,11 +33,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, Partition, balance_bounds
+from .graph import Graph, balance_bounds
 from .maxflow import FlowNetwork
 from .ordering import Ordering
 
@@ -53,7 +54,6 @@ __all__ = [
     "apply_window_stage",
     "contract_blocks",
     "dp_partition",
-    "dp_base_layer",
 ]
 
 log = logging.getLogger(__name__)
@@ -388,46 +388,34 @@ def apply_window_stage(
 
 @dataclass
 class ContractedGraph:
-    """Contiguous rank blocks contracted to supernodes with merged edges.
+    """Contiguous rank blocks contracted to supernodes, kept as prefix sums.
 
-    Intra-block edge weight is dropped: blocks are atomic, so those edges
-    can never be cut. ``block_starts`` maps block index to original rank
-    offset (length block_count + 1).
+    ``block_starts`` maps block index to original rank offset (length
+    block_count + 1) and ``weight_prefix[i]`` is the vertex weight of blocks
+    [0, i). ``prefix[a, c]`` is the edge weight between blocks u < a and
+    v < c, counted in both orientations, so it is symmetric. Intra-block
+    edge weight is dropped: blocks are atomic, so those edges can never be
+    cut.
     """
 
     block_starts: np.ndarray
-    block_weights: np.ndarray
-    edge_u: np.ndarray
-    edge_v: np.ndarray
-    edge_w: np.ndarray
+    weight_prefix: np.ndarray
+    prefix: np.ndarray
     total_vertex_weight: float
 
     @property
     def block_count(self) -> int:
-        return len(self.block_weights)
-
-    @cached_property
-    def _prefix(self) -> np.ndarray:
-        """S[a][b] = total superedge weight over pairs u < a, v < b (symmetric)."""
-        b = self.block_count
-        m = np.zeros((b, b), dtype=np.float64)
-        if len(self.edge_w):
-            m[self.edge_u, self.edge_v] = self.edge_w
-            m[self.edge_v, self.edge_u] = self.edge_w
-        s = np.zeros((b + 1, b + 1), dtype=np.float64)
-        np.cumsum(m, axis=0, out=m)
-        np.cumsum(m, axis=1, out=m)
-        s[1:, 1:] = m
-        return s
-
-    @cached_property
-    def weight_prefix(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum(self.block_weights)])
+        return len(self.block_starts) - 1
 
 
 def contract_blocks(g: Graph, o: Ordering, block_count: int | None = None) -> ContractedGraph:
     """Contract near-equal contiguous rank blocks (sizes differ by <= 1);
-    ``block_count`` defaults to min(n, DEFAULT_DP_BLOCKS)."""
+    ``block_count`` defaults to min(n, DEFAULT_DP_BLOCKS).
+
+    The cross-block weight goes into one padded (b+1)^2 buffer with a single
+    ``np.bincount``, keyed by the (lower, higher) block pair shifted one row
+    and column down; adding the transpose and two cumsums make the prefix.
+    """
     n = g.n
     if block_count is None:
         block_count = min(n, DEFAULT_DP_BLOCKS)
@@ -436,24 +424,20 @@ def contract_blocks(g: Graph, o: Ordering, block_count: int | None = None) -> Co
     starts = np.array(
         [(b * n) // block_count for b in range(block_count + 1)], dtype=np.int64
     )
-    blocks = Partition.from_contiguous(o, starts, g)
-    bu = blocks.assignment[g.edge_u]
-    bv = blocks.assignment[g.edge_v]
+    block_of = np.repeat(np.arange(block_count), np.diff(starts))[o.rank_of]
+    bu, bv = block_of[g.edge_u], block_of[g.edge_v]
     cross = bu != bv
-    lo = np.minimum(bu[cross], bv[cross])
-    hi = np.maximum(bu[cross], bv[cross])
-    if len(lo):
-        key = lo * np.int64(block_count) + hi
-        uniq, inverse = np.unique(key, return_inverse=True)
-        w = np.bincount(inverse, weights=g.edge_w[cross], minlength=len(uniq))
-        se_u = (uniq // block_count).astype(np.int64)
-        se_v = (uniq % block_count).astype(np.int64)
-    else:
-        se_u = se_v = np.zeros(0, dtype=np.int64)
-        w = np.zeros(0, dtype=np.float64)
-    return ContractedGraph(
-        starts, blocks.part_weights, se_u, se_v, w, g.total_vertex_weight
-    )
+    lo, hi = np.minimum(bu, bv)[cross] + 1, np.maximum(bu, bv)[cross] + 1
+    side = block_count + 1
+    prefix = np.bincount(lo * side + hi, g.edge_w[cross], side * side)
+    # bincount returns int64 zeros when no edge crosses blocks
+    prefix = prefix.astype(np.float64, copy=False).reshape(side, side)
+    prefix += prefix.T
+    np.cumsum(prefix, axis=0, out=prefix)
+    np.cumsum(prefix, axis=1, out=prefix)
+    block_weights = np.bincount(block_of, g.vertex_weights, block_count)
+    weight_prefix = np.concatenate([[0.0], np.cumsum(block_weights)])
+    return ContractedGraph(starts, weight_prefix, prefix, g.total_vertex_weight)
 
 
 @dataclass
@@ -471,27 +455,14 @@ class DpResult:
         return SplitPoints(self.split_ranks, alpha)
 
 
-def dp_base_layer(cg: ContractedGraph, k: int, alpha: float) -> np.ndarray:
-    """A[i][e] for one part over block range [i, e): 0 if balanced else +inf.
-
-    Balanced is ``graph.balance_bounds``' rule: the range is nonempty
-    (i < e) and its weight lies within the (lo, hi) bounds.
-    """
-    lo, hi = balance_bounds(cg.total_vertex_weight, k, alpha)
-    wp = cg.weight_prefix
-    rangew = wp[None, :] - wp[:, None]  # weight of [i, e); negative if e < i
-    ends = np.arange(cg.block_count + 1)
-    ok = (ends[:, None] < ends[None, :]) & (rangew >= lo) & (rangew <= hi)
-    return np.where(ok, 0.0, np.inf)
-
-
 def dp_partition(cg: ContractedGraph, k: int, alpha: float) -> DpResult:
     """Optimal alpha-balanced contiguous k-partition of the supernode line.
 
     A left-to-right chain DP over block boundaries. Each cut edge is counted
     once, at the part holding its right endpoint, so part [s', s) costs
-    C[s', s] = S[s', s] - S[s', s'] with S the 2-D prefix of superedge
-    weight, plus the 0/inf balance mask of ``dp_base_layer``. Then
+    C[s', s] = S[s', s] - S[s', s'] with S the contraction's prefix, or inf
+    unless the range is balanced by ``graph.balance_bounds``' rule: nonempty
+    (s' < s) and its weight within the (lo, hi) bounds. Then
     f_1(s) = C[0, s], f_j(s) = min over s' of f_{j-1}(s') + C[s', s], and
     the optimum is f_k(b). Ties go to the smallest s'. Runs in O(k b^2) time
     with two (b+1)^2 float arrays (the cost matrix and one reused buffer)
@@ -501,14 +472,15 @@ def dp_partition(cg: ContractedGraph, k: int, alpha: float) -> DpResult:
     if k < 1:
         raise ValueError("k must be at least 1")
     b = cg.block_count
-    s = cg._prefix
-    cost = dp_base_layer(cg, k, alpha)
-    cost += s  # infeasible ranges stay inf
-    cost -= s.diagonal()[:, None]
+    lo, hi = balance_bounds(cg.total_vertex_weight, k, alpha)
+    wp = cg.weight_prefix
+    rangew = wp[None, :] - wp[:, None]  # weight of [i, e); negative if e < i
+    cols = np.arange(b + 1)
+    cost = cg.prefix - cg.prefix.diagonal()[:, None]
+    cost[(cols[:, None] >= cols[None, :]) | (rangew < lo) | (rangew > hi)] = np.inf
 
     buf = np.empty_like(cost)
     backptr = np.zeros((k, b + 1), dtype=np.intp)  # row 0: first part starts at 0
-    cols = np.arange(b + 1)
     f = cost[0]
     for j in range(1, k):
         np.add(f[:, None], cost, out=buf)

@@ -68,13 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, metavar="S")
     p.add_argument(
-        "--curve-order",
-        type=int,
-        default=16,
-        metavar="N",
-        help="hilbert grid is 2^N per axis (default 16)",
-    )
-    p.add_argument(
         "--hierarchy-out",
         metavar="F",
         help="with --method affinity: dump vertex label paths",
@@ -136,7 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="metric-stage round cap (default 10)")
     p.add_argument("--max-iters", type=int, default=10, metavar="N",
                    help="outer iteration cap (default 10)")
-    p.add_argument("--curve-order", type=int, default=16, metavar="N")
     p.add_argument("--ordering-out", metavar="F")
     p.add_argument("-o", "--output", required=True, metavar="OUT_PARTITION")
 
@@ -166,7 +158,7 @@ def _cmd_order(args) -> int:
     if args.method == "random":
         ordering = random_ordering(g, args.seed)
     elif args.method == "hilbert":
-        ordering = hilbert_ordering(g, args.curve_order)
+        ordering = hilbert_ordering(g)
     else:
         ordering, hierarchy = affinity_ordering(common_neighbors_similarity(g))
         if args.hierarchy_out:
@@ -241,7 +233,6 @@ def _cmd_combine(args) -> int:
         swap_intervals=args.intervals,
         dp_blocks=args.blocks,
         minla_max_rounds=args.max_rounds,
-        curve_order=args.curve_order,
     )
     report = combine(g, cfg)
     print("iter\tstage\tcut_weight\tcut_fraction\tbalanced\tchanged\tnote")

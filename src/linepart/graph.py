@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 if TYPE_CHECKING:
+    from .boundary import SplitPoints
     from .ordering import Ordering
 
 __all__ = [
@@ -265,9 +266,9 @@ class Partition:
         return cls(assignment, k, part_weights)
 
     @classmethod
-    def from_contiguous(cls, ordering: "Ordering", splits, g: Graph) -> "Partition":
+    def from_contiguous(cls, ordering: "Ordering", splits: "SplitPoints", g: Graph) -> "Partition":
         """Parts are contiguous rank ranges of the ordering between splits."""
-        q = np.asarray(splits.q if hasattr(splits, "q") else splits, dtype=np.int64)
+        q = splits.q
         k = len(q) - 1
         assignment = np.empty(g.n, dtype=np.int64)
         assignment[ordering.vertex_at[q[0] : q[-1]]] = np.repeat(np.arange(k), np.diff(q))
@@ -461,24 +462,28 @@ def query_weighted_graph(
     Each query contributes one shortest path (ties broken toward the
     lexicographically smallest predecessor id); every traversed edge's count
     increases by one. Edges on no path keep weight 0 but remain in the graph.
-    Unreachable query pairs are skipped and returned, not fatal.
+    Unreachable query pairs are skipped and returned in input order, not
+    fatal. Memory is O(n + m + queries): the queries run grouped by source,
+    and each source's tree is replaced when the next source starts.
     """
+    qs = np.asarray(queries, dtype=np.int64).reshape(-1, 2)
+    bad = (qs < 0) | (qs >= g.n)
+    if bad.any():
+        first = int(qs.ravel()[np.argmax(bad.ravel())])
+        raise ValueError(f"query endpoint {first} is not a vertex")
     counts = np.zeros(g.edge_count, dtype=np.float64)
-    skipped: list[tuple[int, int]] = []
-    trees: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    unreachable: list[int] = []
     indptr, indices, edge_of = g.adj_indptr, g.adj_indices, g.adj_edge
-    for src, dst in queries:
-        src, dst = int(src), int(dst)
-        for v in (src, dst):
-            if not (0 <= v < g.n):
-                raise ValueError(f"query endpoint {v} is not a vertex")
+    tree_src = -1
+    # Grouped by source (stably), so one shortest-path tree is alive at a time.
+    for i in np.argsort(qs[:, 0], kind="stable").tolist():
+        src, dst = int(qs[i, 0]), int(qs[i, 1])
         if src == dst:
             continue
-        if src not in trees:
-            trees[src] = _shortest_path_tree(g, src)
-        dist, pred = trees[src]
+        if src != tree_src:
+            tree_src, (dist, pred) = src, _shortest_path_tree(g, src)
         if not np.isfinite(dist[dst]):
-            skipped.append((src, dst))
+            unreachable.append(i)
             continue
         y = dst
         while y != src:
@@ -487,4 +492,5 @@ def query_weighted_graph(
             pos = int(np.searchsorted(row, x))
             counts[edge_of[indptr[y] + pos]] += 1.0
             y = int(x)
+    skipped = [(int(qs[i, 0]), int(qs[i, 1])) for i in sorted(unreachable)]
     return g.with_edge_weights(counts), skipped

@@ -10,6 +10,7 @@ label paths so each cluster occupies a contiguous stretch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,13 +81,10 @@ class AffinityHierarchy:
     """Bottom-up cluster tree produced by the affinity ordering.
 
     ``levels[i]`` maps each vertex to the representative (minimum member id)
-    of its cluster after round i; level 0 is all singletons. ``labels`` holds
-    each vertex's representative path from root to leaf; a vertex gains one
-    entry per round in which its cluster merged, plus its own id as the leaf.
+    of its cluster after round i; level 0 is all singletons.
     """
 
     levels: list[np.ndarray] = field(default_factory=list)
-    labels: list[tuple[int, ...]] = field(default_factory=list)
 
     @property
     def depth(self) -> int:
@@ -94,6 +92,21 @@ class AffinityHierarchy:
 
     def cluster_counts(self) -> list[int]:
         return [len(np.unique(level)) for level in self.levels]
+
+    @cached_property
+    def labels(self) -> list[tuple[int, ...]]:
+        """Each vertex's representative path from root to leaf, derived from
+        ``levels`` on first use: a vertex gains one entry per round in which
+        its cluster merged (its representative at that level, last level
+        first), plus its own id as the leaf."""
+        levels = self.levels
+        n = len(levels[0])
+        size = np.stack([np.bincount(lv, minlength=n)[lv] for lv in levels])
+        keep = np.ones(size.shape, dtype=bool)
+        keep[1:] = size[1:] > size[:-1]
+        vals = np.stack(levels[::-1]).T[keep[::-1].T].tolist()
+        ends = np.cumsum(keep.sum(axis=0)).tolist()
+        return [tuple(vals[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def random_ordering(g: Graph, seed: int) -> Ordering:
@@ -213,20 +226,8 @@ def affinity_ordering(
         cluster[merged] = comp_min[comp_of_rep[cluster[merged]]]
         hierarchy.levels.append(cluster.copy())
 
-    hierarchy.labels = _labels_from_levels(hierarchy.levels)
     # Keys from the last level to level 0 (the ids): a cluster's members
     # share its representatives, so they come out contiguous.
     vertex_at = np.lexsort(hierarchy.levels)
     return Ordering.from_vertex_at(vertex_at), hierarchy
 
-
-def _labels_from_levels(levels: list[np.ndarray]) -> list[tuple[int, ...]]:
-    """Root-to-leaf label paths: v's representative at every level where its
-    cluster grew (it merged in that round), last level first, then v."""
-    n = len(levels[0])
-    size = np.stack([np.bincount(lv, minlength=n)[lv] for lv in levels])
-    keep = np.ones(size.shape, dtype=bool)
-    keep[1:] = size[1:] > size[:-1]
-    vals = np.stack(levels[::-1]).T[keep[::-1].T].tolist()
-    ends = np.cumsum(keep.sum(axis=0)).tolist()
-    return [tuple(vals[a:b]) for a, b in zip([0] + ends, ends)]

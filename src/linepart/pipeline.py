@@ -51,7 +51,6 @@ class PipelineConfig:
     swap_intervals: int = 8  # intervals per partition in a swap round
     dp_blocks: int | None = None  # None -> contract_blocks' default
     minla_max_rounds: int = 10
-    curve_order: int = 16
 
     def validate(self, g: Graph) -> None:
         if self.k < 1:
@@ -156,7 +155,7 @@ def _initial_ordering(g: Graph, cfg: PipelineConfig) -> Ordering:
     if cfg.initial_ordering == "random":
         return random_ordering(g, cfg.seed)
     if cfg.initial_ordering == "hilbert":
-        return hilbert_ordering(g, cfg.curve_order)
+        return hilbert_ordering(g)
     sim = common_neighbors_similarity(g)
     ordering, _hierarchy = affinity_ordering(sim)
     return ordering

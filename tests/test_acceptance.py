@@ -78,7 +78,7 @@ def test_criterion_01_dp_matches_exhaustive_oracle():
         k = int(rng.choice([2, 3, 4]))
         alpha = float(rng.choice([0.0, 0.25]))
         res = dp_partition(cg, k, alpha)
-        best = exhaustive_contiguous_cut(cg, k, alpha)
+        best = exhaustive_contiguous_cut(g, Ordering.identity(n), np.arange(n + 1), k, alpha)
         if res.feasible:
             assert res.cut_value == pytest.approx(best, abs=1e-9), (n, k, alpha)
         else:

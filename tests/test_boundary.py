@@ -16,7 +16,6 @@ from linepart.boundary import (
     _window_edges,
     apply_window_stage,
     contract_blocks,
-    dp_base_layer,
     dp_partition,
     linopt_window,
     make_split_points,
@@ -95,24 +94,48 @@ def naive_split_cost(g, o, win, s):
     return naive_window_cost(g, o, win.lo, win.hi, left)
 
 
-def naive_crossing_cost(cg, i, j, m):
+def block_of_vertex(o, starts):
+    """Each vertex's block: the b with starts[b] <= rank < starts[b + 1]."""
+    block = np.empty(o.n, dtype=np.int64)
+    for b in range(len(starts) - 1):
+        for r in range(starts[b], starts[b + 1]):
+            block[o.vertex_at[r]] = b
+    return block
+
+
+def naive_crossing_cost(g, block, i, j, m):
+    """Weight of the graph edges between blocks [i, j] and blocks [j+1, m]."""
     total = 0.0
-    for e in range(len(cg.edge_w)):
-        a, b = int(cg.edge_u[e]), int(cg.edge_v[e])
-        lo_end, hi_end = min(a, b), max(a, b)
-        if i <= lo_end <= j and j + 1 <= hi_end <= m:
-            total += float(cg.edge_w[e])
+    for e in range(g.edge_count):
+        a, b = sorted((int(block[g.edge_u[e]]), int(block[g.edge_v[e]])))
+        if i <= a <= j < b <= m:
+            total += float(g.edge_w[e])
     return total
 
 
-def exhaustive_contiguous_cut(cg, k, alpha):
-    """Best alpha-feasible contiguous k-composition (nonempty parts) by
-    enumeration."""
-    b = cg.block_count
-    wp = np.concatenate([[0.0], np.cumsum(cg.block_weights)])
-    target = cg.total_vertex_weight / k
-    hi_bound = (1 + alpha) * target + 1e-9 * max(1.0, target)
-    lo_bound = (1 - alpha) * target - 1e-9 * max(1.0, target)
+def block_weight_prefix(g, block, b):
+    """Vertex weight of blocks [0, i) for i = 0..b, summed vertex by vertex."""
+    weights = [0.0] * b
+    for v in range(g.n):
+        weights[block[v]] += float(g.vertex_weights[v])
+    return np.concatenate([[0.0], np.cumsum(weights)])
+
+
+def part_bounds(g, k, alpha):
+    """(lo, hi) part weights the alpha rule allows, with a 1e-9 relative slack."""
+    target = float(sum(g.vertex_weights)) / k
+    slack = 1e-9 * max(1.0, target)
+    return (1 - alpha) * target - slack, (1 + alpha) * target + slack
+
+
+def exhaustive_contiguous_cut(g, o, starts, k, alpha):
+    """Best alpha-feasible contiguous k-composition of the blocks that
+    ``starts`` cuts the ordering into (nonempty parts), by enumeration,
+    priced on the graph's edges."""
+    b = len(starts) - 1
+    block = block_of_vertex(o, starts)
+    wp = block_weight_prefix(g, block, b)
+    lo_bound, hi_bound = part_bounds(g, k, alpha)
     best = np.inf
     for combo in itertools.combinations(range(1, b), k - 1):
         q = [0, *combo, b]
@@ -121,23 +144,27 @@ def exhaustive_contiguous_cut(cg, k, alpha):
         )
         if not ok:
             continue
-        part_of = np.empty(b, dtype=np.int64)
-        for j in range(k):
-            part_of[q[j] : q[j + 1]] = j
-        value = float(
-            cg.edge_w[part_of[cg.edge_u] != part_of[cg.edge_v]].sum()
-        )
+        part_of_block = np.repeat(np.arange(k), np.diff(q))
+        part_of = part_of_block[block]
+        value = float(g.edge_w[part_of[g.edge_u] != part_of[g.edge_v]].sum())
         best = min(best, value)
     return best
 
 
-def reference_dp_value(cg, k, alpha):
+def reference_dp_value(g, o, starts, k, alpha):
     """Full one-part-at-a-time recursion (peel the first part, recurse)."""
-    b = cg.block_count
-    base = dp_base_layer(cg, k, alpha)
+    b = len(starts) - 1
+    block = block_of_vertex(o, starts)
+    wp = block_weight_prefix(g, block, b)
+    lo_bound, hi_bound = part_bounds(g, k, alpha)
+    base = np.full((b + 1, b + 1), np.inf)  # one part over blocks [i, e)
+    for i in range(b + 1):
+        for e in range(i + 1, b + 1):
+            if lo_bound <= wp[e] - wp[i] <= hi_bound:
+                base[i, e] = 0.0
 
     def crossing(i, mid, e):  # between block ranges [i, mid) and [mid, e)
-        return naive_crossing_cost(cg, i, mid - 1, e - 1)
+        return naive_crossing_cost(g, block, i, mid - 1, e - 1)
 
     table = {1: base}
     for q in range(2, k + 1):
@@ -165,8 +192,11 @@ def zero_weight_graph(rng, n, m):
 
 
 def random_contracted(rng, b, max_edges=30, weighted=True):
+    """A random graph on b vertices, the identity order, and its contraction
+    to b one-vertex blocks."""
     g = random_graph(rng, b, int(rng.integers(0, max_edges)), weighted=weighted)
-    return contract_blocks(g, Ordering.identity(b), b)
+    o = Ordering.identity(b)
+    return g, o, contract_blocks(g, o, b)
 
 
 # -- split points and windows ---------------------------------------------------
@@ -427,18 +457,26 @@ def test_mincut_rerun_is_stable():
 
 
 def test_contract_identity_reproduces_edges():
+    # path 0-1-2-3: S[a][c] counts each edge once per orientation (u < a, v < c)
     g = path_graph(4)
     cg = contract_blocks(g, Ordering.identity(4), 4)
-    assert cg.block_weights.tolist() == [1, 1, 1, 1]
-    assert cg.edge_u.tolist() == [0, 1, 2]
-    assert cg.edge_v.tolist() == [1, 2, 3]
+    assert cg.block_starts.tolist() == [0, 1, 2, 3, 4]
+    assert cg.weight_prefix.tolist() == [0, 1, 2, 3, 4]
+    assert cg.prefix.tolist() == [
+        [0, 0, 0, 0, 0],
+        [0, 0, 1, 1, 1],
+        [0, 1, 2, 3, 3],
+        [0, 1, 3, 4, 5],
+        [0, 1, 3, 5, 6],
+    ]
 
 
 def test_contract_single_block():
     g = path_graph(4)
     cg = contract_blocks(g, Ordering.identity(4), 1)
-    assert cg.block_weights.tolist() == [4.0]
-    assert len(cg.edge_w) == 0
+    assert cg.block_count == 1
+    assert cg.weight_prefix.tolist() == [0.0, 4.0]
+    assert cg.prefix.tolist() == [[0.0, 0.0], [0.0, 0.0]]  # every edge is inside
 
 
 def test_contract_block_sizes_near_equal():
@@ -460,22 +498,24 @@ def test_contract_default_and_invalid_block_counts():
 
 def test_contract_aggregates_cross_block_weight():
     rng = np.random.default_rng(2)
-    g = random_graph(rng, 12, 30, weighted=True)
+    base = random_graph(rng, 12, 30, weighted=True)
+    vw = rng.uniform(0.5, 3.0, 12)
+    g = Graph(base.external_ids, vw, base.edge_u, base.edge_v, base.edge_w)
     o = Ordering.from_vertex_at(rng.permutation(12))
     cg = contract_blocks(g, o, 3)
-    block_of_rank = np.repeat(np.arange(3), np.diff(cg.block_starts))
-    expected = {}
-    for e in range(g.edge_count):
-        bu = block_of_rank[o.rank_of[g.edge_u[e]]]
-        bv = block_of_rank[o.rank_of[g.edge_v[e]]]
-        if bu != bv:
-            key = (min(bu, bv), max(bu, bv))
-            expected[key] = expected.get(key, 0.0) + float(g.edge_w[e])
-    got = {
-        (int(cg.edge_u[e]), int(cg.edge_v[e])): float(cg.edge_w[e])
-        for e in range(len(cg.edge_w))
-    }
-    assert got == pytest.approx(expected)
+    assert cg.block_starts.tolist() == [0, 4, 8, 12]
+    block = block_of_vertex(o, cg.block_starts)
+    # S[a][c]: cross-block weight between blocks x < a and y < c, both ways
+    expected = np.zeros((4, 4))
+    for a, c in itertools.product(range(4), repeat=2):
+        for e in range(g.edge_count):
+            x, y = block[g.edge_u[e]], block[g.edge_v[e]]
+            if x != y:
+                hits = int(x < a and y < c) + int(y < a and x < c)
+                expected[a, c] += hits * float(g.edge_w[e])
+    assert cg.prefix == pytest.approx(expected)
+    assert cg.weight_prefix == pytest.approx(block_weight_prefix(g, block, 3))
+    assert cg.total_vertex_weight == pytest.approx(vw.sum())
 
 
 # -- dynamic program ----------------------------------------------------------------
@@ -505,14 +545,23 @@ def test_dp_infeasible_is_explicit():
     assert res.split_ranks is None
 
 
-def test_dp_base_layer_is_zero_or_infinite():
+def test_dp_parts_are_nonempty_and_balanced():
+    # from alpha = 1 on, the weight bounds admit an empty range; only the
+    # nonempty rule then keeps k parts apart
     rng = np.random.default_rng(14)
-    cg = random_contracted(rng, 7)
+    g, o, cg = random_contracted(rng, 7)
     for alpha in (0.25, 1.0, 1.5):
-        layer = dp_base_layer(cg, 3, alpha)
-        finite = np.isfinite(layer)
-        assert np.all(layer[finite] == 0.0)
-        assert np.isinf(np.diag(layer)).all()  # empty ranges never balance
+        res = dp_partition(cg, 3, alpha)
+        best = exhaustive_contiguous_cut(g, o, cg.block_starts, 3, alpha)
+        assert res.feasible == np.isfinite(best)
+        if res.feasible:
+            lo, hi = part_bounds(g, 3, alpha)
+            sizes = np.diff(res.split_ranks)  # unit weights: size is weight
+            assert ((sizes > 0) & (sizes >= lo) & (sizes <= hi)).all()
+            assert res.cut_value == pytest.approx(best)
+    assert not dp_partition(cg, 3, 0.25).feasible  # 7 unit vertices, parts of 2
+    assert dp_partition(cg, 7, 1.5).split_ranks.tolist() == list(range(8))
+    assert not dp_partition(cg, 8, 1.5).feasible
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0, 1.5])
@@ -520,9 +569,9 @@ def test_dp_base_layer_is_zero_or_infinite():
 def test_dp_matches_exhaustive(alpha, k):
     rng = np.random.default_rng(100 * k + int(alpha * 4))
     for _ in range(15):
-        cg = random_contracted(rng, int(rng.integers(max(k, 4), 13)))
+        g, o, cg = random_contracted(rng, int(rng.integers(max(k, 4), 13)))
         res = dp_partition(cg, k, alpha)
-        best = exhaustive_contiguous_cut(cg, k, alpha)
+        best = exhaustive_contiguous_cut(g, o, cg.block_starts, k, alpha)
         if not res.feasible:
             assert best == np.inf
         else:
@@ -533,11 +582,11 @@ def test_dp_chain_equals_full_recursion():
     rng = np.random.default_rng(77)
     for _ in range(12):
         b = int(rng.integers(4, 10))
-        cg = random_contracted(rng, b)
+        g, o, cg = random_contracted(rng, b)
         k = int(rng.integers(2, 6))
         alpha = float(rng.choice([0.0, 0.25, 0.6]))
         chain = dp_partition(cg, k, alpha)
-        full = reference_dp_value(cg, k, alpha)
+        full = reference_dp_value(g, o, cg.block_starts, k, alpha)
         if not chain.feasible:
             assert np.isinf(full)
         else:
@@ -560,12 +609,41 @@ def test_dp_value_matches_reconstructed_partition():
         assert check_balance(g, p, 0.25).balanced
 
 
+def test_dp_below_one_block_per_vertex():
+    # k and alpha drawn as in criterion 1, over b < n blocks of a random order
+    rng = np.random.default_rng(31)
+    feasible = 0
+    for _ in range(80):
+        n = int(rng.integers(5, 17))
+        g = random_graph(rng, n, int(rng.integers(n, 3 * n)), weighted=True)
+        o = Ordering.from_vertex_at(rng.permutation(n))
+        k = int(rng.choice([2, 3, 4]))
+        alpha = float(rng.choice([0.0, 0.25]))
+        b = int(rng.integers(k, n))
+        cg = contract_blocks(g, o, b)
+        sizes = np.diff(cg.block_starts)
+        assert cg.block_starts[0] == 0 and sizes.sum() == n
+        assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 1
+        res = dp_partition(cg, k, alpha)
+        best = exhaustive_contiguous_cut(g, o, cg.block_starts, k, alpha)
+        if not res.feasible:
+            assert np.isinf(best), (n, b, k, alpha)
+            continue
+        feasible += 1
+        assert set(res.split_ranks.tolist()) <= set(cg.block_starts.tolist())
+        p = Partition.from_contiguous(o, res.split_points(alpha), g)
+        assert cut_weight(g, p)[0] == pytest.approx(res.cut_value)
+        assert check_balance(g, p, alpha).balanced
+        assert res.cut_value == pytest.approx(best)
+    assert feasible >= 20, feasible
+
+
 def test_dp_large_k_matches_full_recursion():
     rng = np.random.default_rng(15)
-    cg = random_contracted(rng, 10)
+    g, o, cg = random_contracted(rng, 10)
     for k in (2, 3, 5, 7, 11, 23, 40):
         res = dp_partition(cg, k, 1.0)
-        full = reference_dp_value(cg, k, 1.0)
+        full = reference_dp_value(g, o, cg.block_starts, k, 1.0)
         if k > cg.block_count:  # k nonempty parts need k blocks
             assert not res.feasible
         if not res.feasible:

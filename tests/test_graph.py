@@ -1,6 +1,7 @@
 """Graph model, similarity weighting, and metric tests."""
 
 import io as stdio
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -411,6 +412,66 @@ def test_query_weighted_respects_lengths():
     }
     assert by_pair[(0, 2)] == 0.0
     assert by_pair[(0, 1)] == 1.0
+
+
+def cached_trees_query_weights(g, queries):
+    """Per-query walk in input order with every source's shortest-path tree
+    kept in a dict: the plain reading of ``query_weighted_graph``."""
+    counts = np.zeros(g.edge_count)
+    skipped, trees = [], {}
+    edge_of = {(int(a), int(b)): e for e, (a, b) in enumerate(zip(g.edge_u, g.edge_v))}
+    for src, dst in queries:
+        if src == dst:
+            continue
+        if src not in trees:
+            trees[src] = graph_module._shortest_path_tree(g, src)
+        dist, pred = trees[src]
+        if not np.isfinite(dist[dst]):
+            skipped.append((src, dst))
+            continue
+        y = dst
+        while y != src:
+            x = int(pred[y])
+            counts[edge_of[min(x, y), max(x, y)]] += 1.0
+            y = x
+    return counts, skipped
+
+
+def test_query_weights_hold_one_tree_at_a_time():
+    # a ring of 200 with chords, plus 4 isolated vertices; 150 sources, each
+    # queried twice with the sources interleaved, some queries unreachable
+    rng = np.random.default_rng(21)
+    n = 200
+    u = np.concatenate([np.arange(n), rng.integers(0, n, n)])
+    v = np.concatenate([(np.arange(n) + 1) % n, rng.integers(0, n, n)])
+    keep = u != v
+    w = rng.integers(1, 4, int(keep.sum())).astype(float)
+    g = Graph.from_arcs(u[keep], v[keep], w, [str(i) for i in range(n + 4)])
+    sources = rng.permutation(n)[:150].tolist()
+    queries = [(s, int(rng.integers(0, n + 4))) for s in sources + sources[::-1]]
+    queries += [(s, s) for s in sources[:5]]
+    want_counts, want_skipped = cached_trees_query_weights(g, queries)
+    assert len(want_skipped) >= 2
+
+    tracemalloc.start()
+    try:
+        weighted, skipped = query_weighted_graph(g, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert weighted.edge_w.tolist() == want_counts.tolist()
+    assert skipped == want_skipped
+    # one tree is two n-length arrays; keeping all 150 takes ~0.5 MB
+    tree_bytes = 2 * 8 * (n + 4)
+    assert peak < 20 * tree_bytes, peak
+
+
+def test_query_weights_raise_on_the_first_bad_endpoint():
+    g = make_graph([(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="endpoint 7 is not"):
+        query_weighted_graph(g, [(2, 0), (1, 7), (-1, 0)])
+    with pytest.raises(ValueError, match="endpoint -1 is not"):
+        query_weighted_graph(g, [(2, 0), (-1, 7)])
 
 
 # -- statistical invariant --------------------------------------------------

@@ -224,6 +224,7 @@ def test_affinity_order_and_labels_match_reference_loop():
             order, hierarchy = affinity_ordering(g, max_rounds)
             ref_at, ref = reference_affinity_ordering(g, max_rounds)
             assert order.vertex_at.tolist() == ref_at.tolist()
+            assert "labels" not in vars(hierarchy)  # built on first read only
             assert hierarchy.labels == ref.labels
             assert [lv.tolist() for lv in hierarchy.levels] == [
                 lv.tolist() for lv in ref.levels

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from linepart.boundary import apply_window_stage, contract_blocks, make_split_points, make_windows
+from linepart.boundary import apply_window_stage, make_split_points, make_windows
 from linepart.graph import Partition, balance_bounds, check_balance, cut_weight
 from linepart import pipeline
 from linepart.ordering import Ordering, random_ordering
@@ -121,8 +121,7 @@ def test_dp_stage_with_identity_blocks_matches_exhaustive():
     assert np.array_equal(o2.vertex_at, o.vertex_at)  # dp never reorders
     value = cut_weight(g, Partition.from_contiguous(o2, s2, g))[0]
     assert value == report.records[1].cut_weight
-    cg = contract_blocks(g, o, 12)
-    best = exhaustive_contiguous_cut(cg, 3, 0.25)
+    best = exhaustive_contiguous_cut(g, o, np.arange(13), 3, 0.25)
     start = cut_weight(g, Partition.from_contiguous(o, splits, g))[0]
     if np.isinf(best):
         assert np.array_equal(s2.q, splits.q)
