@@ -9,6 +9,7 @@ label paths so each cluster occupies a contiguous stretch.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -24,6 +25,8 @@ __all__ = [
     "hilbert_ordering",
     "affinity_ordering",
 ]
+
+log = logging.getLogger(__name__)
 
 AFFINITY_ROUND_CAP = 30  # > log2 of any practical vertex count
 
@@ -164,13 +167,17 @@ def affinity_ordering(
     Clusters with no positive-similarity neighbor make no selection and
     survive unmerged, so a graph of several components keeps each component
     contiguous in the output.
+
+    Every round that merges logs ``affinity round R clusters C merged M``
+    (tab-separated): C clusters remain after round R, and M of the clusters
+    it started with joined another.
     """
     n = g.n
     cluster = np.arange(n, dtype=np.int64)  # representative = min member id
     hierarchy = AffinityHierarchy(levels=[cluster.copy()])
 
     eu, ev, ew = g.edge_u, g.edge_v, g.edge_w
-    for _ in range(max_rounds):
+    for round_index in range(1, max_rounds + 1):
         cu = cluster[eu]
         cv = cluster[ev]
         cross = cu != cv
@@ -178,28 +185,35 @@ def affinity_ordering(
             break
         a = np.minimum(cu[cross], cv[cross])
         b = np.maximum(cu[cross], cv[cross])
-        key = a * np.int64(n) + b
-        uniq, inverse = np.unique(key, return_inverse=True)
+        del cu, cv
+        a *= n
+        a += b
+        del b
+        uniq, inverse = np.unique(a, return_inverse=True)
+        del a
         sums = np.bincount(inverse, weights=ew[cross], minlength=len(uniq))
         counts = np.bincount(inverse, minlength=len(uniq))
+        del inverse, cross
         means = sums / counts
         pos = means > 0
         if not pos.any():
             break
-        pa = (uniq[pos] // n).astype(np.int64)
-        pb = (uniq[pos] % n).astype(np.int64)
+        pa = uniq[pos] // n
+        pb = uniq[pos] % n
         pw = means[pos]
+        del uniq, sums, counts, means, pos
 
         # Best neighbor per cluster: max similarity, ties to smaller rep id.
-        src = np.concatenate([pa, pb])
-        dst = np.concatenate([pb, pa])
-        sim = np.concatenate([pw, pw])
-        order = np.lexsort((dst, -sim, src))
-        src_sorted = src[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = src_sorted[1:] != src_sorted[:-1]
-        sel_src = src_sorted[first]
-        sel_dst = dst[order][first]
+        best = np.zeros(n)  # every candidate similarity is positive
+        np.maximum.at(best, pa, pw)
+        np.maximum.at(best, pb, pw)
+        pick = np.full(n, n, dtype=np.int64)
+        top = pw == best[pa]
+        np.minimum.at(pick, pa[top], pb[top])
+        top = pw == best[pb]
+        np.minimum.at(pick, pb[top], pa[top])
+        sel_src = np.flatnonzero(pick < n)
+        sel_dst = pick[sel_src]
 
         # Components of the selection graph by pointer jumping: its only cycles
         # are mutual pairs (a longer one needs equal similarities and x[i+1] <
@@ -225,6 +239,12 @@ def affinity_ordering(
             break
         cluster[merged] = comp_min[comp_of_rep[cluster[merged]]]
         hierarchy.levels.append(cluster.copy())
+        log.info(
+            "affinity\tround\t%d\tclusters\t%d\tmerged\t%d",
+            round_index,
+            np.count_nonzero(comp_size),
+            comp_size[comp_size >= 2].sum(),
+        )
 
     # Keys from the last level to level 0 (the ids): a cluster's members
     # share its representatives, so they come out contiguous.

@@ -1,5 +1,7 @@
 """Initial embedding tests: random, Hilbert-curve, and affinity orders."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,8 +196,9 @@ def reference_affinity_ordering(g, max_rounds=AFFINITY_ROUND_CAP):
 
 def affinity_cases():
     rng = np.random.default_rng(12)
+    sim = common_neighbors_similarity(rmat(9, 4000, seed=3))
     cases = [
-        common_neighbors_similarity(rmat(9, 4000, seed=3)),
+        sim,
         common_neighbors_similarity(ring_of_cliques(6, 5)),
         common_neighbors_similarity(disjoint_cliques(3, 4)),
         common_neighbors_similarity(erdos_renyi(60, 0.2, 4)),
@@ -203,6 +206,9 @@ def affinity_cases():
         make_graph([], n=0),
         make_graph([(0, 1), (0, 2), (0, 3), (0, 4)]),
         make_graph([(v, 8) for v in range(8)]),  # equal-weight star, hub last
+        # ties everywhere: one-decimal similarities, and a clique of equal weights
+        sim.with_edge_weights(np.round(sim.edge_w, 1)),
+        make_graph([(u, v) for u in range(12) for v in range(u + 1, 12)]),
     ]
     # Weights rising along a path: one round selects a chain of n - 1
     # clusters ending in a mutual pair, the longest tail a round can have.
@@ -229,6 +235,37 @@ def test_affinity_order_and_labels_match_reference_loop():
             assert [lv.tolist() for lv in hierarchy.levels] == [
                 lv.tolist() for lv in ref.levels
             ]
+
+
+def test_affinity_memory_stays_below_twenty_edge_arrays():
+    # the doubled (src, dst, sim) lexsort peaked at 29·8m bytes above the start
+    g = common_neighbors_similarity(rmat(13, 1 << 17, seed=1))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        affinity_ordering(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 20 * 8 * g.edge_count, (peak - start) / (8 * g.edge_count)
+
+
+def test_affinity_logs_each_merging_round(caplog):
+    # Two triangles joined by a lighter bridge: round 1 merges each triangle,
+    # round 2 merges the two, round 3 has no cross edge and logs nothing.
+    # A graph with zero similarity everywhere merges nothing and logs nothing.
+    g = make_graph(
+        [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)],
+        weights=[1.0, 1.0, 1.0, 0.5, 1.0, 1.0, 1.0],
+    )
+    with caplog.at_level("INFO", logger="linepart.ordering"):
+        _, hierarchy = affinity_ordering(g)
+        affinity_ordering(make_graph([(0, 1), (1, 2)], weights=[0.0, 0.0]))
+    assert hierarchy.cluster_counts() == [6, 2, 1]
+    assert caplog.messages == [
+        "affinity\tround\t1\tclusters\t2\tmerged\t6",
+        "affinity\tround\t2\tclusters\t1\tmerged\t2",
+    ]
 
 
 def test_affinity_single_edge():
