@@ -43,9 +43,6 @@ _REL_TOL = 1e-9
 # handful of per-chunk int64 arrays then takes 2 MiB.
 _WEDGE_CHUNK = 1 << 18
 
-# Bits of one packed wedge probe key, (edge key << b) | chunk position.
-_PROBE_BITS = 63
-
 
 class GraphFormatError(ValueError):
     """Malformed input data; message carries file name and line number."""
@@ -327,9 +324,7 @@ def common_neighbors_similarity(g: Graph) -> Graph:
     edge keys. Every triangle is found exactly once, from its lowest-ranked
     vertex. The cost is sum(C(outdeg, 2)) binary searches, which on
     power-law graphs is far below the plain wedge count sum(C(deg, 2)).
-    Each chunk of at most ``_WEDGE_CHUNK`` pairs is sorted by edge key
-    before the searches, so they walk the sorted keys in order. Memory is
-    O(m) plus one chunk.
+    Memory is O(m) plus one chunk of at most ``_WEDGE_CHUNK`` pairs.
     """
     n, m = g.n, g.edge_count
     deg = np.diff(g.adj_indptr)
@@ -347,61 +342,33 @@ def common_neighbors_similarity(g: Graph) -> Graph:
 
     # Out-arc p pairs with every later arc of the same list; pairs are
     # numbered consecutively, arc by arc, so a chunk is a range of numbers.
-    # Arc p's pairs end before pair_end[p], and its pair q joins it to arc
-    # q + mate_base[p].
     pairs = out_end - 1 - np.arange(len(out_v))
-    del out_end
     pair_end = np.cumsum(pairs)
-    mate_base = pairs - pair_end  # minus the number of p's first pair
-    mate_base += np.arange(1, len(out_v) + 1)
-    del pairs
+    pair_start = pair_end - pairs
+    del out_end, pairs
     wedges = int(pair_end[-1]) if m else 0
 
     keys = g.edge_u * np.int64(n) + g.edge_v
     key_order = np.argsort(keys, kind="stable")
     keys = keys[key_order]
-    key_bits = (n * n - 1).bit_length()
 
     tri = np.zeros(m, dtype=np.int64)
     for lo in range(0, wedges, _WEDGE_CHUNK):
         hi = min(lo + _WEDGE_CHUNK, wedges)
         p0 = int(np.searchsorted(pair_end, lo, "right"))
         p1 = int(np.searchsorted(pair_end, hi - 1, "right")) + 1
-        start = np.arange(p0 + 1, p1 + 1) - mate_base[p0:p1]
-        span = np.minimum(pair_end[p0:p1], hi) - np.maximum(start, lo)
+        span = np.minimum(pair_end[p0:p1], hi) - np.maximum(pair_start[p0:p1], lo)
         arc = np.repeat(np.arange(p0, p1), span)
-        pos = np.arange(hi - lo)
-        mate = np.repeat(mate_base[p0:p1] + lo, span)
-        mate += pos
-        want = np.repeat(out_v[p0:p1] * np.int64(n), span)
-        want += out_v[mate]
-        del mate
-        # Probe in key order, so the searches walk ``keys`` forward: sort
-        # (key << b) | position, in runs of 2^b positions if one sort's
-        # positions would take the keys past _PROBE_BITS.
-        b = min((hi - lo - 1).bit_length(), _PROBE_BITS - key_bits)
-        mask = (1 << b) - 1
-        want <<= b
-        want |= pos & mask
-        full = (hi - lo) >> b << b
-        want[:full].reshape(-1, mask + 1).sort(axis=1)
-        want[full:].sort()
-        pos &= ~mask
-        pos |= want & mask  # each sorted probe's chunk position
-        want >>= b
+        mate = arc + 1 + (np.arange(lo, hi) - pair_start[arc])
+        want = out_v[arc] * np.int64(n) + out_v[mate]
         at = np.searchsorted(keys, want)
         at[at == m] = 0  # harmless: compared key then mismatches
         hit = keys[at] == want
         del want
         # add.at, not bincount: a per-chunk bincount would cost O(m) each time
-        np.add.at(tri, key_order[at[hit]], 1)
-        pos = pos[hit]
-        arc = arc[pos]
-        np.add.at(tri, out_e[arc], 1)
-        pos += lo
-        pos += mate_base[arc]
-        np.add.at(tri, out_e[pos], 1)
-        del arc, pos, at, hit  # before the next chunk's arrays are built
+        for e in (out_e[arc[hit]], out_e[mate[hit]], key_order[at[hit]]):
+            np.add.at(tri, e, 1)
+        del arc, mate, at, hit  # before the next chunk's arrays are built
     log.info("similarity\twedges\t%d\ttriangles\t%d", wedges, int(tri.sum()) // 3)
 
     # Same integers as a per-edge set intersection, so the same float64 ratio.

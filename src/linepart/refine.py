@@ -41,6 +41,11 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# Most arcs, over both movers' rows, that a swap updates in plain Python;
+# longer rows go through numpy (see _SwapState.swap). Each numpy call costs
+# about as much as a few dozen arcs of the Python loop.
+_SHORT_ROWS = 64
+
 # Bits of one packed median sort key (see minla_round); 2·23 bits of vertex
 # ids plus 15 of row offset keep a LiveJournal-sized graph in one sort.
 _KEY_BITS = 63
@@ -227,44 +232,100 @@ class _SwapState:
         new = old + wv - wu
         return abs(new) <= self.slack + self.slack_tol or abs(new) <= abs(old)
 
-    def swap(self, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+    def swap(self, u: int, v: int) -> dict[int, list[float]]:
         """Exchange u (in part a) and v (in part b); update the reductions.
 
-        A mover's neighbors still in its old part gain 2w, those in its new
-        part lose 2w, and the movers get fresh values. Returns the vertices
-        whose reduction changed, u's neighbors first, and the reductions
-        they had before the swap.
+        A mover's neighbors in its old part (now its paired part) gain 2w,
+        those in its new part lose 2w, and the movers get fresh values.
+        Returns the other vertices whose reduction changed, u's neighbors
+        first, each mapped to its reductions [before, after] the swap. The
+        updates go in arc order, u's arcs first, so a common neighbor of u
+        and v takes u's change first.
         """
         g = self.g
-        pa, pb = int(self.part_of[u]), int(self.part_of[v])
-        lo_u, hi_u = g.adj_indptr[u], g.adj_indptr[u + 1]
-        lo_v, hi_v = g.adj_indptr[v], g.adj_indptr[v + 1]
-        du = int(hi_u - lo_u)
-        nbr = np.concatenate([g.adj_indices[lo_u:hi_u], g.adj_indices[lo_v:hi_v]])
-        wt = np.concatenate([g.adj_weights[lo_u:hi_u], g.adj_weights[lo_v:hi_v]])
-        parts = self.part_of[nbr]
-        delta = np.where(parts == pa, 2.0 * wt, np.where(parts == pb, -2.0 * wt, 0.0))
-        delta[du:] *= -1.0  # v moves from b to a
-        mask = delta != 0.0
-        touched = nbr[mask]
-        before = self.red[touched]
-        # in order, so a common neighbor of u and v takes u's change first
-        np.add.at(self.red, touched, delta[mask])
-
-        ru, rv = int(self.rank_of[u]), int(self.rank_of[v])
+        pa, pb = self.part_of.item(u), self.part_of.item(v)
+        ru, rv = self.rank_of.item(u), self.rank_of.item(v)
         self.rank_of[u], self.rank_of[v] = rv, ru
         self.vertex_at[ru], self.vertex_at[rv] = v, u
         self.part_of[u], self.part_of[v] = pb, pa
         self.excess[pb] += g.vertex_weights[v] - g.vertex_weights[u]
         self.swaps += 1
 
-        parts = self.part_of[nbr]
-        in_a, in_b = parts == pa, parts == pb
-        wu, wv = wt[:du], wt[du:]
-        # np.add.reduce is ndarray.sum without its Python wrapper (same sum)
-        self.red[v] = np.add.reduce(wv[in_b[du:]]) - np.add.reduce(wv[in_a[du:]])
-        self.red[u] = np.add.reduce(wu[in_a[:du]]) - np.add.reduce(wu[in_b[:du]])
-        return touched, before
+        # (row, weights, own part, paired part, the other mover) per mover
+        rows = tuple(
+            (g.adj_indices[lo:hi], g.adj_weights[lo:hi], own, other, partner)
+            for lo, hi, own, other, partner in (
+                (g.adj_indptr[u], g.adj_indptr[u + 1], pb, pa, v),
+                (g.adj_indptr[v], g.adj_indptr[v + 1], pa, pb, u),
+            )
+        )
+        if len(rows[0][0]) + len(rows[1][0]) > _SHORT_ROWS:
+            changed, fresh = self._update_long(rows)
+        else:
+            changed, fresh = self._update_short(rows)
+        self.red[u], self.red[v] = fresh
+        return changed
+
+    def _update_short(self, rows) -> tuple[dict[int, list[float]], list[float]]:
+        """``swap``'s updates in plain Python, which on short rows costs less
+        than the dozens of small numpy calls of ``_update_long``. A mover's
+        fresh value sums its weights in arc order, as ``np.add.reduce``
+        does (``_weight_sum``)."""
+        part_of, red = self.part_of, self.red
+        changed: dict[int, list[float]] = {}
+        fresh = []
+        for row, wt, own, other, partner in rows:
+            to_other, to_own = [], []
+            for x, w, p, r in zip(row.tolist(), wt.tolist(), part_of[row].tolist(),
+                                  red[row].tolist()):
+                if p == other:
+                    to_other.append(w)
+                    d = 2.0 * w
+                elif p == own:
+                    to_own.append(w)
+                    d = -2.0 * w
+                else:
+                    continue
+                if d == 0.0 or x == partner:  # a mover's own value is fresh
+                    continue
+                if x in changed:
+                    changed[x][1] += d
+                else:
+                    changed[x] = [r, r + d]
+            fresh.append(_weight_sum(to_other) - _weight_sum(to_own))
+        if changed:
+            red[list(changed)] = [after for _, after in changed.values()]
+        return changed, fresh
+
+    def _update_long(self, rows) -> tuple[dict[int, list[float]], list[float]]:
+        """``swap``'s updates as array operations, for long rows."""
+        red = self.red
+        fresh, touched, deltas = [], [], []
+        for row, wt, own, other, partner in rows:
+            parts = self.part_of[row]
+            to_other, to_own = parts == other, parts == own
+            fresh.append(float(np.add.reduce(wt[to_other]) - np.add.reduce(wt[to_own])))
+            delta = np.where(to_other, 2.0 * wt, np.where(to_own, -2.0 * wt, 0.0))
+            keep = (delta != 0.0) & (row != partner)
+            touched.append(row[keep])
+            deltas.append(delta[keep])
+        nbr = np.concatenate(touched)
+        before = red[nbr]
+        np.add.at(red, nbr, np.concatenate(deltas))  # in order, like _update_short
+        # a common neighbor's second entry wins: the same before, the final after
+        after = red[nbr].tolist()
+        return dict(zip(nbr.tolist(), map(list, zip(before.tolist(), after)))), fresh
+
+
+def _weight_sum(ws: list[float]) -> float:
+    """np.add.reduce of ws, bit for bit. Below 8 terms numpy's pairwise
+    summation is one loop in order, which Python repeats more cheaply."""
+    if len(ws) >= 8:
+        return float(np.add.reduce(np.array(ws)))
+    total = 0.0
+    for w in ws:
+        total += w
+    return total
 
 
 def _sorted_keys(verts: np.ndarray, red: np.ndarray) -> list[tuple[float, int]]:
@@ -324,18 +385,17 @@ def _swap_interval_pair(
         if chosen is None:
             break
         i, u, j, v = chosen
-        touched, before = state.swap(u, v)
+        changed = state.swap(u, v)
         del keys_a[i], keys_b[j]
         insort(keys_a, (-red.item(v), v))
         insort(keys_b, (-red.item(u), u))
-        ranks = state.rank_of[touched].tolist()
-        done = {u, v}  # a neighbor shared by u and v repeats in touched
-        for x, r_old, rank in zip(touched.tolist(), before.tolist(), ranks):
+        rank_of = state.rank_of
+        for x, (r_old, r_new) in changed.items():
+            rank = rank_of.item(x)
             keys = keys_a if a0 <= rank < a1 else keys_b if b0 <= rank < b1 else None
-            if keys is not None and x not in done:
-                done.add(x)
+            if keys is not None:
                 del keys[bisect_left(keys, (-r_old, x))]
-                insort(keys, (-red.item(x), x))
+                insort(keys, (-r_new, x))
         swaps += 1
     if swaps >= cap:
         log.warning("interval pair hit swap cap (%d); float drift suspected", cap)

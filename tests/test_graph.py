@@ -253,25 +253,6 @@ def test_similarity_chunk_boundaries_split_pair_lists(monkeypatch):
     assert common_neighbors_similarity(g).edge_w.tobytes() == expected.tobytes()
 
 
-def probe_key_bits(g):
-    """Bits of g's largest edge key, n * n - 1."""
-    return (g.n * g.n - 1).bit_length()
-
-
-@pytest.mark.parametrize("spare", [0, 1, 2])
-def test_similarity_probe_runs_match_reference_loop(monkeypatch, spare):
-    # 0, 1 and 2 spare bits sort a chunk's probes in runs of 1, 2 and 4
-    # positions; with 3-pair chunks the last is one run of 3
-    for name, g in similarity_oracle_inputs():
-        monkeypatch.setattr(graph_module, "_PROBE_BITS", probe_key_bits(g) + spare)
-        s = common_neighbors_similarity(g)
-        assert s.edge_w.tobytes() == reference_similarity(g).tobytes(), name
-    monkeypatch.setattr(graph_module, "_WEDGE_CHUNK", 3)
-    g = rmat(9, 1 << 11, seed=2)
-    monkeypatch.setattr(graph_module, "_PROBE_BITS", probe_key_bits(g) + spare)
-    assert common_neighbors_similarity(g).edge_w.tobytes() == reference_similarity(g).tobytes()
-
-
 def test_similarity_logs_wedges_and_triangles(caplog):
     # K4: ranks 0..3, out-degrees 3, 2, 1, 0 -> 3 + 1 pairs, 4 triangles.
     # Star with hub 0: every edge points from a leaf to the hub, so no

@@ -12,6 +12,7 @@ from linepart.refine import (
     _SwapState,
     _interval_pairs,
     _swap_interval_pair,
+    _weight_sum,
     minla_objective,
     minla_refine,
     minla_round,
@@ -403,6 +404,41 @@ def test_swap_keeps_live_reductions_exact():
             state.swap(u, v)
             assert np.array_equal(state.red, state._initial_reductions(range(1)))
         assert state.part_of[state.vertex_at[:8]].tolist() == [0] * 8
+
+
+def test_weight_sum_is_numpy_sum_bit_for_bit():
+    # The short path's fresh reductions must equal the sums numpy takes, on
+    # both sides of the 8-term switch to pairwise summation.
+    rng = np.random.default_rng(11)
+    for size in range(0, 40):
+        for _ in range(50):
+            ws = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 6, size)
+            assert _weight_sum(ws.tolist()) == np.add.reduce(ws), size
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_swap_update_paths_agree_bit_for_bit(monkeypatch, k):
+    # Float weights and zero-weight edges; every swap runs once through the
+    # Python path and once through the numpy path, from the same state.
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        g = random_graph(rng, 40, 300, weighted=True)
+        g = g.with_edge_weights(rng.random(g.edge_count).round(1) / 3)
+        o = Ordering.from_vertex_at(rng.permutation(40))
+        splits = make_split_points(g, o, k, 0.5)
+        states = [_SwapState(g, o, splits, range(k - 1)) for _ in range(2)]
+        for _ in range(12):
+            a = int(rng.integers(0, k - 1))
+            lo, mid, hi = (int(q) for q in splits.q[a:a + 3])
+            u = int(states[0].vertex_at[rng.integers(lo, mid)])
+            v = int(states[0].vertex_at[rng.integers(mid, hi)])
+            got = []
+            for state, short_rows in zip(states, (10**9, 0)):
+                monkeypatch.setattr(refine, "_SHORT_ROWS", short_rows)
+                got.append(state.swap(u, v))
+            assert got[0] == got[1]
+            assert states[0].red.tobytes() == states[1].red.tobytes()
+            assert states[0].vertex_at.tolist() == states[1].vertex_at.tolist()
 
 
 def naive_part_swaps(g, o, splits):
