@@ -16,7 +16,10 @@ ordering and of stdout (the metric run prints every round's objective).
 From the same random order it runs ``linepart postprocess --method dp`` at
 ``--blocks 300`` and at the default block count, and prints the exit code
 and the sha256 of the splits file and stdout (which holds ``cut_value``),
-or of stderr when the dp finds no balanced split and exits 2.
+or of stderr when the dp finds no balanced split and exits 2. From that
+random order it also runs ``linepart postprocess --method mincut`` and
+``--method linopt`` with ``--ordering-out``, and prints the sha256 of the
+splits file, the ordering and stdout (which holds every window's row).
 Exits 1 on any mismatch.
 
     python3 scripts/parity.py --ref ../linepart-parent
@@ -113,6 +116,19 @@ def dp_digests(
     return ["exit 0", *sha256s(splits.read_bytes(), proc.stdout)]
 
 
+def window_digests(
+    src: Path, method: str, graph: list[str], k: int, alpha: float, work: Path
+) -> list[str]:
+    """sha256 of (splits, ordering, stdout) of ``postprocess --method
+    METHOD`` over a seeded random order."""
+    start, splits, order = work / "random.tsv", work / "splits.txt", work / "ordering.tsv"
+    run_cli(src, ["order", "--method", "random", "--seed", "1", *graph, "-o", str(start)], work)
+    out = run_cli(src, ["postprocess", "--method", method, *graph, "--ordering", str(start),
+                        "-k", str(k), "--alpha", str(alpha), "--ordering-out", str(order),
+                        "-o", str(splits)], work)
+    return sha256s(splits.read_bytes(), order.read_bytes(), out)
+
+
 def graph_digest(src: Path, files: list[str]) -> str:
     """sha256 of the graph that ``io.load_graph(*files)`` loads."""
     proc = subprocess.run(
@@ -139,6 +155,8 @@ def main() -> int:
     refine_total = 0
     dp_blocks = (300, None)
     dp_same = dp_total = 0
+    windows = ("mincut", "linopt")
+    window_same = dict.fromkeys(windows, 0)
 
     def report(row: list[str], ours: list[str], theirs: list[str]) -> None:
         print("\t".join([*row, "same" if ours == theirs else "DIFF", *ours]), flush=True)
@@ -179,14 +197,23 @@ def main() -> int:
                     dp_total += 1
                     dp_same += ours == theirs
                     report([w.name, str(seed), f"dp --blocks {blocks or 'default'}"], ours, theirs)
+                for method in windows:
+                    ours = window_digests(ROOT / "src", method, graph, w.k, w.alpha, work)
+                    theirs = window_digests(ref_src, method, graph, w.k, w.alpha, work)
+                    window_same[method] += ours == theirs
+                    report([w.name, str(seed), method], ours, theirs)
     print(f"{same}/{total} identical")
     for method in methods:
         print(f"refine --method {method}: {refine_same[method]}/{refine_total} identical "
               "(refined ordering, stdout)")
     print(f"postprocess --method dp: {dp_same}/{dp_total} identical "
           "(exit code, splits and stdout, or stderr)")
+    for method in windows:
+        print(f"postprocess --method {method}: {window_same[method]}/{refine_total} identical "
+              "(splits, ordering, stdout)")
     ok = (same == total and all(c == refine_total for c in refine_same.values())
-          and dp_same == dp_total)
+          and dp_same == dp_total
+          and all(c == refine_total for c in window_same.values()))
     return 0 if ok else 1
 
 

@@ -17,16 +17,19 @@ or the whole boundary set:
   program reads: the 2-D prefix of cross-block edge weight and the prefix
   of block weight.
 
-A window stage gathers each window's edges once (``_window_edges``); both
-optimizers take that slice and return a left mask over the window. The
-optimizers minimize the window objective, with everything before the
-window on the left and everything after on the right; the minimum cut
-builds its flow network from the slice as arc arrays in one pass. One
-vectorized evaluator (``_window_cut``) prices a mask for acceptance against
-the frozen current parts, since an edge to a part not next to the window is
-cut whichever side its window end takes. Windows moved together can still
-interact, so ``pipeline.combine`` enforces the never-raise rule on each
-whole stage.
+A window stage gathers the edges of all its windows in one pass
+(``_stage_edges``), each row tagged with its window. The linear scan takes
+each window's slice and returns a left mask over the window. The minimum
+cut solves every window over one flow network whose components are the
+windows, one ``max_flow`` call each, with the capacities of all windows
+taken by one ``np.bincount`` each. The optimizers minimize the window
+objective, with everything before the window on the left and everything
+after on the right. One vectorized evaluator (``_stage_cuts``) prices
+every window's old and new masks for acceptance against the frozen current
+parts, since an edge to a part not next to the window is cut whichever
+side its window end takes. ``linopt_window`` and ``mincut_window`` are the
+one-window cases. Windows moved together can still interact, so
+``pipeline.combine`` enforces the never-raise rule on each whole stage.
 """
 
 from __future__ import annotations
@@ -179,44 +182,112 @@ def make_windows(g: Graph, o: Ordering, k: int, alpha: float) -> list[Window]:
     return windows
 
 
-# -- the window cut evaluator ---------------------------------------------
+# -- gathering and pricing the windows of a stage -------------------------
 
 _Edges = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _window_edges(g: Graph, o: Ordering, win: Window) -> _Edges:
-    """Every edge with an end among the window's vertices, gathered once.
+class _StageEdges:
+    """The edges of several disjoint windows, gathered in one pass.
 
-    Returns (row, rank, w): the window position of the edge's window end
-    (rank lo+row), the rank of its other end, and its weight. An edge with
-    both ends inside the window appears once, at its lower-ranked end.
+    The windows' vertices are laid end to end: window j holds positions
+    start[j] .. start[j+1]-1, position start[j]+i being rank lo_j+i. Each
+    edge row carries its window ``win``, the position ``pos`` of its window
+    end, the rank of its other end and its weight; rows are grouped by
+    window, in window order. ``edges(j)`` is window j's slice as the
+    one-window optimizers take it.
     """
-    members = o.vertex_at[win.lo : win.hi]
-    start = g.adj_indptr[members]
-    deg = g.adj_indptr[members + 1] - start
-    row = np.repeat(np.arange(len(members)), deg)
-    slot = np.repeat(start - (np.cumsum(deg) - deg), deg) + np.arange(len(row))
+
+    def __init__(self, windows: list[Window]):
+        self.windows = windows
+        self.lo = np.array([x.lo for x in windows], dtype=np.int64)
+        self.hi = np.array([x.hi for x in windows], dtype=np.int64)
+        self.index = np.array([x.index for x in windows], dtype=np.int64)
+        size = self.hi - self.lo
+        self.start = np.concatenate([[0], np.cumsum(size)])
+        self.win_of_pos = np.repeat(np.arange(len(windows)), size)
+        self.rank_of_pos = np.arange(self.start[-1]) - self.start[self.win_of_pos]
+        self.rank_of_pos += self.lo[self.win_of_pos]
+
+    def hold(self, win: np.ndarray, pos: np.ndarray, rank: np.ndarray,
+             w: np.ndarray) -> "_StageEdges":
+        """Take the edge rows, grouped by window in window order."""
+        self.win, self.pos, self.rank, self.w = win, pos, rank, w
+        self.edge_start = np.concatenate(
+            [[0], np.cumsum(np.bincount(win, minlength=len(self.windows)))]
+        )
+        return self
+
+    @classmethod
+    def of_window(cls, edges: _Edges, win: Window) -> "_StageEdges":
+        row, rank, w = edges
+        return cls([win]).hold(np.zeros(len(row), dtype=np.int64), row, rank, w)
+
+    def edges(self, j: int) -> _Edges:
+        a, b = self.edge_start[j], self.edge_start[j + 1]
+        return self.pos[a:b] - self.start[j], self.rank[a:b], self.w[a:b]
+
+    def sums(self, edge_mask: np.ndarray) -> list[float]:
+        """Each window's sum of the weights ``edge_mask`` selects, as
+        ``w[edge_mask].sum()`` over the window's own slice gives it."""
+        picked = self.w[edge_mask]
+        ends = np.cumsum(np.bincount(self.win[edge_mask], minlength=len(self.windows)))
+        return [float(picked[a:b].sum()) for a, b in zip([0, *ends[:-1].tolist()], ends.tolist())]
+
+
+def _stage_edges(g: Graph, o: Ordering, windows: list[Window]) -> _StageEdges:
+    """Every edge with an end among the windows' vertices, gathered once.
+
+    An edge with both ends inside one window appears once, at its
+    lower-ranked end.
+    """
+    stage = _StageEdges(windows)
+    members = o.vertex_at[stage.rank_of_pos]
+    first = g.adj_indptr[members]
+    deg = g.adj_indptr[members + 1] - first
+    pos = np.repeat(np.arange(len(members)), deg)
+    slot = np.repeat(first - (np.cumsum(deg) - deg), deg) + np.arange(len(pos))
     rank = o.rank_of[g.adj_indices[slot]]
-    keep = (rank < win.lo) | (rank > win.lo + row)
-    return row[keep], rank[keep], g.adj_weights[slot[keep]]
+    win = stage.win_of_pos[pos]
+    keep = (rank < stage.lo[win]) | (rank > stage.rank_of_pos[pos])
+    return stage.hold(win[keep], pos[keep], rank[keep], g.adj_weights[slot[keep]])
+
+
+def _window_edges(g: Graph, o: Ordering, win: Window) -> _Edges:
+    """One window's edges: (row, rank, w), the window position of the
+    edge's window end (rank lo+row), the rank of its other end, and its
+    weight."""
+    return _stage_edges(g, o, [win]).edges(0)
+
+
+def _stage_cuts(stage: _StageEdges, left_masks, q: np.ndarray) -> list[list[float]]:
+    """Each window's weight of edges whose ends land in different parts,
+    for each of ``left_masks``.
+
+    Window vertex p joins part index-1 of its window if ``mask[p]``, else
+    part index; every other vertex keeps its part under the split points
+    ``q`` (the frozen exterior).
+    """
+    win, rank = stage.win, stage.rank
+    lo = stage.lo[win]
+    part = np.searchsorted(q, rank, side="right") - 1
+    inside = np.flatnonzero((rank >= lo) & (rank < stage.hi[win]))
+    other = stage.start[win[inside]] + rank[inside] - lo[inside]
+    right_part = stage.index[stage.win_of_pos]
+    values = []
+    for mask in left_masks:
+        side = right_part - mask
+        part[inside] = side[other]
+        values.append(stage.sums(side[stage.pos] != part))
+    return values
 
 
 def _window_cut(edges: _Edges, win: Window, left_mask: np.ndarray, q: np.ndarray) -> float:
-    """Weight of the window's edges whose ends land in different parts.
-
-    Window vertex i joins part win.index-1 if ``left_mask[i]``, else part
-    win.index; every other vertex keeps its part under the split points
-    ``q`` (the frozen exterior).
-    """
-    row, rank, w = edges
-    side = np.where(left_mask, win.index - 1, win.index)
-    part = np.searchsorted(q, rank, side="right") - 1
-    inside = (rank >= win.lo) & (rank < win.hi)
-    part[inside] = side[rank[inside] - win.lo]
-    return float(w[side[row] != part].sum())
+    """``_stage_cuts`` for one window and one mask."""
+    return _stage_cuts(_StageEdges.of_window(edges, win), [left_mask], q)[0][0]
 
 
-# -- per-window optimizers -----------------------------------------------
+# -- window optimizers ----------------------------------------------------
 
 
 def linopt_window(edges: _Edges, win: Window) -> np.ndarray:
@@ -252,6 +323,82 @@ class WindowCutResult:
     used_fallback: bool = False
 
 
+def _flow_budget(size: int) -> int:
+    """Augmenting paths a window of ``size`` vertices may take."""
+    return 1000 + 100 * size
+
+
+def _stage_mincut(
+    stage: _StageEdges, max_augmentations: int | None = None
+) -> tuple[np.ndarray, list[bool]]:
+    """``mincut_window`` for every window of the stage over one network.
+
+    Window j's vertices are nodes start[j]+2j onward, followed by its own
+    source and sink; the network's components are the windows, and each
+    is solved with its own budget (``max_augmentations``, or by default
+    ``_flow_budget`` of its size) and epsilon, 1e-12 * max(1, the
+    window's largest capacity). Returns the left masks laid end to end
+    and, per window, whether its budget ran out.
+    """
+    count = len(stage.windows)
+    size = stage.hi - stage.lo
+    total = int(stage.start[-1])
+    if total == 0:
+        return np.zeros(0, dtype=bool), [False] * count
+    win, pos, rank, w = stage.win, stage.pos, stage.rank, stage.w
+    win_of_pos = stage.win_of_pos
+    lo = stage.lo[win]
+    before, after = rank < lo, rank >= stage.hi[win]
+    inner = ~before & ~after
+    other = stage.start[win] + rank - lo  # the other end's position, if inner
+    src_cap = np.bincount(pos[before], w[before], total)
+    snk_cap = np.bincount(pos[after], w[after], total)
+    # weights are non-negative: zero exactly when every incident edge is
+    incident = np.bincount(np.concatenate([pos, other[inner]]),
+                           np.concatenate([w, w[inner]]), total)
+
+    node = np.arange(total) + 2 * win_of_pos
+    source = stage.start[1:] + 2 * np.arange(count)
+    # Arcs go in vertex by vertex: s->i, i->t, then i's positive internal
+    # edges to later window vertices (each with its weight both ways).
+    src = np.flatnonzero(src_cap > 0)
+    snk = np.flatnonzero(snk_cap > 0)
+    both = np.flatnonzero(inner & (w > 0))
+    owner = node[np.concatenate([src, snk, pos[both]])]
+    tail = np.concatenate([source[win_of_pos[src]], node[snk], node[pos[both]]])
+    head = np.concatenate([node[src], source[win_of_pos[snk]] + 1, node[other[both]]])
+    cap = np.concatenate([src_cap[src], snk_cap[snk], w[both]])
+    cap_rev = np.concatenate([np.zeros(len(src) + len(snk)), w[both]])
+    largest = np.zeros(count)
+    np.maximum.at(largest, np.concatenate([win_of_pos[src], win_of_pos[snk], win[both]]), cap)
+    arcs = np.argsort(owner, kind="stable")
+    net = FlowNetwork(total + 2 * count, *(a[arcs] for a in (tail, head, cap, cap_rev)))
+
+    exceeded = [False] * count
+    for j, (s, nw, big) in enumerate(zip(source.tolist(), size.tolist(), largest.tolist())):
+        if nw:
+            budget = _flow_budget(nw) if max_augmentations is None else max_augmentations
+            exceeded[j] = net.max_flow(s, s + 1, budget, 1e-12 * max(1.0, big))[1]
+    free = incident <= 0.0
+    left = (np.array(net.level)[node] >= 0) & ~free
+    # Indifferent vertices drift toward the balanced center.
+    free_seen = np.concatenate([[0], np.cumsum(free)])
+    left_seen = np.concatenate([[0], np.cumsum(left)])
+    bounds = stage.start
+    center = np.array([x.center for x in stage.windows], dtype=np.int64)
+    need = np.clip(center - stage.lo - (left_seen[bounds[1:]] - left_seen[bounds[:-1]]),
+                   0, free_seen[bounds[1:]] - free_seen[bounds[:-1]])
+    free_rank = free_seen[:-1] - free_seen[bounds[:-1]][win_of_pos]
+    left |= free & (free_rank < need[win_of_pos])
+    for j in np.flatnonzero(exceeded).tolist():
+        left[bounds[j] : bounds[j + 1]] = linopt_window(stage.edges(j), stage.windows[j])
+    return left, exceeded
+
+
+def _log_fallback(win: Window) -> None:
+    log.warning("window %d: flow budget exhausted, linear-scan fallback", win.index)
+
+
 def mincut_window(
     edges: _Edges,
     win: Window,
@@ -268,48 +415,15 @@ def mincut_window(
     residual network. Vertices with no incident instance edges are
     indifferent, so they are placed to pull the split toward the balanced
     center. Both sides keep their previous relative order, which makes a
-    rerun a no-op. If the flow exceeds the augmentation budget the
-    order-respecting scan is used instead and the result is flagged.
+    rerun a no-op. If the flow exceeds the augmentation budget (default
+    ``_flow_budget``) the order-respecting scan is used instead and the
+    result is flagged. This is the one-window case of a window stage's
+    ``_stage_mincut``.
     """
-    lo, hi = win.lo, win.hi
-    nw = hi - lo
-    if nw == 0:
-        return WindowCutResult(np.zeros(0, dtype=bool))
-    if max_augmentations is None:
-        max_augmentations = 1000 + 100 * nw
-    row, rank, w = edges
-    before, after = rank < lo, rank >= hi
-    inner = ~before & ~after
-    src_cap = np.bincount(row[before], w[before], nw)
-    snk_cap = np.bincount(row[after], w[after], nw)
-    incident = np.bincount(row, w, nw) + np.bincount(rank[inner] - lo, w[inner], nw)
-
-    s, t = nw, nw + 1
-    # Arcs go in vertex by vertex: s->i, i->t, then i's positive internal
-    # edges to later window vertices (each with its weight both ways).
-    src = np.flatnonzero(src_cap > 0)
-    snk = np.flatnonzero(snk_cap > 0)
-    both = inner & (w > 0)
-    owner = np.concatenate([src, snk, row[both]])
-    tail = np.concatenate([np.full(len(src), s), snk, row[both]])
-    head = np.concatenate([src, np.full(len(snk), t), rank[both] - lo])
-    cap = np.concatenate([src_cap[src], snk_cap[snk], w[both]])
-    cap_rev = np.concatenate([np.zeros(len(src) + len(snk)), w[both]])
-    arcs = np.argsort(owner, kind="stable")
-    net = FlowNetwork(nw + 2, *(a[arcs] for a in (tail, head, cap, cap_rev)))
-    _, exceeded = net.max_flow(s, t, max_augmentations)
-    if exceeded:
-        log.warning("window %d: flow budget exhausted, linear-scan fallback", win.index)
-        left_mask = linopt_window(edges, win)
-    else:
-        reach = np.array(net.level[:nw]) >= 0
-        free = incident <= 0.0
-        left_mask = reach & ~free
-        # Indifferent vertices drift toward the balanced center.
-        need = int(np.clip(win.center - lo - int(left_mask.sum()), 0, int(free.sum())))
-        if need:
-            left_mask[np.flatnonzero(free)[:need]] = True
-    return WindowCutResult(left_mask, exceeded)
+    left, exceeded = _stage_mincut(_StageEdges.of_window(edges, win), max_augmentations)
+    if exceeded[0]:
+        _log_fallback(win)
+    return WindowCutResult(left, exceeded[0])
 
 
 def apply_window_stage(
@@ -322,62 +436,80 @@ def apply_window_stage(
 
     Windows are disjoint, so every window is optimized against the same
     immutable snapshot and the results are applied in window order. One
-    edge slice per window serves its optimizer and its acceptance check: a
-    left mask is accepted only if it does not increase the true local cut
-    against the frozen exterior (the window objective alone can overcount
-    edges to far-away parts as variable), and then the left vertices move
-    before the split, each side in its previous order. Window j runs only
-    while splits j-1, j and j+1 each lie in their own windows (splits 0 and
-    k always do): moving a split onto its window would carry vertices no
-    window prices, and a displaced neighbour could cross the window or push
-    a part beside it out of the alpha bound. Returns the new ordering, the
-    new split points, and per-window diagnostic rows (window index, old
-    local cut, new local cut, vertices moved) for the windows that ran.
+    gather collects the edges of all windows that run (``_stage_edges``);
+    the minimum cut solves them all over one flow network, the linear scan
+    takes each window's slice, and one evaluator pass prices every window's
+    old and new masks. A left mask is accepted only if it does not increase
+    the true local cut against the frozen exterior (the window objective
+    alone can overcount edges to far-away parts as variable), and then the
+    left vertices move before the split, each side in its previous order.
+    Window j runs only while splits j-1, j and j+1 each lie in their own
+    windows (splits 0 and k always do): moving a split onto its window
+    would carry vertices no window prices, and a displaced neighbour could
+    cross the window or push a part beside it out of the alpha bound.
+    Returns the new ordering, the new split points, and per-window
+    diagnostic rows (window index, old local cut, new local cut, vertices
+    moved) for the windows that ran.
     """
     if method not in ("linopt", "mincut"):
         raise ValueError(f"unknown window method {method!r}")
-    # mincut_window is looked up at call time, so a wrapped one is called.
-    optimize = linopt_window if method == "linopt" else lambda e, w: mincut_window(e, w).left_mask
     windows = make_windows(g, o, splits.k, splits.alpha)
     if not windows:
         return o, splits, []
 
-    tol = 1e-12 * max(1.0, g.total_edge_weight)
-    new_q = splits.q.copy()
-    vertex_at = o.vertex_at.copy()
-    diagnostics = []
     # placed[j]: split j lies in window j. Only a dp proposal or an
     # unequal-weight swap displaces one; window j and both its neighbours
     # are then skipped.
     placed = [True, *(w.lo <= splits.q[w.index] <= w.hi for w in windows), True]
-    for win in windows:
-        j = win.index
-        if not (placed[j - 1] and placed[j] and placed[j + 1]):
-            log.info("window\t%d\tskipped: it or a neighbour has its split outside", j)
+    runs = [placed[w.index - 1] and placed[w.index] and placed[w.index + 1] for w in windows]
+    stage = _stage_edges(g, o, [w for w, run in zip(windows, runs) if run])
+    bounds = stage.start
+    if method == "linopt":
+        new_mask = np.zeros(bounds[-1], dtype=bool)
+        for j, win in enumerate(stage.windows):
+            new_mask[bounds[j] : bounds[j + 1]] = linopt_window(stage.edges(j), win)
+        exceeded = [False] * len(stage.windows)
+    else:
+        new_mask, exceeded = _stage_mincut(stage)
+    old_mask = stage.rank_of_pos < splits.q[stage.index][stage.win_of_pos]
+    old_values, new_values = _stage_cuts(stage, (old_mask, new_mask), splits.q)
+
+    tol = 1e-12 * max(1.0, g.total_edge_weight)
+    accepted = [new <= old + tol for old, new in zip(old_values, new_values)]
+    members = o.vertex_at[stage.rank_of_pos]
+    # each window's left vertices first, each side in its previous order
+    new_order = members[np.argsort(2 * stage.win_of_pos + ~new_mask, kind="stable")]
+    moved = np.bincount(stage.win_of_pos, members != new_order, len(accepted))
+    lefts = np.bincount(stage.win_of_pos, new_mask, len(accepted))
+    take = np.array(accepted, dtype=bool)[stage.win_of_pos]
+    vertex_at = o.vertex_at.copy()
+    vertex_at[stage.rank_of_pos[take]] = new_order[take]
+    new_q = splits.q.copy()
+
+    diagnostics = []
+    ran = iter(range(len(stage.windows)))
+    for win, run in zip(windows, runs):
+        if not run:
+            log.info("window\t%d\tskipped: it or a neighbour has its split outside", win.index)
             continue
-        edges = _window_edges(g, o, win)
-        new_mask = optimize(edges, win)
-        old_mask = np.arange(win.lo, win.hi) < splits.q[win.index]
-        old_value = _window_cut(edges, win, old_mask, splits.q)
-        new_value = _window_cut(edges, win, new_mask, splits.q)
-        accepted = new_value <= old_value + tol
-        moved = 0
-        if accepted:
-            members = o.vertex_at[win.lo : win.hi]
-            new_order = np.concatenate([members[new_mask], members[~new_mask]])
-            new_q[win.index] = win.lo + int(new_mask.sum())
-            moved = int(np.count_nonzero(members != new_order))
-            vertex_at[win.lo : win.hi] = new_order
+        j = next(ran)
+        if exceeded[j]:
+            _log_fallback(win)
+        old_value, new_value = old_values[j], new_values[j]
+        moves = 0
+        if accepted[j]:
+            new_q[win.index] = win.lo + int(lefts[j])
+            moves = int(moved[j])
         diagnostics.append(
-            (win.index, old_value, new_value if accepted else old_value, moved)
+            (win.index, old_value, new_value if accepted[j] else old_value, moves)
         )
         log.info(
             "window\t%d\told\t%.6g\tnew\t%.6g\tmoved\t%d\taccepted\t%d",
             win.index,
             old_value,
             new_value,
-            moved,
-            int(accepted),
+            moves,
+            int(accepted[j]),
         )
     new_o = Ordering.from_vertex_at(vertex_at)
     return new_o, SplitPoints(new_q, splits.alpha), diagnostics

@@ -1,18 +1,21 @@
 """Dinic maximum flow on small dense-ish networks with float capacities.
 
 Used for the two-terminal minimum cuts inside boundary windows. The network
-is built once from arc arrays. Capacities are real-valued; residual arcs
-below a scale-relative epsilon count as saturated so float drift cannot
-stall termination. The number of BFS phases is bounded by the node count
-regardless of capacity values. The last BFS of a completed flow, which no
+is built once from arc arrays and kept as flat CSR lists: the arcs of
+vertex u are ``arcs[first[u]:first[u + 1]]``. A network may hold several
+disjoint components, each with its own source and sink, and solve them one
+``max_flow`` call each: a call touches only the vertices its BFS labels,
+so it costs the size of its component, not of the network. Capacities are
+real-valued; residual arcs below a scale-relative epsilon count as
+saturated so float drift cannot stall termination. The number of BFS
+phases is bounded by the node count regardless of capacity values. A BFS
+stops once it labels the sink. The last BFS of a completed flow, which no
 longer reaches the sink, leaves ``level[v] >= 0`` exactly on the vertices
 residual-reachable from the source: the minimal source side of a minimum
 cut.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
@@ -33,17 +36,19 @@ class FlowNetwork:
         origin = np.stack([tail, head], axis=1).ravel()
         to = np.stack([head, tail], axis=1).ravel()
         caps = np.stack([np.asarray(cap, float), np.asarray(cap_rev, float)], axis=1).ravel()
-        arcs = np.argsort(origin, kind="stable").tolist()
-        bounds = np.concatenate([[0], np.cumsum(np.bincount(origin, minlength=n))]).tolist()
         self.n = n
         self.to: list[int] = to.tolist()
         self.cap: list[float] = caps.tolist()
-        self.adj = [arcs[bounds[u] : bounds[u + 1]] for u in range(n)]
+        self.arcs: list[int] = np.argsort(origin, kind="stable").tolist()
+        self.first: list[int] = np.concatenate(
+            [[0], np.cumsum(np.bincount(origin, minlength=n))]
+        ).tolist()
         self.eps = 1e-12 * max(1.0, float(caps.max()) if len(caps) else 0.0)
         self.level = [-1] * n
+        self._it = [0] * n  # each labelled vertex's next arc slot in a phase
 
     def max_flow(
-        self, s: int, t: int, max_augmentations: int | None = None
+        self, s: int, t: int, max_augmentations: int | None = None, eps: float | None = None
     ) -> tuple[float, bool]:
         """Returns (flow value, budget_exceeded).
 
@@ -51,14 +56,20 @@ class FlowNetwork:
         ``max_augmentations`` augmenting paths; the value then counts the
         first ``max_augmentations`` of them. When the flow completes,
         ``level[v] >= 0`` marks the vertices residual-reachable from s.
+        ``eps`` (default ``self.eps``) is the saturation threshold; a
+        network of several components passes each component's own. The
+        marks of other components are left as they are, so each component
+        is solved once.
         """
-        eps = self.eps
+        if eps is None:
+            eps = self.eps
         flow = 0.0
         augmentations = 0
-        level = self.level
-        it = [0] * self.n
-        while self._bfs(s, t, level, eps):
-            it[:] = [0] * self.n
+        level, it, first = self.level, self._it, self.first
+        seen: list[int] = []  # the vertices the last BFS labelled
+        while self._bfs(s, t, seen, eps):
+            for v in seen:
+                it[v] = first[v]
             while True:
                 pushed = self._dfs(s, t, level, it, eps)
                 if pushed <= 0.0:
@@ -69,36 +80,48 @@ class FlowNetwork:
                 augmentations += 1
         return flow, False
 
-    def _bfs(self, s: int, t: int, level: list[int], eps: float) -> bool:
-        for i in range(self.n):
-            level[i] = -1
+    def _bfs(self, s: int, t: int, seen: list[int], eps: float) -> bool:
+        """Level the residual network from s, stopping once t is labelled.
+
+        Unlabels only what the previous BFS (``seen``) labelled, then
+        refills ``seen``. Every vertex nearer s than t is labelled before
+        t is, so the level graph's paths to t are all there.
+        """
+        level, arcs, first, to, cap = self.level, self.arcs, self.first, self.to, self.cap
+        for v in seen:
+            level[v] = -1
+        seen.clear()
         level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for a in self.adj[u]:
-                v = self.to[a]
-                if level[v] < 0 and self.cap[a] > eps:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level[t] >= 0
+        seen.append(s)
+        for u in seen:  # seen is the queue: it grows as the loop walks it
+            next_level = level[u] + 1
+            for a in arcs[first[u] : first[u + 1]]:
+                v = to[a]
+                if level[v] < 0 and cap[a] > eps:
+                    level[v] = next_level
+                    seen.append(v)
+                    if v == t:
+                        return True
+        return False
 
     def _dfs(self, s: int, t: int, level: list[int], it: list[int], eps: float) -> float:
         """One augmenting path along the level graph, iteratively."""
+        arcs, first, to, cap = self.arcs, self.first, self.to, self.cap
         path: list[int] = []  # arc indices from s toward t
         u = s
         while True:
             if u == t:
-                pushed = min(self.cap[a] for a in path)
+                pushed = min(cap[a] for a in path)
                 for a in path:
-                    self.cap[a] -= pushed
-                    self.cap[a ^ 1] += pushed
+                    cap[a] -= pushed
+                    cap[a ^ 1] += pushed
                 return pushed
             advanced = False
-            while it[u] < len(self.adj[u]):
-                a = self.adj[u][it[u]]
-                v = self.to[a]
-                if self.cap[a] > eps and level[v] == level[u] + 1:
+            end = first[u + 1]
+            while it[u] < end:
+                a = arcs[it[u]]
+                v = to[a]
+                if cap[a] > eps and level[v] == level[u] + 1:
                     path.append(a)
                     u = v
                     advanced = True
@@ -109,4 +132,4 @@ class FlowNetwork:
                     return 0.0
                 level[u] = -1  # dead end; prune
                 last = path.pop()
-                u = self.to[last ^ 1]  # back to the tail of the last arc
+                u = to[last ^ 1]  # back to the tail of the last arc

@@ -77,13 +77,31 @@ def minla_round(g: Graph, o: Ordering) -> Ordering:
     arcs and prefix its value before the row. fl(x - prefix) never falls
     as x grows, so a binary search over the rows of all vertices at once
     finds it in b steps.
+
+    Everything but nbr_rank is the same every round: ``_MedianRound``
+    builds it once, with the work arrays the round sorts and sums in, and
+    ``minla_refine`` runs all its rounds on one. This function builds one
+    and runs a single round.
     """
-    n = g.n
-    ranks = o.rank_of
-    indptr = g.adj_indptr
-    deg = np.diff(indptr)
-    proposed = ranks.copy()
-    if g.edge_count:
+    return _MedianRound(g)(o)
+
+
+class _MedianRound:
+    """The rank-free part of ``minla_round``, built once per graph.
+
+    It holds four arrays of one entry per arc: the row start of each arc,
+    the key without its neighbor rank, ((src % per_sort) * n << b) | off,
+    and the int64 and float64 arrays the round sorts and sums in.
+    """
+
+    def __init__(self, g: Graph):
+        self.g = g
+        n = g.n
+        indptr = g.adj_indptr
+        deg = np.diff(indptr)
+        self.nonempty = np.flatnonzero(deg)
+        if not g.edge_count:
+            return
         b = int(deg.max() - 1).bit_length()
         room = _KEY_BITS - b
         # Sources [s0, s0 + per_sort) sort together, keyed by src - s0, so
@@ -91,34 +109,50 @@ def minla_round(g: Graph, o: Ordering) -> Ordering:
         per_sort = min(n, (1 << room) // n) if room >= 0 else 0
         if per_sort == 0:
             raise ValueError("graph too large for packed median sort keys")
-        row_start = np.repeat(indptr[:-1], deg)
-        nbr_rank = ranks[g.adj_indices]
-        keys = np.repeat(np.arange(n) % per_sort * np.int64(n), deg)
-        keys += nbr_rank
-        keys <<= b
-        keys |= np.arange(len(keys)) - row_start
-        for s0 in range(0, n, per_sort):
-            keys[indptr[s0]:indptr[min(s0 + per_sort, n)]].sort()
-        keys &= (1 << b) - 1
-        keys += row_start  # a sorted arc's index: its row start plus its offset
-        order = keys
-        cw = np.cumsum(g.adj_weights[order])
-        nonempty = np.flatnonzero(deg)
-        lo = indptr[nonempty]
-        hi = indptr[nonempty + 1] - 1
-        prefix = cw[lo - 1]
-        prefix[lo == 0] = 0.0
-        half = (cw[hi] - prefix) / 2.0
-        for _ in range(b):
-            mid = (lo + hi) >> 1
-            found = cw[mid] - prefix >= half
-            np.copyto(hi, mid, where=found)
-            np.copyto(lo, mid + 1, where=~found)
-        proposed[nonempty] = nbr_rank[order[lo]]
-    # the keys are distinct, so sorting them orders the current ranks (key % n)
-    # exactly as their argsort would
-    final = np.sort(proposed * np.int64(n) + ranks) % n
-    return Ordering.from_vertex_at(o.vertex_at[final])
+        self.b = b
+        self.runs = [(indptr[s0], indptr[min(s0 + per_sort, n)]) for s0 in range(0, n, per_sort)]
+        self.row_start = np.repeat(indptr[:-1], deg)
+        self.keys = np.arange(len(self.row_start))
+        self.keys -= self.row_start  # each arc's offset within its row
+        self.base = np.repeat(np.arange(n) % per_sort * np.int64(n), deg)
+        self.base <<= b
+        self.base |= self.keys
+        self.cw = np.empty(len(self.keys))
+        self.row_lo = indptr[self.nonempty]
+        self.row_hi = indptr[self.nonempty + 1] - 1
+
+    def __call__(self, o: Ordering) -> Ordering:
+        g = self.g
+        n = g.n
+        ranks = o.rank_of
+        proposed = ranks.copy()
+        if g.edge_count:
+            b, keys, cw = self.b, self.keys, self.cw
+            # mode="clip" writes straight into keys; "raise" buffers it
+            np.take(ranks, g.adj_indices, out=keys, mode="clip")
+            keys <<= b
+            keys += self.base
+            for lo, hi in self.runs:
+                keys[lo:hi].sort()
+            keys &= (1 << b) - 1
+            keys += self.row_start  # a sorted arc's index: its row start plus its offset
+            order = keys
+            np.take(g.adj_weights, order, out=cw, mode="clip")
+            np.cumsum(cw, out=cw)
+            lo, hi = self.row_lo.copy(), self.row_hi.copy()
+            prefix = cw[lo - 1]
+            prefix[lo == 0] = 0.0
+            half = (cw[hi] - prefix) / 2.0
+            for _ in range(b):
+                mid = (lo + hi) >> 1
+                found = cw[mid] - prefix >= half
+                np.copyto(hi, mid, where=found)
+                np.copyto(lo, mid + 1, where=~found)
+            proposed[self.nonempty] = ranks[g.adj_indices[order[lo]]]
+        # the keys are distinct, so sorting them orders the current ranks (key % n)
+        # exactly as their argsort would
+        final = np.sort(proposed * np.int64(n) + ranks) % n
+        return Ordering.from_vertex_at(o.vertex_at[final])
 
 
 @dataclass
@@ -149,8 +183,9 @@ def minla_refine(g: Graph, o: Ordering, max_rounds: int) -> MinLAState:
     obj = minla_objective(g, current)
     trace = [obj]
     stop = "cap"
+    median_round = _MedianRound(g)
     for rounds in range(1, max_rounds + 1):
-        nxt = minla_round(g, current)
+        nxt = median_round(current)
         new_obj = minla_objective(g, nxt)
         trace.append(new_obj)
         log.info("minla\tround\t%d\tobjective\t%.6g", rounds, new_obj)

@@ -12,6 +12,7 @@ from linepart import boundary
 from linepart.boundary import (
     SplitPoints,
     Window,
+    _stage_edges,
     _window_cut,
     _window_edges,
     apply_window_stage,
@@ -23,6 +24,7 @@ from linepart.boundary import (
     mincut_window,
 )
 from linepart.graph import Graph, Partition, check_balance, cut_weight
+from linepart.maxflow import FlowNetwork
 from linepart.ordering import Ordering
 
 from conftest import make_graph, path_graph, random_graph, small_graph_and_order
@@ -716,11 +718,11 @@ def test_window_stage_leaves_splits_outside_their_windows_alone():
 def test_window_stage_gathers_each_window_once(monkeypatch):
     gathered = []
 
-    def counting_window_edges(g, o, win):
-        gathered.append(win.index)
-        return _window_edges(g, o, win)
+    def counting_stage_edges(g, o, windows):
+        gathered.append([w.index for w in windows])
+        return _stage_edges(g, o, windows)
 
-    monkeypatch.setattr(boundary, "_window_edges", counting_window_edges)
+    monkeypatch.setattr(boundary, "_stage_edges", counting_stage_edges)
     rng = np.random.default_rng(8)
     g = random_graph(rng, 40, 120)
     o = Ordering.from_vertex_at(rng.permutation(40))
@@ -728,7 +730,166 @@ def test_window_stage_gathers_each_window_once(monkeypatch):
     for method in ("linopt", "mincut"):
         gathered.clear()
         _, _, diag = apply_window_stage(g, o, splits, method)
-        assert gathered == [1, 2, 3, 4] == [row[0] for row in diag]
+        assert gathered == [[1, 2, 3, 4]]
+        assert [row[0] for row in diag] == [1, 2, 3, 4]
+
+
+# -- the window stage against its per-window loop ------------------------------
+
+
+def reference_window_edges(g, o, win):
+    """Per-window gather: (row, rank, w) of every edge with an end in the
+    window, an inner edge once, at its lower-ranked end."""
+    members = o.vertex_at[win.lo : win.hi]
+    start = g.adj_indptr[members]
+    deg = g.adj_indptr[members + 1] - start
+    row = np.repeat(np.arange(len(members)), deg)
+    slot = np.repeat(start - (np.cumsum(deg) - deg), deg) + np.arange(len(row))
+    rank = o.rank_of[g.adj_indices[slot]]
+    keep = (rank < win.lo) | (rank > win.lo + row)
+    return row[keep], rank[keep], g.adj_weights[slot[keep]]
+
+
+def reference_window_cut(edges, win, left_mask, q):
+    row, rank, w = edges
+    side = np.where(left_mask, win.index - 1, win.index)
+    part = np.searchsorted(q, rank, side="right") - 1
+    inside = (rank >= win.lo) & (rank < win.hi)
+    part[inside] = side[rank[inside] - win.lo]
+    return float(w[side[row] != part].sum())
+
+
+def reference_mincut_mask(edges, win):
+    """One window's minimum cut over its own network, budget
+    ``boundary._flow_budget``, falling back to ``linopt_window``."""
+    lo, hi = win.lo, win.hi
+    nw = hi - lo
+    if nw == 0:
+        return np.zeros(0, dtype=bool)
+    row, rank, w = edges
+    before, after = rank < lo, rank >= hi
+    inner = ~before & ~after
+    src_cap = np.bincount(row[before], w[before], nw)
+    snk_cap = np.bincount(row[after], w[after], nw)
+    incident = np.bincount(row, w, nw) + np.bincount(rank[inner] - lo, w[inner], nw)
+    s, t = nw, nw + 1
+    src = np.flatnonzero(src_cap > 0)
+    snk = np.flatnonzero(snk_cap > 0)
+    both = inner & (w > 0)
+    owner = np.concatenate([src, snk, row[both]])
+    tail = np.concatenate([np.full(len(src), s), snk, row[both]])
+    head = np.concatenate([src, np.full(len(snk), t), rank[both] - lo])
+    cap = np.concatenate([src_cap[src], snk_cap[snk], w[both]])
+    cap_rev = np.concatenate([np.zeros(len(src) + len(snk)), w[both]])
+    arcs = np.argsort(owner, kind="stable")
+    net = FlowNetwork(nw + 2, *(a[arcs] for a in (tail, head, cap, cap_rev)))
+    _, exceeded = net.max_flow(s, t, boundary._flow_budget(nw))
+    if exceeded:
+        return linopt_window(edges, win)
+    reach = np.array(net.level[:nw]) >= 0
+    free = incident <= 0.0
+    left_mask = reach & ~free
+    need = int(np.clip(win.center - lo - int(left_mask.sum()), 0, int(free.sum())))
+    if need:
+        left_mask[np.flatnonzero(free)[:need]] = True
+    return left_mask
+
+
+def reference_window_stage(g, o, splits, method):
+    """The window stage as a loop that gathers, solves and prices one
+    window at a time."""
+    optimize = linopt_window if method == "linopt" else reference_mincut_mask
+    windows = make_windows(g, o, splits.k, splits.alpha)
+    if not windows:
+        return o, splits, []
+    tol = 1e-12 * max(1.0, g.total_edge_weight)
+    new_q = splits.q.copy()
+    vertex_at = o.vertex_at.copy()
+    diagnostics = []
+    placed = [True, *(w.lo <= splits.q[w.index] <= w.hi for w in windows), True]
+    for win in windows:
+        j = win.index
+        if not (placed[j - 1] and placed[j] and placed[j + 1]):
+            continue
+        edges = reference_window_edges(g, o, win)
+        new_mask = optimize(edges, win)
+        old_mask = np.arange(win.lo, win.hi) < splits.q[win.index]
+        old_value = reference_window_cut(edges, win, old_mask, splits.q)
+        new_value = reference_window_cut(edges, win, new_mask, splits.q)
+        accepted = new_value <= old_value + tol
+        moved = 0
+        if accepted:
+            members = o.vertex_at[win.lo : win.hi]
+            new_order = np.concatenate([members[new_mask], members[~new_mask]])
+            new_q[win.index] = win.lo + int(new_mask.sum())
+            moved = int(np.count_nonzero(members != new_order))
+            vertex_at[win.lo : win.hi] = new_order
+        diagnostics.append(
+            (win.index, old_value, new_value if accepted else old_value, moved)
+        )
+    return Ordering.from_vertex_at(vertex_at), SplitPoints(new_q, splits.alpha), diagnostics
+
+
+def stage_oracle_cases():
+    """(graph, ordering, split points) on small graphs with log-uniform
+    weights, zero-weight edges and isolated vertices."""
+    rng = np.random.default_rng(23)
+    sizes, parts, alphas = (12, 30, 61, 200), (2, 5, "n"), (0.0, 0.05, 1.0)
+    for n, k, alpha, _ in itertools.product(sizes, parts, alphas, range(3)):
+        g = zero_weight_graph(rng, n, 3 * n)
+        w = np.where(g.edge_w > 0, 10.0 ** rng.uniform(-6, 6, g.edge_count), 0.0)
+        g = g.with_edge_weights(w)
+        o = Ordering.from_vertex_at(rng.permutation(n))
+        yield g, o, make_split_points(g, o, n if k == "n" else k, alpha)
+    # a band graph whose weights grow from 1e-9 at low ids to 1e6: each
+    # window's flow epsilon follows its own capacities, not the graph's
+    n = 120
+    u = np.repeat(np.arange(n - 1), 4)
+    v = np.minimum(u + rng.integers(1, 6, len(u)), n - 1)
+    keep = u != v
+    u, v = u[keep], v[keep]
+    w = 10.0 ** (-9 + 15 * u / n) * rng.uniform(0.5, 1.5, len(u))
+    g = Graph.from_arcs(u, v, w, [str(i) for i in range(n)])
+    o = Ordering.from_vertex_at(np.argsort(np.arange(n) + rng.uniform(0, 12, n)))
+    yield g, o, make_split_points(g, o, 6, 1.0)
+    # split 2 displaced off its window: windows 1..3 are skipped
+    g = random_graph(rng, 60, 200, weighted=True)
+    g = g.with_edge_weights(10.0 ** rng.uniform(-6, 6, g.edge_count))
+    o = Ordering.from_vertex_at(rng.permutation(60))
+    splits = make_split_points(g, o, 6, 0.3)
+    q = splits.q.copy()
+    q[2] = make_windows(g, o, 6, 0.3)[1].hi + 2
+    yield g, o, SplitPoints(q, 0.3)
+
+
+def assert_same_stage(got, want):
+    (o1, s1, d1), (o2, s2, d2) = got, want
+    assert o1.vertex_at.tobytes() == o2.vertex_at.tobytes()
+    assert s1.q.tobytes() == s2.q.tobytes()
+    assert repr(d1) == repr(d2)
+
+
+@pytest.mark.parametrize("method", ["linopt", "mincut"])
+def test_window_stage_matches_per_window_loop(method):
+    skipped = 0
+    for g, o, splits in stage_oracle_cases():
+        got = apply_window_stage(g, o, splits, method)
+        assert_same_stage(got, reference_window_stage(g, o, splits, method))
+        skipped += len(got[2]) < splits.k - 1
+    assert skipped  # the displaced case ran the skip rule
+
+
+def test_window_stage_matches_per_window_loop_on_flow_fallback(monkeypatch, caplog):
+    # a budget of one augmenting path: windows whose cut needs more fall back
+    monkeypatch.setattr(boundary, "_flow_budget", lambda size: 1)
+    fallbacks = 0
+    for g, o, splits in stage_oracle_cases():
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="linepart.boundary"):
+            got = apply_window_stage(g, o, splits, "mincut")
+        assert_same_stage(got, reference_window_stage(g, o, splits, "mincut"))
+        fallbacks += sum("linear-scan fallback" in m for m in caplog.messages)
+    assert fallbacks
 
 
 def test_frozen_local_cut_matches_direct_count():

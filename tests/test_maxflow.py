@@ -77,10 +77,45 @@ def test_budget_of_one_augmentation_is_exceeded_by_two_paths():
 
 def test_each_vertex_lists_its_arcs_in_arc_order():
     net = FlowNetwork(3, [1, 0, 1], [0, 2, 2], [1.0, 2.0, 3.0], [0.5, 0.0, 0.0])
-    assert net.adj == [[1, 2], [0, 4], [3, 5]]
+    assert [net.arcs[net.first[u] : net.first[u + 1]] for u in range(3)] == [[1, 2], [0, 4], [3, 5]]
     assert net.to == [0, 1, 2, 0, 2, 1]
     assert net.cap == [1.0, 0.5, 2.0, 0.0, 3.0, 0.0]
     assert net.eps == 1e-12 * 3.0
+
+
+def test_components_of_one_network_solve_one_at_a_time():
+    # disjoint random networks, each at its own capacity scale, laid end to
+    # end in one network and solved in turn with their own epsilon
+    rng = np.random.default_rng(9)
+    for _ in range(40):
+        parts, offset = [], 0
+        for _ in range(int(rng.integers(2, 6))):
+            n = int(rng.integers(2, 8))
+            scale = 2.0 ** int(rng.integers(-30, 30))  # sums stay exact
+
+            def capacity(size):
+                return scale * rng.integers(1, 4, size)
+
+            arrays = random_network(rng, n, int(rng.integers(0, 3 * n)), capacity)
+            parts.append((offset, n, arrays))
+            offset += n
+        net = FlowNetwork(offset, *(np.concatenate([a[i] + (o if i < 2 else 0)
+                                                    for o, _, a in parts]) for i in range(4)))
+        marks = []
+        for o, n, arrays in parts:
+            eps = 1e-12 * max([1.0, *arrays[2], *arrays[3]])
+            flow, exceeded = net.max_flow(o, o + n - 1, eps=eps)
+            cuts = brute_min_cuts(n, *arrays)
+            best = min(value for value, _ in cuts)
+            smallest = min((side for value, side in cuts if value == best), key=np.sum)
+            assert not exceeded
+            assert flow == best
+            mark = np.array(net.level[o : o + n]) >= 0
+            assert (mark == smallest).all()
+            marks.append(mark)
+        # a later component's flow left the earlier marks alone
+        for (o, n, _), mark in zip(parts, marks):
+            assert ((np.array(net.level[o : o + n]) >= 0) == mark).all()
 
 
 def test_budget_that_the_flow_needs_exactly_is_not_exceeded():

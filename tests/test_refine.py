@@ -1,5 +1,7 @@
 """MinLA median iteration and rank-swap tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from linepart import refine
 from linepart.boundary import make_split_points, make_windows, window_slack
 from linepart.graph import Graph, Partition, cut_weight
 from linepart.ordering import Ordering
+from linepart.synth import rmat
 from linepart.refine import (
     _SwapState,
     _interval_pairs,
@@ -208,6 +211,54 @@ def test_round_matches_argsort_round_on_random_graphs(go):
 
 
 # -- refinement loop -------------------------------------------------------------
+
+
+def reference_refine(g, o, max_rounds):
+    """minla_refine's loop over argsort_round: (ordering, objective, rounds,
+    stop, trace)."""
+    obj = minla_objective(g, o)
+    trace, stop = [obj], "cap"
+    for rounds in range(1, max_rounds + 1):
+        nxt = argsort_round(g, o)
+        new_obj = minla_objective(g, nxt)
+        trace.append(new_obj)
+        if new_obj >= obj:
+            stop = "no_gain"
+            break
+        o, obj = nxt, new_obj
+    return o, obj, rounds, stop, trace
+
+
+@pytest.mark.parametrize("chunked", [False, True])
+def test_refine_matches_a_loop_of_argsort_rounds(monkeypatch, chunked):
+    # one build serves every round: the reused work arrays must not carry
+    # anything from one round into the next
+    rng = np.random.default_rng(12)
+    longest = 0
+    for name, g in [*oracle_graphs(), ("edgeless", make_graph([], n=7))]:
+        if chunked and g.edge_count:
+            monkeypatch.setattr(refine, "_KEY_BITS", one_source_bits(g) + 2)
+        o = Ordering.from_vertex_at(rng.permutation(g.n))
+        want_o, want_obj, want_rounds, want_stop, want_trace = reference_refine(g, o, 10)
+        got = minla_refine(g, o, 10)
+        assert got.ordering.vertex_at.tobytes() == want_o.vertex_at.tobytes(), name
+        assert (got.objective, got.round, got.stop) == (want_obj, want_rounds, want_stop), name
+        assert got.trace == want_trace, name
+        longest = max(longest, got.round)
+    assert longest >= 3
+
+
+def test_refine_peak_memory_stays_within_six_arc_arrays():
+    g = rmat(13, 1 << 17, seed=1)
+    o = Ordering.from_vertex_at(np.random.default_rng(0).permutation(g.n))
+    tracemalloc.start()
+    try:
+        minla_refine(g, o, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * len(g.adj_indices)
+
 
 
 def test_refine_fixed_point_returns_after_one_round():
