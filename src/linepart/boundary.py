@@ -253,13 +253,6 @@ def _stage_edges(g: Graph, o: Ordering, windows: list[Window]) -> _StageEdges:
     return stage.hold(win[keep], pos[keep], rank[keep], g.adj_weights[slot[keep]])
 
 
-def _window_edges(g: Graph, o: Ordering, win: Window) -> _Edges:
-    """One window's edges: (row, rank, w), the window position of the
-    edge's window end (rank lo+row), the rank of its other end, and its
-    weight."""
-    return _stage_edges(g, o, [win]).edges(0)
-
-
 def _stage_cuts(stage: _StageEdges, left_masks, q: np.ndarray) -> list[list[float]]:
     """Each window's weight of edges whose ends land in different parts,
     for each of ``left_masks``.
@@ -280,11 +273,6 @@ def _stage_cuts(stage: _StageEdges, left_masks, q: np.ndarray) -> list[list[floa
         part[inside] = side[other]
         values.append(stage.sums(side[stage.pos] != part))
     return values
-
-
-def _window_cut(edges: _Edges, win: Window, left_mask: np.ndarray, q: np.ndarray) -> float:
-    """``_stage_cuts`` for one window and one mask."""
-    return _stage_cuts(_StageEdges.of_window(edges, win), [left_mask], q)[0][0]
 
 
 # -- window optimizers ----------------------------------------------------

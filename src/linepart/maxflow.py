@@ -54,28 +54,37 @@ class FlowNetwork:
 
         The budget is exceeded only when the flow needs more than
         ``max_augmentations`` augmenting paths; the value then counts the
-        first ``max_augmentations`` of them. When the flow completes,
-        ``level[v] >= 0`` marks the vertices residual-reachable from s.
+        first ``max_augmentations`` of them, and only those are pushed.
+        When the flow completes, ``level[v] >= 0`` marks the vertices
+        residual-reachable from s.
         ``eps`` (default ``self.eps``) is the saturation threshold; a
         network of several components passes each component's own. The
-        marks of other components are left as they are, so each component
-        is solved once.
+        marks of other components are left as they are. A call whose budget
+        runs out clears the labels it set, so its component may be solved
+        again with a larger budget; the flow then continues from the
+        residual capacities left behind. A component may be solved again
+        only with the same s and t: a completed call's marks stay set.
         """
         if eps is None:
             eps = self.eps
         flow = 0.0
         augmentations = 0
-        level, it, first = self.level, self._it, self.first
+        level, it, first, cap = self.level, self._it, self.first, self.cap
         seen: list[int] = []  # the vertices the last BFS labelled
         while self._bfs(s, t, seen, eps):
             for v in seen:
                 it[v] = first[v]
             while True:
-                pushed = self._dfs(s, t, level, it, eps)
+                pushed, path = self._dfs(s, t, level, it, eps)
                 if pushed <= 0.0:
                     break
                 if augmentations == max_augmentations:
+                    for v in seen:
+                        level[v] = -1
                     return flow, True
+                for a in path:
+                    cap[a] -= pushed
+                    cap[a ^ 1] += pushed
                 flow += pushed
                 augmentations += 1
         return flow, False
@@ -104,18 +113,18 @@ class FlowNetwork:
                         return True
         return False
 
-    def _dfs(self, s: int, t: int, level: list[int], it: list[int], eps: float) -> float:
-        """One augmenting path along the level graph, iteratively."""
+    def _dfs(
+        self, s: int, t: int, level: list[int], it: list[int], eps: float
+    ) -> tuple[float, list[int]]:
+        """One augmenting path along the level graph, iteratively: its
+        bottleneck and its arcs from s toward t, or (0.0, []) if none is
+        left. The caller pushes the flow."""
         arcs, first, to, cap = self.arcs, self.first, self.to, self.cap
         path: list[int] = []  # arc indices from s toward t
         u = s
         while True:
             if u == t:
-                pushed = min(cap[a] for a in path)
-                for a in path:
-                    cap[a] -= pushed
-                    cap[a ^ 1] += pushed
-                return pushed
+                return min(cap[a] for a in path), path
             advanced = False
             end = first[u + 1]
             while it[u] < end:
@@ -129,7 +138,7 @@ class FlowNetwork:
                 it[u] += 1
             if not advanced:
                 if u == s:
-                    return 0.0
+                    return 0.0, path
                 level[u] = -1  # dead end; prune
                 last = path.pop()
                 u = to[last ^ 1]  # back to the tail of the last arc

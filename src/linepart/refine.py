@@ -11,8 +11,9 @@ adjacent parts (a, a+1) with a = t (mod 2), so every boundary is visited
 over two rounds; each part is sliced into intervals, which the seed, t and
 a match one-to-one (``rank_swap_round``). Paired intervals exchange their
 best-improving vertex pairs until no swap helps.
-Each interval walks its vertices best-first from a list sorted by live cut
-reduction, and a swap re-keys only the vertices whose reduction changed.
+Each interval keeps its vertices' live cut reductions in a heap with lazy
+deletion: a swap pushes new keys only for the movers and the interval
+vertices whose reduction changed, and most steps read just the two heads.
 Swaps are one-for-one, so part sizes never change, and a swap of unequal
 weights is taken only if the boundary between the pair stays in its window
 (``boundary.window_slack``) or moves no further from its ideal weight.
@@ -21,9 +22,9 @@ weights is taken only if the boundary between the pair stays in its window
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left, insort
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush, heapreplace
 
 import numpy as np
 
@@ -241,71 +242,87 @@ class _SwapState:
         self.red = self._initial_reductions(firsts)
 
     def _initial_reductions(self, firsts: range) -> np.ndarray:
-        """Reductions toward the paired parts (a, a+1), a in ``firsts``."""
+        """Reductions toward the paired parts (a, a+1), a in ``firsts``.
+
+        One bincount adds up, per vertex and in this order, -w for each edge
+        inside its part, then +w for each edge to its paired part; within a
+        group the edges where it is u come first, each side in edge order.
+        """
         g = self.g
         paired = np.full(len(self.excess) - 1, -1, dtype=np.int64)
         for a in firsts:
             paired[a], paired[a + 1] = a + 1, a
         pu = self.part_of[g.edge_u]
         pv = self.part_of[g.edge_v]
-        same = pu == pv
-        to_paired = paired[pu] == pv  # symmetric: pairing is an involution
-        idx = np.concatenate([g.edge_u[same], g.edge_v[same],
-                              g.edge_u[to_paired], g.edge_v[to_paired]])
-        deltas = np.concatenate([-g.edge_w[same], -g.edge_w[same],
-                                 g.edge_w[to_paired], g.edge_w[to_paired]])
+        same = np.flatnonzero(pu == pv)
+        to_paired = np.flatnonzero(paired[pu] == pv)  # symmetric: pairing is an involution
+        size = 2 * (len(same) + len(to_paired))
+        idx = np.empty(size, dtype=np.int64)
+        deltas = np.empty(size)
+        at = 0
+        # mode="clip" writes straight into the slices; "raise" buffers them
+        for edges, sign in ((same, -1.0), (to_paired, 1.0)):
+            c = len(edges)
+            np.take(g.edge_u, edges, out=idx[at:at + c], mode="clip")
+            np.take(g.edge_v, edges, out=idx[at + c:at + 2 * c], mode="clip")
+            w = np.take(g.edge_w, edges, out=deltas[at:at + c], mode="clip")
+            if sign < 0:
+                np.negative(w, out=w)
+            deltas[at + c:at + 2 * c] = w
+            at += 2 * c
         return np.bincount(idx, weights=deltas, minlength=g.n)
 
     def weight_feasible(self, u: int, v: int) -> bool:
         """Would swapping u (part a) and v (part a+1) keep boundary a+1 in
         its window, or at least no further from its ideal weight?"""
-        wu = self.g.vertex_weights[u]
-        wv = self.g.vertex_weights[v]
+        vw = self.g.vertex_weights
+        wu, wv = vw.item(u), vw.item(v)
         if wu == wv:
             return True
-        old = self.excess[self.part_of[v]]
+        old = self.excess.item(self.part_of.item(v))
         new = old + wv - wu
         return abs(new) <= self.slack + self.slack_tol or abs(new) <= abs(old)
 
-    def swap(self, u: int, v: int) -> dict[int, list[float]]:
+    def swap(self, u: int, v: int, watched: set[int]) -> dict[int, list[float]]:
         """Exchange u (in part a) and v (in part b); update the reductions.
 
         A mover's neighbors in its old part (now its paired part) gain 2w,
         those in its new part lose 2w, and the movers get fresh values.
-        Returns the other vertices whose reduction changed, u's neighbors
-        first, each mapped to its reductions [before, after] the swap. The
-        updates go in arc order, u's arcs first, so a common neighbor of u
-        and v takes u's change first.
+        Returns the vertices of ``watched`` whose reduction changed, u's
+        neighbors first, each mapped to its reductions [before, after] the
+        swap. The updates go in arc order, u's arcs first, so a common
+        neighbor of u and v takes u's change first.
         """
-        g = self.g
-        pa, pb = self.part_of.item(u), self.part_of.item(v)
-        ru, rv = self.rank_of.item(u), self.rank_of.item(v)
-        self.rank_of[u], self.rank_of[v] = rv, ru
+        g, part_of, rank_of = self.g, self.part_of, self.rank_of
+        pa, pb = part_of.item(u), part_of.item(v)
+        ru, rv = rank_of.item(u), rank_of.item(v)
+        rank_of[u], rank_of[v] = rv, ru
         self.vertex_at[ru], self.vertex_at[rv] = v, u
-        self.part_of[u], self.part_of[v] = pb, pa
-        self.excess[pb] += g.vertex_weights[v] - g.vertex_weights[u]
+        part_of[u], part_of[v] = pb, pa
+        self.excess[pb] += g.vertex_weights.item(v) - g.vertex_weights.item(u)
         self.swaps += 1
 
+        indptr = g.adj_indptr
+        u0, u1, v0, v1 = indptr.item(u), indptr.item(u + 1), indptr.item(v), indptr.item(v + 1)
         # (row, weights, own part, paired part, the other mover) per mover
-        rows = tuple(
-            (g.adj_indices[lo:hi], g.adj_weights[lo:hi], own, other, partner)
-            for lo, hi, own, other, partner in (
-                (g.adj_indptr[u], g.adj_indptr[u + 1], pb, pa, v),
-                (g.adj_indptr[v], g.adj_indptr[v + 1], pa, pb, u),
-            )
+        rows = (
+            (g.adj_indices[u0:u1], g.adj_weights[u0:u1], pb, pa, v),
+            (g.adj_indices[v0:v1], g.adj_weights[v0:v1], pa, pb, u),
         )
-        if len(rows[0][0]) + len(rows[1][0]) > _SHORT_ROWS:
-            changed, fresh = self._update_long(rows)
+        if u1 - u0 + v1 - v0 > _SHORT_ROWS:
+            changed, fresh = self._update_long(rows, watched)
         else:
-            changed, fresh = self._update_short(rows)
+            changed, fresh = self._update_short(rows, watched)
         self.red[u], self.red[v] = fresh
         return changed
 
-    def _update_short(self, rows) -> tuple[dict[int, list[float]], list[float]]:
+    def _update_short(self, rows, watched) -> tuple[dict[int, list[float]], list[float]]:
         """``swap``'s updates in plain Python, which on short rows costs less
-        than the dozens of small numpy calls of ``_update_long``. A mover's
-        fresh value sums its weights in arc order, as ``np.add.reduce``
-        does (``_weight_sum``)."""
+        than the dozens of small numpy calls of ``_update_long``. Each change
+        is written at once, so the second mover's row reads a common
+        neighbor's value after the first mover's change. A mover's fresh
+        value sums its weights in arc order, as ``np.add.reduce`` does
+        (``_weight_sum``)."""
         part_of, red = self.part_of, self.red
         changed: dict[int, list[float]] = {}
         fresh = []
@@ -323,16 +340,17 @@ class _SwapState:
                     continue
                 if d == 0.0 or x == partner:  # a mover's own value is fresh
                     continue
-                if x in changed:
-                    changed[x][1] += d
-                else:
-                    changed[x] = [r, r + d]
+                after = r + d
+                red[x] = after
+                if x in watched:
+                    if x in changed:
+                        changed[x][1] = after
+                    else:
+                        changed[x] = [r, after]
             fresh.append(_weight_sum(to_other) - _weight_sum(to_own))
-        if changed:
-            red[list(changed)] = [after for _, after in changed.values()]
         return changed, fresh
 
-    def _update_long(self, rows) -> tuple[dict[int, list[float]], list[float]]:
+    def _update_long(self, rows, watched) -> tuple[dict[int, list[float]], list[float]]:
         """``swap``'s updates as array operations, for long rows."""
         red = self.red
         fresh, touched, deltas = [], [], []
@@ -348,8 +366,12 @@ class _SwapState:
         before = red[nbr]
         np.add.at(red, nbr, np.concatenate(deltas))  # in order, like _update_short
         # a common neighbor's second entry wins: the same before, the final after
-        after = red[nbr].tolist()
-        return dict(zip(nbr.tolist(), map(list, zip(before.tolist(), after)))), fresh
+        changed = {
+            x: [r_old, r_new]
+            for x, r_old, r_new in zip(nbr.tolist(), before.tolist(), red[nbr].tolist())
+            if x in watched
+        }
+        return changed, fresh
 
 
 def _weight_sum(ws: list[float]) -> float:
@@ -363,10 +385,50 @@ def _weight_sum(ws: list[float]) -> float:
     return total
 
 
-def _sorted_keys(verts: np.ndarray, red: np.ndarray) -> list[tuple[float, int]]:
-    """(-reduction, id) of each vertex, best first."""
-    order = np.lexsort((verts, -red))
-    return list(zip((-red[order]).tolist(), verts[order].tolist()))
+def _live_head(
+    heap: list[tuple[float, int]], members: set[int], red: np.ndarray
+) -> tuple[float, int]:
+    """The best live key of an interval's heap, dropping stale keys above
+    it. A key (-r, x) is live while x is a member and r its reduction."""
+    while True:
+        key = heap[0]
+        if key[1] in members and key[0] == -red.item(key[1]):
+            return key
+        heappop(heap)
+
+
+def _live_sorted(
+    heap: list[tuple[float, int]], members: set[int], red: np.ndarray
+) -> list[tuple[float, int]]:
+    """An interval's live keys, best first."""
+    return sorted({key for key in heap if key[1] in members and key[0] == -red.item(key[1])})
+
+
+def _best_step(state: _SwapState, keys_a, keys_b) -> tuple[int, int] | None:
+    """The swap rule on keys sorted best first: the first u with an
+    improving, weight-feasible partner, and its best partner, ties to the
+    partner met first; None if no swap helps."""
+    g, tol = state.g, state.gain_tol
+    chosen = None
+    max_rv = -keys_b[0][0]
+    for neg_ru, u in keys_a:
+        ru = -neg_ru
+        if ru + max_rv <= tol:  # no later u can help either
+            break
+        best_gain = tol
+        nbr, wt = g.neighbors(u)
+        for neg_rv, v in keys_b:
+            rv = -neg_rv
+            if ru + rv <= best_gain:  # gain <= r(u) + r(v)
+                break
+            pos = int(nbr.searchsorted(v))
+            w_uv = wt.item(pos) if pos < len(nbr) and nbr[pos] == v else 0.0
+            gain = ru + rv - 2.0 * w_uv
+            if gain > best_gain and state.weight_feasible(u, v):
+                best_gain, chosen = gain, (u, v)
+        if chosen is not None:
+            break
+    return chosen
 
 
 def _swap_interval_pair(
@@ -376,61 +438,63 @@ def _swap_interval_pair(
 ) -> int:
     """Local optimum between two intervals via best-partner swaps.
 
-    Each interval keeps its vertices as (-reduction, id) keys in a list
-    sorted across steps. A step walks the first list best-first; the first
-    u with an improving, weight-feasible partner (gain r(u) + r(v) -
-    2 w(u,v) above the float tolerance) swaps with its best partner, ties
-    to the partner met first. A swap re-keys only the movers and the
-    touched vertices ranked in either interval.
+    A step takes, in (-reduction, id) order, the first u of the first
+    interval with an improving, weight-feasible partner in the second (gain
+    r(u) + r(v) - 2 w(u,v) above the float tolerance) and swaps it with its
+    best partner, ties to the partner met first (``_best_step``). Each
+    interval keeps its (-reduction, id) keys in a heap. A swap pushes the
+    new keys of the movers and of the touched members of either interval
+    (``swap`` reports only those), and leaves the old keys to be dropped
+    when they surface. Most steps are settled by the two heads: when the
+    best u and the best v share no edge and may swap, no other pair can
+    come first. Otherwise the step sorts the live keys and walks them.
     """
     (a0, a1), (b0, b1) = range_a, range_b
     if a0 >= a1 or b0 >= b1:
         return 0
     g, red, tol = state.g, state.red, state.gain_tol
+    indptr, indices, weights = g.adj_indptr, g.adj_indices, g.adj_weights
     verts_a, verts_b = state.vertex_at[a0:a1], state.vertex_at[b0:b1]
     red_a, red_b = red[verts_a], red[verts_b]
     # gain <= max r(u) + max r(v): skip the whole pair when nothing can help
     if red_a.max() + red_b.max() <= tol:
         return 0
-    keys_a, keys_b = _sorted_keys(verts_a, red_a), _sorted_keys(verts_b, red_b)
+    ids_a, ids_b = verts_a.tolist(), verts_b.tolist()
+    heap_a = list(zip((-red_a).tolist(), ids_a))
+    heap_b = list(zip((-red_b).tolist(), ids_b))
+    heapify(heap_a)
+    heapify(heap_b)
+    in_a, in_b = set(ids_a), set(ids_b)
+    watched = in_a | in_b  # a swap leaves it as it is
     # Strictly improving swaps over a finite configuration space terminate;
     # the cap is a float-drift safety net only.
     cap = 1000 + 50 * (a1 - a0 + b1 - b0)
     swaps = 0
     while swaps < cap:
-        chosen = None
-        max_rv = -keys_b[0][0]
-        for i, (neg_ru, u) in enumerate(keys_a):
-            ru = -neg_ru
-            if ru + max_rv <= tol:  # no later u can help either
-                break
-            best_gain = tol
-            nbr, wt = g.neighbors(u)
-            for j, (neg_rv, v) in enumerate(keys_b):
-                rv = -neg_rv
-                if ru + rv <= best_gain:  # gain <= r(u) + r(v)
-                    break
-                pos = int(nbr.searchsorted(v))
-                w_uv = wt.item(pos) if pos < len(nbr) and nbr[pos] == v else 0.0
-                gain = ru + rv - 2.0 * w_uv
-                if gain > best_gain and state.weight_feasible(u, v):
-                    best_gain, chosen = gain, (i, u, j, v)
-            if chosen is not None:
-                break
-        if chosen is None:
+        neg_ru, u = _live_head(heap_a, in_a, red)
+        neg_rv, v = _live_head(heap_b, in_b, red)
+        if -neg_ru - neg_rv <= tol:
             break
-        i, u, j, v = chosen
-        changed = state.swap(u, v)
-        del keys_a[i], keys_b[j]
-        insort(keys_a, (-red.item(v), v))
-        insort(keys_b, (-red.item(u), u))
-        rank_of = state.rank_of
-        for x, (r_old, r_new) in changed.items():
-            rank = rank_of.item(x)
-            keys = keys_a if a0 <= rank < a1 else keys_b if b0 <= rank < b1 else None
-            if keys is not None:
-                del keys[bisect_left(keys, (-r_old, x))]
-                insort(keys, (-r_new, x))
+        lo, hi = indptr.item(u), indptr.item(u + 1)
+        pos = lo + int(indices[lo:hi].searchsorted(v))
+        linked = pos < hi and indices.item(pos) == v and weights.item(pos) != 0.0
+        heads = not linked and state.weight_feasible(u, v)
+        if not heads:
+            step = _best_step(state, _live_sorted(heap_a, in_a, red),
+                              _live_sorted(heap_b, in_b, red))
+            if step is None:
+                break
+            u, v = step
+        changed = state.swap(u, v, watched)
+        in_a.remove(u)
+        in_a.add(v)
+        in_b.remove(v)
+        in_b.add(u)
+        # each mover takes the other's interval; a head mover's key leaves at once
+        (heapreplace if heads else heappush)(heap_a, (-red.item(v), v))
+        (heapreplace if heads else heappush)(heap_b, (-red.item(u), u))
+        for x, (_, r_new) in changed.items():
+            heappush(heap_a if x in in_a else heap_b, (-r_new, x))
         swaps += 1
     if swaps >= cap:
         log.warning("interval pair hit swap cap (%d); float drift suspected", cap)

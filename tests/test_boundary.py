@@ -12,9 +12,9 @@ from linepart import boundary
 from linepart.boundary import (
     SplitPoints,
     Window,
+    _stage_cuts,
     _stage_edges,
-    _window_cut,
-    _window_edges,
+    _StageEdges,
     apply_window_stage,
     contract_blocks,
     dp_partition,
@@ -56,18 +56,28 @@ def naive_window_cost(g, o, lo, hi, left_window_vertices):
     return total
 
 
+def window_edges(g, o, win):
+    """One window's (row, rank, w) edge rows, as a stage gathers them."""
+    return _stage_edges(g, o, [win]).edges(0)
+
+
+def window_cut(edges, win, left_mask, q):
+    """The stage evaluator's cut for one window and one mask."""
+    return _stage_cuts(_StageEdges.of_window(edges, win), [left_mask], q)[0][0]
+
+
 def linopt_split(g, o, win):
     """The split ``linopt_window`` picks, after checking its mask is a prefix."""
-    mask = linopt_window(_window_edges(g, o, win), win)
+    mask = linopt_window(window_edges(g, o, win), win)
     s = win.lo + int(mask.sum())
     assert mask.tolist() == [r < s for r in range(win.lo, win.hi)]
     return s
 
 
 def window_objective(edges, win, left_mask, n):
-    """``_window_cut`` with everything before the window in part win.index-1
+    """``window_cut`` with everything before the window in part win.index-1
     and everything after it in part win.index: the optimizers' objective."""
-    return _window_cut(edges, win, left_mask, np.array([0] * win.index + [win.lo, n]))
+    return window_cut(edges, win, left_mask, np.array([0] * win.index + [win.lo, n]))
 
 
 MincutSides = namedtuple("MincutSides", "cut split left right used_fallback")
@@ -77,7 +87,7 @@ def mincut_sides(g, o, win, **kwargs):
     """``mincut_window`` on the window's edges: the window objective and
     split of its mask, its left and right vertex lists (each in the
     ordering's relative order), and its fallback flag."""
-    edges = _window_edges(g, o, win)
+    edges = window_edges(g, o, win)
     res = mincut_window(edges, win, **kwargs)
     mask = res.left_mask
     members = o.vertex_at[win.lo : win.hi]
@@ -924,7 +934,7 @@ def test_frozen_local_cut_matches_direct_count():
         part_of = np.empty(n, dtype=np.int64)
         for p in range(4):
             part_of[o.vertex_at[splits.q[p] : splits.q[p + 1]]] = p
-        got = _window_cut(_window_edges(g, o, win), win, mask, splits.q)
+        got = window_cut(window_edges(g, o, win), win, mask, splits.q)
 
         side = part_of.copy()
         for i in range(hi - lo):
@@ -943,8 +953,8 @@ def test_frozen_local_cut_matches_direct_count():
     # the far-part edges (weights 3 and 2) count, and the internal edge
     # (weight 1) crosses the window split
     far_win = Window(index=2, center=12, lo=10, hi=14)
-    far_edges = _window_edges(far, Ordering.identity(n), far_win)
-    assert _window_cut(far_edges, far_win, far_mask, far_splits.q) == 6.0
+    far_edges = window_edges(far, Ordering.identity(n), far_win)
+    assert window_cut(far_edges, far_win, far_mask, far_splits.q) == 6.0
     # the window objective would see neither far-part edge
     assert window_objective(far_edges, far_win, far_mask, n) == 1.0
 

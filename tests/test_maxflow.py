@@ -124,3 +124,33 @@ def test_budget_that_the_flow_needs_exactly_is_not_exceeded():
     arrays = ([0, 1, 0, 2], [1, 3, 2, 3], [1.0] * 4, [0.0] * 4)
     assert FlowNetwork(4, *arrays).max_flow(0, 3, max_augmentations=2) == (2.0, False)
     assert FlowNetwork(4, *arrays).max_flow(0, 3, max_augmentations=1)[1] is True
+
+
+def test_flow_after_an_exceeded_budget_completes_on_the_same_network():
+    # A call that runs out of budget leaves no labels behind, so a second
+    # call without a budget finishes the flow: the two values add up to the
+    # minimum cut and the marks are its smallest source side.
+    rng = np.random.default_rng(12)
+
+    def capacity(size):
+        return rng.integers(1, 4, size).astype(float)
+
+    retried = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 8))
+        arrays = random_network(rng, n, int(rng.integers(0, 3 * n)), capacity)
+        net = FlowNetwork(n, *arrays)
+        first, exceeded = net.max_flow(0, n - 1, max_augmentations=1)
+        if exceeded:
+            assert net.level == [-1] * n
+            retried += 1
+        rest, exceeded_again = net.max_flow(0, n - 1)
+        cuts = brute_min_cuts(n, *arrays)
+        best = min(value for value, _ in cuts)
+        smallest = min((side for value, side in cuts if value == best), key=np.sum)
+        assert not exceeded_again
+        assert first + rest == best
+        if not exceeded:
+            assert rest == 0.0
+        assert ((np.array(net.level) >= 0) == smallest).all()
+    assert retried > 20

@@ -452,7 +452,7 @@ def test_swap_keeps_live_reductions_exact():
         for _ in range(6):
             u = int(state.vertex_at[rng.integers(0, 8)])
             v = int(state.vertex_at[rng.integers(8, 16)])
-            state.swap(u, v)
+            state.swap(u, v, set(range(16)))
             assert np.array_equal(state.red, state._initial_reductions(range(1)))
         assert state.part_of[state.vertex_at[:8]].tolist() == [0] * 8
 
@@ -486,7 +486,7 @@ def test_swap_update_paths_agree_bit_for_bit(monkeypatch, k):
             got = []
             for state, short_rows in zip(states, (10**9, 0)):
                 monkeypatch.setattr(refine, "_SHORT_ROWS", short_rows)
-                got.append(state.swap(u, v))
+                got.append(state.swap(u, v, set(range(40))))
             assert got[0] == got[1]
             assert states[0].red.tobytes() == states[1].red.tobytes()
             assert states[0].vertex_at.tolist() == states[1].vertex_at.tolist()
@@ -557,3 +557,121 @@ def test_interval_pair_swaps_match_brute_force_rule():
         swaps = _swap_interval_pair(state, (0, q1), (q1, n))
         want_at, want_swaps = naive_part_swaps(g, o, splits)
         assert (state.vertex_at.tolist(), swaps) == (want_at.tolist(), want_swaps), case
+
+
+def reference_swap_interval_pair(state, range_a, range_b):
+    """The swap walk on two sorted key lists, kept as an oracle for the heap
+    walk: every step walks the lists best-first from the top, and a swap
+    re-keys every touched vertex ranked in either interval by bisection."""
+    from bisect import bisect_left, insort
+
+    (a0, a1), (b0, b1) = range_a, range_b
+    if a0 >= a1 or b0 >= b1:
+        return 0
+    g, red, tol = state.g, state.red, state.gain_tol
+    verts_a, verts_b = state.vertex_at[a0:a1], state.vertex_at[b0:b1]
+    red_a, red_b = red[verts_a], red[verts_b]
+    if red_a.max() + red_b.max() <= tol:
+        return 0
+
+    def sorted_keys(verts, r):
+        order = np.lexsort((verts, -r))
+        return list(zip((-r[order]).tolist(), verts[order].tolist()))
+
+    keys_a, keys_b = sorted_keys(verts_a, red_a), sorted_keys(verts_b, red_b)
+    cap = 1000 + 50 * (a1 - a0 + b1 - b0)
+    swaps = 0
+    while swaps < cap:
+        chosen = None
+        max_rv = -keys_b[0][0]
+        for i, (neg_ru, u) in enumerate(keys_a):
+            ru = -neg_ru
+            if ru + max_rv <= tol:
+                break
+            best_gain = tol
+            nbr, wt = g.neighbors(u)
+            for j, (neg_rv, v) in enumerate(keys_b):
+                rv = -neg_rv
+                if ru + rv <= best_gain:
+                    break
+                pos = int(nbr.searchsorted(v))
+                w_uv = wt.item(pos) if pos < len(nbr) and nbr[pos] == v else 0.0
+                gain = ru + rv - 2.0 * w_uv
+                if gain > best_gain and state.weight_feasible(u, v):
+                    best_gain, chosen = gain, (i, u, j, v)
+            if chosen is not None:
+                break
+        if chosen is None:
+            break
+        i, u, j, v = chosen
+        changed = state.swap(u, v, set(range(g.n)))
+        del keys_a[i], keys_b[j]
+        insort(keys_a, (-red.item(v), v))
+        insort(keys_b, (-red.item(u), u))
+        for x, (r_old, r_new) in changed.items():
+            rank = int(state.rank_of[x])
+            keys = keys_a if a0 <= rank < a1 else keys_b if b0 <= rank < b1 else None
+            if keys is not None:
+                del keys[bisect_left(keys, (-r_old, x))]
+                insort(keys, (-r_new, x))
+        swaps += 1
+    return swaps
+
+
+def test_heap_walk_matches_sorted_list_walk(monkeypatch):
+    # Float weights over twelve decades, zero-weight edges and unequal
+    # vertex weights, so heads are often linked or may not swap and the
+    # walk falls back to sorting the live keys.
+    rng = np.random.default_rng(31)
+    slow_steps = []
+    best_step = refine._best_step
+    monkeypatch.setattr(refine, "_best_step",
+                        lambda *a: slow_steps.append(1) or best_step(*a))
+    for case in range(400):
+        n = int(rng.integers(4, 50))
+        eu, ev = rng.integers(0, n, 4 * n), rng.integers(0, n, 4 * n)
+        keep = eu != ev
+        w = 10.0 ** rng.uniform(-6, 6, int(keep.sum()))
+        w[rng.random(len(w)) < 0.1] = 0.0
+        if case % 2:
+            w = np.round(w) % 3  # heavy ties among reductions
+        vw = rng.choice([1.0, 1.0, 2.0, 3.0], n) if case % 3 else np.ones(n)
+        g = Graph.from_arcs(eu[keep], ev[keep], w, [str(i) for i in range(n)],
+                            vertex_weights=vw)
+        o = Ordering.from_vertex_at(rng.permutation(n))
+        k = int(rng.integers(2, min(5, n) + 1))
+        splits = make_split_points(g, o, k, float(rng.choice([0.0, 0.1, 1.0])))
+        intervals = int(rng.integers(1, 4))
+        for rnd in range(2):
+            got = rank_swap_round(g, o, splits, rnd, intervals, case)
+            with monkeypatch.context() as m:
+                m.setattr(refine, "_swap_interval_pair", reference_swap_interval_pair)
+                want = rank_swap_round(g, o, splits, rnd, intervals, case)
+            assert got.vertex_at.tolist() == want.vertex_at.tolist(), (case, rnd)
+            o = got
+    assert len(slow_steps) > 50
+
+
+@pytest.mark.parametrize("short_rows", [10**9, 0])
+def test_swap_reports_watched_vertices_only(monkeypatch, short_rows):
+    # swap reports the changed vertices of its watched set: a smaller set
+    # gets the same values for its own vertices and leaves the reductions
+    # bit for bit as with every vertex watched.
+    monkeypatch.setattr(refine, "_SHORT_ROWS", short_rows)
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        g = random_graph(rng, 40, 300, weighted=True)
+        g = g.with_edge_weights(rng.random(g.edge_count).round(1) / 3)
+        o = Ordering.from_vertex_at(rng.permutation(40))
+        splits = make_split_points(g, o, 3, 0.5)
+        states = [_SwapState(g, o, splits, range(2)) for _ in range(2)]
+        watched = set(rng.choice(40, 15, replace=False).tolist())
+        for _ in range(12):
+            a = int(rng.integers(0, 2))
+            lo, mid, hi = (int(q) for q in splits.q[a:a + 3])
+            u = int(states[0].vertex_at[rng.integers(lo, mid)])
+            v = int(states[0].vertex_at[rng.integers(mid, hi)])
+            full = states[0].swap(u, v, set(range(40)))
+            some = states[1].swap(u, v, watched)
+            assert some == {x: c for x, c in full.items() if x in watched}
+            assert states[0].red.tobytes() == states[1].red.tobytes()
