@@ -12,10 +12,13 @@ from __future__ import annotations
 import copy
 import heapq
 import logging
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
+
+from ._work import share
 
 if TYPE_CHECKING:
     from .boundary import SplitPoints
@@ -39,9 +42,11 @@ log = logging.getLogger(__name__)
 # Relative slack used when comparing aggregated float weights against bounds.
 _REL_TOL = 1e-9
 
-# Most out-neighbour pairs the similarity kernel tests at once; each of the
-# handful of per-chunk int64 arrays then takes 2 MiB.
-_WEDGE_CHUNK = 1 << 18
+# Bits of a wedge probe's position in its chunk: a chunk holds 2**16 probes
+# (fewer when n*n leaves less room in an int64), so its handful of int64
+# arrays take 512 KiB each, and at most ``_work._MAX_WORKERS`` chunks are
+# in flight.
+_PROBE_BITS = 16
 
 
 class GraphFormatError(ValueError):
@@ -324,7 +329,11 @@ def common_neighbors_similarity(g: Graph) -> Graph:
     edge keys. Every triangle is found exactly once, from its lowest-ranked
     vertex. The cost is sum(C(outdeg, 2)) binary searches, which on
     power-law graphs is far below the plain wedge count sum(C(deg, 2)).
-    Memory is O(m) plus one chunk of at most ``_WEDGE_CHUNK`` pairs.
+    The pairs are probed in chunks of 2**_PROBE_BITS, each sorted by key
+    before its search, and threads share the chunks (``_work.share``);
+    the counts are integers, so the output does not depend on the thread
+    count. Memory is O(m) plus one chunk per thread, at most 4 chunks of
+    2**16 probes.
     """
     n, m = g.n, g.edge_count
     deg = np.diff(g.adj_indptr)
@@ -352,24 +361,58 @@ def common_neighbors_similarity(g: Graph) -> Graph:
     key_order = np.argsort(keys, kind="stable")
     keys = keys[key_order]
 
+    # A probe's key is below n*n; it is packed above its position in the
+    # chunk, so one int64 sort orders a chunk's probes by key.
+    bits = min(_PROBE_BITS, 63 - (n * n).bit_length())
+    chunk = 1 << bits
     tri = np.zeros(m, dtype=np.int64)
-    for lo in range(0, wedges, _WEDGE_CHUNK):
-        hi = min(lo + _WEDGE_CHUNK, wedges)
+    tri_lock = threading.Lock()
+
+    def probe(c: int) -> None:
+        lo = c * chunk
+        hi = min(lo + chunk, wedges)
         p0 = int(np.searchsorted(pair_end, lo, "right"))
         p1 = int(np.searchsorted(pair_end, hi - 1, "right")) + 1
         span = np.minimum(pair_end[p0:p1], hi) - np.maximum(pair_start[p0:p1], lo)
         arc = np.repeat(np.arange(p0, p1), span)
-        mate = arc + 1 + (np.arange(lo, hi) - pair_start[arc])
-        want = out_v[arc] * np.int64(n) + out_v[mate]
+        mate = np.arange(lo, hi)
+        mate -= pair_start[arc]
+        mate += arc
+        mate += 1
+        want = out_v[arc]
+        del arc
+        want *= n
+        want += out_v[mate]
+        del mate
+        want <<= bits
+        want |= np.arange(hi - lo)
+        want.sort()  # probes in key order walk the keys once
+        pair = want & (chunk - 1)
+        want >>= bits
         at = np.searchsorted(keys, want)
         at[at == m] = 0  # harmless: compared key then mismatches
         hit = keys[at] == want
         del want
-        # add.at, not bincount: a per-chunk bincount would cost O(m) each time
-        for e in (out_e[arc[hit]], out_e[mate[hit]], key_order[at[hit]]):
-            np.add.at(tri, e, 1)
-        del arc, mate, at, hit  # before the next chunk's arrays are built
-    log.info("similarity\twedges\t%d\ttriangles\t%d", wedges, int(tri.sum()) // 3)
+        # the hits' pair numbers, sorted for the search, and from them their
+        # two arcs; each count is a multiset, so the three need not align
+        pair = np.sort(pair[hit])
+        pair += lo
+        arc = np.searchsorted(pair_end[p0:p1], pair, "right")
+        arc += p0
+        pair -= pair_start[arc]
+        pair += arc
+        pair += 1  # now the mate arc
+        ends = (out_e[arc], out_e[pair], key_order[at[hit]])
+        # add.at, not bincount: a per-chunk bincount would cost O(m) each time.
+        # The lock keeps each read-modify-write whole; integer counts add up
+        # the same in any order of the chunks.
+        with tri_lock:
+            for e in ends:
+                np.add.at(tri, e, 1)
+
+    workers = share(probe, -(-wedges // chunk))
+    log.info("similarity\twedges\t%d\ttriangles\t%d\tworkers\t%d",
+             wedges, int(tri.sum()) // 3, workers)
 
     # Same integers as a per-edge set intersection, so the same float64 ratio.
     denom = deg[g.edge_u] + deg[g.edge_v] - tri - 2

@@ -28,6 +28,7 @@ from heapq import heapify, heappop, heappush, heapreplace
 
 import numpy as np
 
+from ._work import share
 from .boundary import SplitPoints, window_slack
 from .graph import Graph, Partition
 from .ordering import Ordering
@@ -50,6 +51,12 @@ _SHORT_ROWS = 64
 # Bits of one packed median sort key (see minla_round); 2·23 bits of vertex
 # ids plus 15 of row offset keep a LiveJournal-sized graph in one sort.
 _KEY_BITS = 63
+
+# Arcs per block of a split median round. A round splits from two blocks'
+# worth of arcs (2**17) on: on G(n, p) graphs in random order, 2 cores, the
+# split and serial rounds cost the same from 120k to 240k arcs, and the
+# split wins from there (10.0 against 7.7 ms at 360k arcs).
+_BLOCK_ARCS = 1 << 16
 
 
 def minla_objective(g: Graph, o: Ordering) -> float:
@@ -92,7 +99,14 @@ class _MedianRound:
 
     It holds four arrays of one entry per arc: the row start of each arc,
     the key without its neighbor rank, ((src % per_sort) * n << b) | off,
-    and the int64 and float64 arrays the round sorts and sums in.
+    and the int64 and float64 arrays the round sorts and sums in. It also
+    cuts the arcs into blocks at row boundaries, inside the runs of
+    sources that sort together: one block per run, and from
+    2·``_BLOCK_ARCS`` arcs on a cut at the first row start at or after
+    every multiple of ``_BLOCK_ARCS``. A block's rows sort alone to the
+    same keys and search alone to the same medians, so threads share the
+    blocks (``_work.share``), while the cumulative weight stays one serial
+    sum and the outputs stay byte-identical whatever the thread count.
     """
 
     def __init__(self, g: Graph):
@@ -111,7 +125,13 @@ class _MedianRound:
         if per_sort == 0:
             raise ValueError("graph too large for packed median sort keys")
         self.b = b
-        self.runs = [(indptr[s0], indptr[min(s0 + per_sort, n)]) for s0 in range(0, n, per_sort)]
+        arcs = int(indptr[-1])
+        cuts = indptr[::per_sort].tolist() + [arcs]
+        if arcs >= 2 * _BLOCK_ARCS:
+            even = np.arange(_BLOCK_ARCS, arcs, _BLOCK_ARCS)
+            cuts += indptr[np.searchsorted(indptr, even)].tolist()
+        cuts = sorted(set(cuts))  # a plain np.unique imports numpy.ma on first use (~20 ms)
+        self.blocks = list(zip(cuts[:-1], cuts[1:]))
         self.row_start = np.repeat(indptr[:-1], deg)
         self.keys = np.arange(len(self.row_start))
         self.keys -= self.row_start  # each arc's offset within its row
@@ -121,6 +141,9 @@ class _MedianRound:
         self.cw = np.empty(len(self.keys))
         self.row_lo = indptr[self.nonempty]
         self.row_hi = indptr[self.nonempty + 1] - 1
+        # each block's rows, as a range of nonempty rows
+        rows = np.searchsorted(self.row_lo, cuts).tolist()
+        self.block_rows = list(zip(rows[:-1], rows[1:]))
 
     def __call__(self, o: Ordering) -> Ordering:
         g = self.g
@@ -129,27 +152,35 @@ class _MedianRound:
         proposed = ranks.copy()
         if g.edge_count:
             b, keys, cw = self.b, self.keys, self.cw
-            # mode="clip" writes straight into keys; "raise" buffers it
-            np.take(ranks, g.adj_indices, out=keys, mode="clip")
-            keys <<= b
-            keys += self.base
-            for lo, hi in self.runs:
-                keys[lo:hi].sort()
-            keys &= (1 << b) - 1
-            keys += self.row_start  # a sorted arc's index: its row start plus its offset
-            order = keys
-            np.take(g.adj_weights, order, out=cw, mode="clip")
-            np.cumsum(cw, out=cw)
-            lo, hi = self.row_lo.copy(), self.row_hi.copy()
-            prefix = cw[lo - 1]
-            prefix[lo == 0] = 0.0
-            half = (cw[hi] - prefix) / 2.0
-            for _ in range(b):
-                mid = (lo + hi) >> 1
-                found = cw[mid] - prefix >= half
-                np.copyto(hi, mid, where=found)
-                np.copyto(lo, mid + 1, where=~found)
-            proposed[self.nonempty] = ranks[g.adj_indices[order[lo]]]
+
+            def sort_rows(i: int) -> None:
+                lo, hi = self.blocks[i]
+                k = keys[lo:hi]
+                # mode="clip" writes straight into the slices; "raise" buffers them
+                np.take(ranks, g.adj_indices[lo:hi], out=k, mode="clip")
+                k <<= b
+                k += self.base[lo:hi]
+                k.sort()
+                k &= (1 << b) - 1
+                k += self.row_start[lo:hi]  # a sorted arc's index: its row start plus its offset
+                np.take(g.adj_weights, k, out=cw[lo:hi], mode="clip")
+
+            def search_rows(i: int) -> None:
+                r0, r1 = self.block_rows[i]
+                lo, hi = self.row_lo[r0:r1].copy(), self.row_hi[r0:r1].copy()
+                prefix = cw[lo - 1]
+                prefix[lo == 0] = 0.0
+                half = (cw[hi] - prefix) / 2.0
+                for _ in range(b):
+                    mid = (lo + hi) >> 1
+                    found = cw[mid] - prefix >= half
+                    np.copyto(hi, mid, where=found)
+                    np.copyto(lo, mid + 1, where=~found)
+                proposed[self.nonempty[r0:r1]] = ranks[g.adj_indices[keys[lo]]]
+
+            share(sort_rows, len(self.blocks))
+            np.cumsum(cw, out=cw)  # serial, so every block sums in the same order
+            share(search_rows, len(self.blocks))
         # the keys are distinct, so sorting them orders the current ranks (key % n)
         # exactly as their argsort would
         final = np.sort(proposed * np.int64(n) + ranks) % n

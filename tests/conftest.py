@@ -5,6 +5,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 import numpy as np
 
+from linepart import _work
 from linepart.graph import Graph
 from linepart.ordering import Ordering
 
@@ -23,6 +24,27 @@ def make_graph(edges, n=None, weights=None, vertex_weights=None, geo=None) -> Gr
         np.array(vertex_weights, dtype=np.float64) if vertex_weights is not None else None,
         geo,
     )
+
+
+def force_workers(monkeypatch, workers: int) -> None:
+    """Make ``_work.share`` see ``workers`` cores."""
+    monkeypatch.setattr(_work, "core_count", lambda: workers)
+
+
+def fail_block(monkeypatch, module, block: int) -> None:
+    """Make block ``block`` of every ``share`` call in ``module`` raise
+    RuntimeError("block failed") in place of its work."""
+    share = module.share
+
+    def failing_share(work, blocks):
+        def work_or_fail(i):
+            if i == block:
+                raise RuntimeError("block failed")
+            work(i)
+
+        return share(work_or_fail, blocks)
+
+    monkeypatch.setattr(module, "share", failing_share)
 
 
 def path_graph(n: int) -> Graph:

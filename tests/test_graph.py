@@ -1,6 +1,7 @@
 """Graph model, similarity weighting, and metric tests."""
 
 import io as stdio
+import threading
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from linepart.graph import (
 from linepart.io import load_graph
 from linepart.synth import erdos_renyi, rmat
 
-from conftest import make_graph, random_graph, small_graph_and_order
+from conftest import fail_block, force_workers, make_graph, random_graph, small_graph_and_order
 
 
 def parts(g, assignment):
@@ -243,28 +244,68 @@ def test_similarity_kernel_matches_reference_loop_bytes(name, g):
     assert s.edge_count == g.edge_count
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_similarity_bytes_do_not_depend_on_workers_or_chunks(monkeypatch, workers):
+    # 64-probe chunks: dozens to thousands per input, claimed by 1-3 threads
+    force_workers(monkeypatch, workers)
+    monkeypatch.setattr(graph_module, "_PROBE_BITS", 6)
+    for name, g in similarity_oracle_inputs():
+        s = common_neighbors_similarity(g)
+        assert s.edge_w.tobytes() == reference_similarity(g).tobytes(), name
+
+
 def test_similarity_chunk_boundaries_split_pair_lists(monkeypatch):
-    # rmat hubs have out-lists far longer than 3 pairs, so nearly every
+    # rmat hubs have out-lists far longer than 4 pairs, so nearly every
     # vertex's pair list spans several chunks
-    monkeypatch.setattr(graph_module, "_WEDGE_CHUNK", 3)
+    monkeypatch.setattr(graph_module, "_PROBE_BITS", 2)
     g = rmat(9, 1 << 11, seed=2)
     expected = reference_similarity(g)
     assert (expected > 0).any()
-    assert common_neighbors_similarity(g).edge_w.tobytes() == expected.tobytes()
+    for workers in (1, 2, 3):
+        force_workers(monkeypatch, workers)
+        got = common_neighbors_similarity(g).edge_w
+        assert got.tobytes() == expected.tobytes(), workers
+
+
+def test_similarity_surfaces_a_failed_block_after_joining(monkeypatch):
+    force_workers(monkeypatch, 3)
+    monkeypatch.setattr(graph_module, "_PROBE_BITS", 6)
+    fail_block(monkeypatch, graph_module, 5)
+    g = rmat(9, 1 << 11, seed=2)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="block failed"):
+        common_neighbors_similarity(g)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_similarity_peak_memory_stays_within_parent_bound(monkeypatch, workers):
+    # 23.2 edge arrays was the peak of one 2**18-probe chunk; four threads
+    # hold four 2**16-probe chunks and four count arrays
+    force_workers(monkeypatch, workers)
+    g = rmat(13, 1 << 17, seed=1)
+    tracemalloc.start()
+    try:
+        common_neighbors_similarity(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 23.2 * 8 * g.edge_count
 
 
 def test_similarity_logs_wedges_and_triangles(caplog):
     # K4: ranks 0..3, out-degrees 3, 2, 1, 0 -> 3 + 1 pairs, 4 triangles.
     # Star with hub 0: every edge points from a leaf to the hub, so no
-    # vertex has two out-neighbours and no pair is tested.
+    # vertex has two out-neighbours and no pair is tested. One chunk or
+    # none: one thread.
     k4 = make_graph([(u, v) for u in range(4) for v in range(u + 1, 4)])
     star = make_graph([(0, v) for v in range(1, 40)])
     with caplog.at_level("INFO", logger="linepart.graph"):
         common_neighbors_similarity(k4)
         common_neighbors_similarity(star)
     assert caplog.messages == [
-        "similarity\twedges\t4\ttriangles\t4",
-        "similarity\twedges\t0\ttriangles\t0",
+        "similarity\twedges\t4\ttriangles\t4\tworkers\t1",
+        "similarity\twedges\t0\ttriangles\t0\tworkers\t1",
     ]
 
 

@@ -1,5 +1,6 @@
 """MinLA median iteration and rank-swap tests."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,14 @@ from linepart.refine import (
     rank_swap_round,
 )
 
-from conftest import make_graph, path_graph, random_graph, small_graph_and_order
+from conftest import (
+    fail_block,
+    force_workers,
+    make_graph,
+    path_graph,
+    random_graph,
+    small_graph_and_order,
+)
 
 
 # -- reference implementations (oracles) -------------------------------------
@@ -229,36 +237,64 @@ def reference_refine(g, o, max_rounds):
     return o, obj, rounds, stop, trace
 
 
+def force_split(monkeypatch, workers):
+    """Cut every median round with arcs into one block per row, for
+    ``workers`` threads."""
+    monkeypatch.setattr(refine, "_BLOCK_ARCS", 1)
+    force_workers(monkeypatch, workers)
+
+
 @pytest.mark.parametrize("chunked", [False, True])
 def test_refine_matches_a_loop_of_argsort_rounds(monkeypatch, chunked):
     # one build serves every round: the reused work arrays must not carry
-    # anything from one round into the next
-    rng = np.random.default_rng(12)
-    longest = 0
-    for name, g in [*oracle_graphs(), ("edgeless", make_graph([], n=7))]:
-        if chunked and g.edge_count:
-            monkeypatch.setattr(refine, "_KEY_BITS", one_source_bits(g) + 2)
-        o = Ordering.from_vertex_at(rng.permutation(g.n))
-        want_o, want_obj, want_rounds, want_stop, want_trace = reference_refine(g, o, 10)
-        got = minla_refine(g, o, 10)
-        assert got.ordering.vertex_at.tobytes() == want_o.vertex_at.tobytes(), name
-        assert (got.objective, got.round, got.stop) == (want_obj, want_rounds, want_stop), name
-        assert got.trace == want_trace, name
-        longest = max(longest, got.round)
-    assert longest >= 3
+    # anything from one round into the next. Serial, then with the rounds
+    # split into one block per row inside every run, on 2 and 3 threads.
+    graphs = [*oracle_graphs(), ("edgeless", make_graph([], n=7)), ("n=1", make_graph([], n=1))]
+    for split_workers in (None, 2, 3):
+        with monkeypatch.context() as mp:
+            if split_workers:
+                force_split(mp, split_workers)
+            rng = np.random.default_rng(12)
+            longest = 0
+            for name, g in graphs:
+                if chunked and g.edge_count:
+                    mp.setattr(refine, "_KEY_BITS", one_source_bits(g) + 2)
+                o = Ordering.from_vertex_at(rng.permutation(g.n))
+                want_o, want_obj, want_rounds, want_stop, want_trace = reference_refine(g, o, 10)
+                got = minla_refine(g, o, 10)
+                case = (name, split_workers)
+                assert got.ordering.vertex_at.tobytes() == want_o.vertex_at.tobytes(), case
+                assert (got.objective, got.round, got.stop) == (want_obj, want_rounds, want_stop), case
+                assert got.trace == want_trace, case
+                longest = max(longest, got.round)
+            assert longest >= 3
 
 
-def test_refine_peak_memory_stays_within_six_arc_arrays():
+def test_refine_peak_memory_stays_within_six_arc_arrays(monkeypatch):
     g = rmat(13, 1 << 17, seed=1)
     o = Ordering.from_vertex_at(np.random.default_rng(0).permutation(g.n))
-    tracemalloc.start()
-    try:
-        minla_refine(g, o, 10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 6 * 8 * len(g.adj_indices)
+    # rounds split into 4096-arc blocks, on 1, 2 and 4 threads
+    monkeypatch.setattr(refine, "_BLOCK_ARCS", 1 << 12)
+    for workers in (1, 2, 4):
+        force_workers(monkeypatch, workers)
+        tracemalloc.start()
+        try:
+            minla_refine(g, o, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * len(g.adj_indices), workers
 
+
+def test_refine_surfaces_a_failed_block_after_joining(monkeypatch):
+    force_split(monkeypatch, 3)
+    fail_block(monkeypatch, refine, 7)
+    _, g = list(oracle_graphs())[0]
+    o = Ordering.from_vertex_at(np.random.default_rng(3).permutation(g.n))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="block failed"):
+        minla_refine(g, o, 10)
+    assert threading.active_count() == before
 
 
 def test_refine_fixed_point_returns_after_one_round():
