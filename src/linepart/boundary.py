@@ -165,21 +165,22 @@ def make_windows(g: Graph, o: Ordering, k: int, alpha: float) -> list[Window]:
     cw = np.concatenate([[0.0], np.cumsum(g.vertex_weights[o.vertex_at])])
     total = cw[-1]
     slack, tol = window_slack(total, k, alpha)
-    ranks = [(j * n) // k for j in range(k + 1)]
-    windows = []
-    for j in range(1, k):
-        ideal = j * total / k
-        band_lo = (ranks[j - 1] + ranks[j]) // 2 + 1 if j > 1 else 1
-        band_hi = (ranks[j] + ranks[j + 1]) // 2 if j < k - 1 else n - 1
-        anchor = int(np.searchsorted(cw, ideal + tol, side="right")) - 1
-        lo = int(np.searchsorted(cw, ideal - slack - tol, side="left"))
-        hi = int(np.searchsorted(cw, ideal + slack + tol, side="right")) - 1
-        lo, hi = max(lo, band_lo), min(hi, band_hi)
-        if lo > hi:  # no rank in the slack: the band's rank nearest the ideal
-            near = np.abs(cw[band_lo : band_hi + 1] - ideal)
-            lo = hi = band_lo + int(np.argmin(near))  # first minimum: ties go low
-        windows.append(Window(j, min(max(anchor, lo), hi), lo, hi))
-    return windows
+    ranks = np.arange(k + 1) * n // k
+    ideal = np.arange(1, k) * total / k
+    band_lo = (ranks[:-2] + ranks[1:-1]) // 2 + 1
+    band_lo[:1] = 1
+    band_hi = (ranks[1:-1] + ranks[2:]) // 2
+    band_hi[-1:] = n - 1
+    anchor = np.searchsorted(cw, ideal + tol, side="right") - 1
+    lo = np.maximum(np.searchsorted(cw, ideal - slack - tol, side="left"), band_lo)
+    hi = np.minimum(np.searchsorted(cw, ideal + slack + tol, side="right") - 1, band_hi)
+    # no rank in the slack: the band's rank nearest the ideal
+    for j in np.flatnonzero(lo > hi).tolist():
+        near = np.abs(cw[band_lo[j] : band_hi[j] + 1] - ideal[j])
+        lo[j] = hi[j] = band_lo[j] + np.argmin(near)  # first minimum: ties go low
+    center = np.minimum(np.maximum(anchor, lo), hi)
+    return [Window(j, c, a, b) for j, c, a, b in
+            zip(range(1, k), center.tolist(), lo.tolist(), hi.tolist())]
 
 
 # -- gathering and pricing the windows of a stage -------------------------

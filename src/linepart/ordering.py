@@ -94,7 +94,7 @@ class AffinityHierarchy:
         return len(self.levels)
 
     def cluster_counts(self) -> list[int]:
-        return [len(np.unique(level)) for level in self.levels]
+        return [np.count_nonzero(np.bincount(level)) for level in self.levels]
 
     @cached_property
     def labels(self) -> list[tuple[int, ...]]:
@@ -218,7 +218,8 @@ def affinity_ordering(
         # Components of the selection graph by pointer jumping: its only cycles
         # are mutual pairs (a longer one needs equal similarities and x[i+1] <
         # x[i-1] all round), so 2^t > m jumps reach the pair, labelled by its min.
-        reps = np.unique(cluster)
+        # the sorted representatives; a plain np.unique imports numpy.ma
+        reps = np.flatnonzero(np.bincount(cluster, minlength=n))
         comp_of_rep = np.full(n, -1, dtype=np.int64)
         m = len(reps)
         sel = np.arange(m)

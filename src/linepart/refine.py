@@ -8,23 +8,17 @@ keeps a round only while it lowers the objective.
 
 Rank swaps improve the cut of the k-way chop directly. Round t pairs the
 adjacent parts (a, a+1) with a = t (mod 2), so every boundary is visited
-over two rounds; each part is sliced into intervals, which the seed, t and
-a match one-to-one (``rank_swap_round``). Paired intervals exchange their
-best-improving vertex pairs until no swap helps.
-Each interval keeps its vertices' live cut reductions in a heap with lazy
-deletion: a swap pushes new keys only for the movers and the interval
-vertices whose reduction changed, and most steps read just the two heads.
-Swaps are one-for-one, so part sizes never change, and a swap of unequal
-weights is taken only if the boundary between the pair stays in its window
-(``boundary.window_slack``) or moves no further from its ideal weight.
+over two rounds. As in the paper's MapReduce step, the intervals of a part
+pair exchange vertices in parallel: each step of a round swaps, in every
+interval pair at once, the prefix of rank-paired vertices with the best
+exact gain (``rank_swap_round``). Swaps are one-for-one, so part sizes
+never change.
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Iterator
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush, heapreplace
 
 import numpy as np
 
@@ -42,11 +36,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-# Most arcs, over both movers' rows, that a swap updates in plain Python;
-# longer rows go through numpy (see _SwapState.swap). Each numpy call costs
-# about as much as a few dozen arcs of the Python loop.
-_SHORT_ROWS = 64
 
 # Bits of one packed median sort key (see minla_round); 2·23 bits of vertex
 # ids plus 15 of row offset keep a LiveJournal-sized graph in one sort.
@@ -229,307 +218,194 @@ def minla_refine(g: Graph, o: Ordering, max_rounds: int) -> MinLAState:
     return MinLAState(current, obj, rounds, stop, trace)
 
 
-def _interval_pairs(
-    k: int, intervals: int, round_index: int, seed: int
-) -> Iterator[tuple[int, int, int]]:
-    """(a, i, j) for each interval of round ``round_index``, in swap order:
-    part a's interval i meets part a+1's interval j."""
-    for a in range(round_index % 2, k - 1, 2):
-        rng = np.random.default_rng([abs(int(seed)), int(round_index), a, a + 1])
-        for i, j in enumerate(rng.permutation(intervals).tolist()):
-            yield a, i, j
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges [starts[i], starts[i] + lengths[i]), laid end to end."""
+    out = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    out += np.arange(len(out))
+    return out
 
 
-def _interval_range(q: np.ndarray, part: int, idx: int, r: int) -> tuple[int, int]:
-    lo, hi = int(q[part]), int(q[part + 1])
-    size = hi - lo
-    return lo + (idx * size) // r, lo + ((idx + 1) * size) // r
+def _matching(k: int, intervals: int, round_index: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Round t's part pairs (a, a+1), a = t (mod 2), t + 2, ..., as their
+    first parts, and one row per pair: part a's interval i meets part a+1's
+    interval row[i]. One generator, seeded by (|seed|, t), draws every row."""
+    firsts = np.arange(round_index % 2, k - 1, 2)
+    rng = np.random.default_rng([abs(int(seed)), int(round_index)])
+    return firsts, rng.permuted(np.tile(np.arange(intervals), (len(firsts), 1)), axis=1)
 
 
-class _SwapState:
-    """Mutable ordering/partition view shared by the interval-pair passes.
+class _SwapRound:
+    """A swap round's live state, moved one step at a time (``step``).
 
-    ``red[v]`` holds the live cut reduction of moving v to its paired part:
-    weight to the paired part minus weight to its own part. It is seeded by
-    one vectorized edge pass per round and maintained incrementally, so
-    later interval pairs of the same partition pair see the true state.
-    ``excess[j]`` is the prefix weight before boundary j minus its ideal
-    j*w(V)/k.
-    """
+    ``red[v]``: the live cut reduction of moving v to its paired part (weight
+    to it minus weight to its own). ``excess[p]``: part pair p's boundary's
+    prefix weight minus its ideal. Interval pair c = p*r + i joins part a's
+    interval i (interval 2c) to the one of part a+1 it meets (2c + 1); interval
+    f spans ``size[f]`` ranks from ``lo[f]``. A step reads only ``active``
+    interval pairs: those a move touched or held back while gaining."""
 
-    def __init__(self, g: Graph, o: Ordering, splits: SplitPoints, firsts: range):
-        self.g = g
-        self.vertex_at = o.vertex_at.copy()
-        self.rank_of = o.rank_of.copy()
+    def __init__(self, g: Graph, o: Ordering, splits: SplitPoints,
+                 firsts: np.ndarray, perm: np.ndarray):
+        self.g, self.firsts, self.r = g, firsts, perm.shape[1]
+        self.vertex_at, self.rank_of = o.vertex_at.copy(), o.rank_of.copy()
         parts = Partition.from_contiguous(o, splits, g)
         self.part_of = parts.assignment
-        total, k = g.total_vertex_weight, splits.k
-        self.excess = np.concatenate([[0.0], np.cumsum(parts.part_weights)])
-        self.excess -= np.arange(k + 1) * total / k
+        k, total, q = splits.k, g.total_vertex_weight, splits.q
+        self.excess = np.cumsum(parts.part_weights)[firsts] - (firsts + 1) * total / k
         self.slack, self.slack_tol = window_slack(total, k, splits.alpha)
-        scale = float(g.edge_w.max()) if g.edge_count else 1.0
-        self.gain_tol = 1e-12 * max(1.0, scale)
+        self.tol = 1e-12 * max(1.0, float(g.edge_w.max()) if g.edge_count else 1.0)
+        self.red = self._initial_reductions()
         self.swaps = 0
-        self.red = self._initial_reductions(firsts)
+        cut = [q[b, None] + np.arange(self.r + 1) * (q[b + 1] - q[b])[:, None] // self.r
+               for b in (firsts, firsts + 1)]
+        met = np.arange(len(firsts))[:, None], perm
+        self.lo = np.stack([cut[0][:, :-1], cut[1][:, :-1][met]], axis=2).ravel()
+        self.size = np.stack([np.diff(cut[0]), np.diff(cut[1])[met]], axis=2).ravel()
+        self.pair_at = np.full(g.n, -1)  # each rank's interval pair
+        self.pair_at[_ranges(self.lo, self.size)] = np.arange(len(self.size)).repeat(self.size) // 2
+        self.active = np.ones(len(self.size) // 2, dtype=bool)
+        self.slot = np.full(g.n, -1)
+        self.pair_key = (self.part_of + firsts[0]) >> 1  # one per part pair; swaps keep it
+        # a vertex's arcs inside its part pair, kept from its first pairing on
+        self.row_at, self.row_len = np.full(g.n, -1), np.zeros(g.n, dtype=np.int64)
+        self.kept_nbr, self.kept_w = np.empty_like(g.adj_indices), np.empty_like(g.adj_weights)
+        self.kept = 0
 
-    def _initial_reductions(self, firsts: range) -> np.ndarray:
-        """Reductions toward the paired parts (a, a+1), a in ``firsts``.
-
-        One bincount adds up, per vertex and in this order, -w for each edge
-        inside its part, then +w for each edge to its paired part; within a
-        group the edges where it is u come first, each side in edge order.
-        """
+    def _initial_reductions(self) -> np.ndarray:
+        """One edge pass: -w for an edge inside a paired part, +w for one
+        between the two parts of a pair. Shifted by the first pair's first
+        part, the two parts of a pair differ in the lowest bit only."""
         g = self.g
-        paired = np.full(len(self.excess) - 1, -1, dtype=np.int64)
-        for a in firsts:
-            paired[a], paired[a + 1] = a + 1, a
-        pu = self.part_of[g.edge_u]
-        pv = self.part_of[g.edge_v]
-        same = np.flatnonzero(pu == pv)
-        to_paired = np.flatnonzero(paired[pu] == pv)  # symmetric: pairing is an involution
-        size = 2 * (len(same) + len(to_paired))
-        idx = np.empty(size, dtype=np.int64)
-        deltas = np.empty(size)
-        at = 0
-        # mode="clip" writes straight into the slices; "raise" buffers them
-        for edges, sign in ((same, -1.0), (to_paired, 1.0)):
-            c = len(edges)
-            np.take(g.edge_u, edges, out=idx[at:at + c], mode="clip")
-            np.take(g.edge_v, edges, out=idx[at + c:at + 2 * c], mode="clip")
-            w = np.take(g.edge_w, edges, out=deltas[at:at + c], mode="clip")
-            if sign < 0:
-                np.negative(w, out=w)
-            deltas[at + c:at + 2 * c] = w
-            at += 2 * c
-        return np.bincount(idx, weights=deltas, minlength=g.n)
+        code = self.part_of + self.firsts[0]
+        x = code[g.edge_u] ^ code[g.edge_v]
+        e = np.flatnonzero(x <= 1)
+        w = g.edge_w[e]
+        w[x[e] == 0] *= -1.0
+        return np.bincount(g.edge_u[e], w, g.n) + np.bincount(g.edge_v[e], w, g.n)
 
-    def weight_feasible(self, u: int, v: int) -> bool:
-        """Would swapping u (part a) and v (part a+1) keep boundary a+1 in
-        its window, or at least no further from its ideal weight?"""
-        vw = self.g.vertex_weights
-        wu, wv = vw.item(u), vw.item(v)
-        if wu == wv:
-            return True
-        old = self.excess.item(self.part_of.item(v))
-        new = old + wv - wu
-        return abs(new) <= self.slack + self.slack_tol or abs(new) <= abs(old)
+    def _keep_rows(self, xs: np.ndarray) -> None:
+        """Keep the arcs of xs inside their part pairs, which no swap changes."""
+        g = self.g
+        start = g.adj_indptr[xs]
+        deg = g.adj_indptr[xs + 1] - start
+        arc = _ranges(start, deg)
+        near = self.pair_key[g.adj_indices[arc]] == self.pair_key[xs].repeat(deg)
+        count = np.bincount(np.arange(len(xs)).repeat(deg)[near], minlength=len(xs))
+        arc = arc[near]
+        end = self.kept + len(arc)
+        self.kept_nbr[self.kept:end], self.kept_w[self.kept:end] = g.adj_indices[arc], g.adj_weights[arc]
+        self.row_at[xs], self.row_len[xs] = self.kept + np.cumsum(count) - count, count
+        self.kept = end
 
-    def swap(self, u: int, v: int, watched: set[int]) -> dict[int, list[float]]:
-        """Exchange u (in part a) and v (in part b); update the reductions.
+    def _feasible(self, p: np.ndarray, shift: np.ndarray) -> np.ndarray:
+        """May part pair p's boundary move by ``shift`` (see rank_swap_round)?"""
+        old = self.excess[p]
+        new = np.abs(old + shift)
+        return (new <= self.slack + self.slack_tol) | (new <= np.abs(old))
 
-        A mover's neighbors in its old part (now its paired part) gain 2w,
-        those in its new part lose 2w, and the movers get fresh values.
-        Returns the vertices of ``watched`` whose reduction changed, u's
-        neighbors first, each mapped to its reductions [before, after] the
-        swap. The updates go in arc order, u's arcs first, so a common
-        neighbor of u and v takes u's change first.
-        """
-        g, part_of, rank_of = self.g, self.part_of, self.rank_of
-        pa, pb = part_of.item(u), part_of.item(v)
-        ru, rv = rank_of.item(u), rank_of.item(v)
-        rank_of[u], rank_of[v] = rv, ru
-        self.vertex_at[ru], self.vertex_at[rv] = v, u
-        part_of[u], part_of[v] = pb, pa
-        self.excess[pb] += g.vertex_weights.item(v) - g.vertex_weights.item(u)
-        self.swaps += 1
+    def step(self) -> int:
+        """Swap every active interval pair's best prefix at once; return the
+        number of vertex pairs swapped, 0 once no pair gains."""
+        g, tol, r = self.g, self.tol, self.r
+        f = np.flatnonzero(self.active.repeat(2))
+        size = self.size[f]
+        verts = self.vertex_at[_ranges(self.lo[f], size)]
+        red = self.red[verts]
+        top = np.full(len(f), -np.inf)
+        some = np.flatnonzero(size)
+        top[some] = np.maximum.reduceat(red, (np.cumsum(size) - size)[some])
+        # r(u) + r(v) <= r(u) + max r(v): the rest of an interval cannot pair
+        cand = np.flatnonzero(red > np.repeat(tol - top[np.arange(len(f)) ^ 1], size))
+        verts, red, group = verts[cand], red[cand], f.repeat(size)[cand]
+        order = np.lexsort((verts, -red, group))  # (-reduction, id) per side
+        verts, red, group = verts[order], red[order], group[order]
 
-        indptr = g.adj_indptr
-        u0, u1, v0, v1 = indptr.item(u), indptr.item(u + 1), indptr.item(v), indptr.item(v + 1)
-        # (row, weights, own part, paired part, the other mover) per mover
-        rows = (
-            (g.adj_indices[u0:u1], g.adj_weights[u0:u1], pb, pa, v),
-            (g.adj_indices[v0:v1], g.adj_weights[v0:v1], pa, pb, u),
-        )
-        if u1 - u0 + v1 - v0 > _SHORT_ROWS:
-            changed, fresh = self._update_long(rows, watched)
-        else:
-            changed, fresh = self._update_short(rows, watched)
-        self.red[u], self.red[v] = fresh
-        return changed
+        # pair the two sides rank by rank while r(u) + r(v) > tol
+        count = np.bincount(group, minlength=len(self.size)).reshape(-1, 2)
+        first = (np.cumsum(count) - count.ravel()).reshape(-1, 2)
+        both = np.minimum(count[:, 0], count[:, 1])
+        iu, iv = _ranges(first[:, 0], both), _ranges(first[:, 1], both)
+        pair = np.arange(len(both)).repeat(both)
+        gain = red[iu] + red[iv]
+        keep = np.flatnonzero(gain > tol)  # a prefix of each interval pair
+        u, v, pair, gain = verts[iu[keep]], verts[iv[keep]], pair[keep], gain[keep]
+        pos = iu[keep] - first[pair, 0]
+        t = len(u)
+        self.active[:] = False
+        if not t:
+            return 0
 
-    def _update_short(self, rows, watched) -> tuple[dict[int, list[float]], list[float]]:
-        """``swap``'s updates in plain Python, which on short rows costs less
-        than the dozens of small numpy calls of ``_update_long``. Each change
-        is written at once, so the second mover's row reads a common
-        neighbor's value after the first mover's change. A mover's fresh
-        value sums its weights in arc order, as ``np.add.reduce`` does
-        (``_weight_sum``)."""
+        # the arcs (src, nbr, w) from each mover into its part pair; mover
+        # x < t is u[x], else v[x - t]
+        movers = np.concatenate([u, v])
+        self._keep_rows(movers[self.row_at[movers] < 0])
+        start, deg = self.row_at[movers], self.row_len[movers]
+        src = np.arange(2 * t).repeat(deg)
+        arc = _ranges(start, deg)
+        nbr, w = self.kept_nbr[arc], self.kept_w[arc]
+        self.slot[movers] = np.arange(2 * t)
+        dst = self.slot[nbr]
+        self.slot[movers] = -1
+
+        # each edge between two movers once: +2w if they are on the same
+        # side, else -2w; inside an interval pair, from its later pair on
+        e = np.flatnonzero((dst > src) & (w != 0.0))
+        ea, eb = src[e] % t, dst[e] % t
+        edge_gain = np.where((src[e] < t) == (dst[e] < t), 2.0, -2.0) * w[e]
+        inner = pair[ea] == pair[eb]
+        gain += np.bincount(np.maximum(ea, eb)[inner], edge_gain[inner], t)
+
+        # every prefix priced exactly, one row per interval pair
+        head = np.flatnonzero(pos == 0)
+        length = np.diff(head, append=t)
+        row = np.arange(len(head)).repeat(length)
+        grid, shift = np.zeros((2, len(head), length.max()))
+        grid[row, pos], shift[row, pos] = gain, g.vertex_weights[v] - g.vertex_weights[u]
+        np.cumsum(grid, axis=1, out=grid)
+        np.cumsum(shift, axis=1, out=shift)
+        row_pp = pair[head] // r  # each row's part pair
+        valid = np.arange(grid.shape[1]) < length[:, None]
+        grid[~(valid & self._feasible(row_pp[:, None], shift))] = -np.inf
+        best_pos = grid.argmax(axis=1)  # the first maximum
+        best, best_shift = (x[np.arange(len(head)), best_pos] for x in (grid, shift))
+        chosen = best > tol
+
+        # a part pair's chosen prefixes, priced together; if they do not
+        # gain or may not move the boundary, only the best of them moves
+        pairs = len(self.firsts)
+        in_prefix = chosen[row] & (pos <= best_pos[row])
+        cross = ~inner & in_prefix[ea] & in_prefix[eb]
+        joint = np.bincount(row_pp[chosen], best[chosen], pairs)
+        joint += np.bincount(pair[ea[cross]] // r, edge_gain[cross], pairs)
+        shift = np.bincount(row_pp[chosen], best_shift[chosen], pairs)
+        move = chosen & ((joint > tol) & self._feasible(np.arange(pairs), shift))[row_pp]
+        alone = np.flatnonzero(chosen & ~move)
+        alone = alone[np.lexsort((alone, -best[alone], row_pp[alone]))]
+        move[alone[np.diff(row_pp[alone], prepend=-1) != 0]] = True
+        self.active[pair[head[chosen & ~move]]] = True
+        moved = np.flatnonzero(move[row] & (pos <= best_pos[row]))
+
+        # A neighbour y of a mover x gains 2w if it sits in x's old part and
+        # loses 2w in the other, its own move left aside; a mover's own
+        # reduction is then negated, as its own and paired parts trade.
+        take = np.zeros(2 * t, dtype=bool)
+        take[moved] = take[moved + t] = True
+        arcs = np.flatnonzero(take[src])
+        y, w = nbr[arcs], w[arcs]
         part_of, red = self.part_of, self.red
-        changed: dict[int, list[float]] = {}
-        fresh = []
-        for row, wt, own, other, partner in rows:
-            to_other, to_own = [], []
-            for x, w, p, r in zip(row.tolist(), wt.tolist(), part_of[row].tolist(),
-                                  red[row].tolist()):
-                if p == other:
-                    to_other.append(w)
-                    d = 2.0 * w
-                elif p == own:
-                    to_own.append(w)
-                    d = -2.0 * w
-                else:
-                    continue
-                if d == 0.0 or x == partner:  # a mover's own value is fresh
-                    continue
-                after = r + d
-                red[x] = after
-                if x in watched:
-                    if x in changed:
-                        changed[x][1] = after
-                    else:
-                        changed[x] = [r, after]
-            fresh.append(_weight_sum(to_other) - _weight_sum(to_own))
-        return changed, fresh
-
-    def _update_long(self, rows, watched) -> tuple[dict[int, list[float]], list[float]]:
-        """``swap``'s updates as array operations, for long rows."""
-        red = self.red
-        fresh, touched, deltas = [], [], []
-        for row, wt, own, other, partner in rows:
-            parts = self.part_of[row]
-            to_other, to_own = parts == other, parts == own
-            fresh.append(float(np.add.reduce(wt[to_other]) - np.add.reduce(wt[to_own])))
-            delta = np.where(to_other, 2.0 * wt, np.where(to_own, -2.0 * wt, 0.0))
-            keep = (delta != 0.0) & (row != partner)
-            touched.append(row[keep])
-            deltas.append(delta[keep])
-        nbr = np.concatenate(touched)
-        before = red[nbr]
-        np.add.at(red, nbr, np.concatenate(deltas))  # in order, like _update_short
-        # a common neighbor's second entry wins: the same before, the final after
-        changed = {
-            x: [r_old, r_new]
-            for x, r_old, r_new in zip(nbr.tolist(), before.tolist(), red[nbr].tolist())
-            if x in watched
-        }
-        return changed, fresh
-
-
-def _weight_sum(ws: list[float]) -> float:
-    """np.add.reduce of ws, bit for bit. Below 8 terms numpy's pairwise
-    summation is one loop in order, which Python repeats more cheaply."""
-    if len(ws) >= 8:
-        return float(np.add.reduce(np.array(ws)))
-    total = 0.0
-    for w in ws:
-        total += w
-    return total
-
-
-def _live_head(
-    heap: list[tuple[float, int]], members: set[int], red: np.ndarray
-) -> tuple[float, int]:
-    """The best live key of an interval's heap, dropping stale keys above
-    it. A key (-r, x) is live while x is a member and r its reduction."""
-    while True:
-        key = heap[0]
-        if key[1] in members and key[0] == -red.item(key[1]):
-            return key
-        heappop(heap)
-
-
-def _live_sorted(
-    heap: list[tuple[float, int]], members: set[int], red: np.ndarray
-) -> list[tuple[float, int]]:
-    """An interval's live keys, best first."""
-    return sorted({key for key in heap if key[1] in members and key[0] == -red.item(key[1])})
-
-
-def _best_step(state: _SwapState, keys_a, keys_b) -> tuple[int, int] | None:
-    """The swap rule on keys sorted best first: the first u with an
-    improving, weight-feasible partner, and its best partner, ties to the
-    partner met first; None if no swap helps."""
-    g, tol = state.g, state.gain_tol
-    chosen = None
-    max_rv = -keys_b[0][0]
-    for neg_ru, u in keys_a:
-        ru = -neg_ru
-        if ru + max_rv <= tol:  # no later u can help either
-            break
-        best_gain = tol
-        nbr, wt = g.neighbors(u)
-        for neg_rv, v in keys_b:
-            rv = -neg_rv
-            if ru + rv <= best_gain:  # gain <= r(u) + r(v)
-                break
-            pos = int(nbr.searchsorted(v))
-            w_uv = wt.item(pos) if pos < len(nbr) and nbr[pos] == v else 0.0
-            gain = ru + rv - 2.0 * w_uv
-            if gain > best_gain and state.weight_feasible(u, v):
-                best_gain, chosen = gain, (u, v)
-        if chosen is not None:
-            break
-    return chosen
-
-
-def _swap_interval_pair(
-    state: _SwapState,
-    range_a: tuple[int, int],
-    range_b: tuple[int, int],
-) -> int:
-    """Local optimum between two intervals via best-partner swaps.
-
-    A step takes, in (-reduction, id) order, the first u of the first
-    interval with an improving, weight-feasible partner in the second (gain
-    r(u) + r(v) - 2 w(u,v) above the float tolerance) and swaps it with its
-    best partner, ties to the partner met first (``_best_step``). Each
-    interval keeps its (-reduction, id) keys in a heap. A swap pushes the
-    new keys of the movers and of the touched members of either interval
-    (``swap`` reports only those), and leaves the old keys to be dropped
-    when they surface. Most steps are settled by the two heads: when the
-    best u and the best v share no edge and may swap, no other pair can
-    come first. Otherwise the step sorts the live keys and walks them.
-    """
-    (a0, a1), (b0, b1) = range_a, range_b
-    if a0 >= a1 or b0 >= b1:
-        return 0
-    g, red, tol = state.g, state.red, state.gain_tol
-    indptr, indices, weights = g.adj_indptr, g.adj_indices, g.adj_weights
-    verts_a, verts_b = state.vertex_at[a0:a1], state.vertex_at[b0:b1]
-    red_a, red_b = red[verts_a], red[verts_b]
-    # gain <= max r(u) + max r(v): skip the whole pair when nothing can help
-    if red_a.max() + red_b.max() <= tol:
-        return 0
-    ids_a, ids_b = verts_a.tolist(), verts_b.tolist()
-    heap_a = list(zip((-red_a).tolist(), ids_a))
-    heap_b = list(zip((-red_b).tolist(), ids_b))
-    heapify(heap_a)
-    heapify(heap_b)
-    in_a, in_b = set(ids_a), set(ids_b)
-    watched = in_a | in_b  # a swap leaves it as it is
-    # Strictly improving swaps over a finite configuration space terminate;
-    # the cap is a float-drift safety net only.
-    cap = 1000 + 50 * (a1 - a0 + b1 - b0)
-    swaps = 0
-    while swaps < cap:
-        neg_ru, u = _live_head(heap_a, in_a, red)
-        neg_rv, v = _live_head(heap_b, in_b, red)
-        if -neg_ru - neg_rv <= tol:
-            break
-        lo, hi = indptr.item(u), indptr.item(u + 1)
-        pos = lo + int(indices[lo:hi].searchsorted(v))
-        linked = pos < hi and indices.item(pos) == v and weights.item(pos) != 0.0
-        heads = not linked and state.weight_feasible(u, v)
-        if not heads:
-            step = _best_step(state, _live_sorted(heap_a, in_a, red),
-                              _live_sorted(heap_b, in_b, red))
-            if step is None:
-                break
-            u, v = step
-        changed = state.swap(u, v, watched)
-        in_a.remove(u)
-        in_a.add(v)
-        in_b.remove(v)
-        in_b.add(u)
-        # each mover takes the other's interval; a head mover's key leaves at once
-        (heapreplace if heads else heappush)(heap_a, (-red.item(v), v))
-        (heapreplace if heads else heappush)(heap_b, (-red.item(u), u))
-        for x, (_, r_new) in changed.items():
-            heappush(heap_a if x in in_a else heap_b, (-r_new, x))
-        swaps += 1
-    if swaps >= cap:
-        log.warning("interval pair hit swap cap (%d); float drift suspected", cap)
-    return swaps
+        np.add.at(red, y, np.where(part_of[y] == part_of[movers][src[arcs]], 2.0 * w, -2.0 * w))
+        red[movers[take]] *= -1.0
+        self.active[self.pair_at[self.rank_of[np.concatenate([movers[take], y])]]] = True
+        u, v = u[moved], v[moved]
+        ru, rv = self.rank_of[u], self.rank_of[v]
+        self.vertex_at[ru], self.vertex_at[rv] = v, u
+        self.rank_of[u], self.rank_of[v] = rv, ru
+        shift = np.bincount((part_of[u] - self.firsts[0]) // 2, g.vertex_weights[v] - g.vertex_weights[u], pairs)
+        part_of[u], part_of[v] = part_of[v], part_of[u]
+        self.excess += shift
+        self.active.reshape(-1, r)[shift != 0] = True  # other prefixes may now fit
+        self.swaps += len(moved)
+        return len(moved)
 
 
 def rank_swap_round(
@@ -537,32 +413,35 @@ def rank_swap_round(
 ) -> Ordering:
     """One round of interval-paired swaps between adjacent parts.
 
-    Round t pairs the parts (a, a+1) with a = t (mod 2); each part is cut
-    into ``intervals`` equal rank intervals, and part a's interval i meets
-    part a+1's interval perm[i], perm being
-    ``np.random.default_rng([|seed|, t, a, a+1]).permutation(intervals)``.
-    A round with no pair (k = 1, or k = 2 on an odd round) returns ``o``.
-    Part pairs are fully independent (a vertex's reduction only reads the
-    two parts it could belong to); interval pairs within a part pair run in
-    a fixed order against live state, so the true cut weight never
-    increases. Vertex counts per part are untouched. A swap moves only the
-    boundary between its pair, by w(v) - w(u); it is rejected if that
-    carries the boundary out of its window and further from its ideal
-    weight.
+    Round t pairs the parts (a, a+1) with a = t (mod 2), cuts each part into
+    ``intervals`` equal rank intervals and matches them one to one across
+    the pair (``_matching``). A round with no pair (k = 1, or k = 2 on an
+    odd round) returns ``o``. Steps repeat until no interval pair gains.
+    Each step acts on every interval pair at once, from the live reductions:
+
+    1. sort each side by (-reduction, id);
+    2. pair the sides rank by rank while r(u) + r(v) > tol = 1e-12·max(1, max w);
+    3. price each prefix exactly: the sum of r, plus 2w for each edge between
+       two movers on the same side, minus 2w for each one across;
+    4. take the best prefix (the first maximum) of those that keep the pair's
+       boundary in its window (``boundary.window_slack``) or move it no
+       further from its ideal weight, if it gains more than tol.
+
+    The prefixes of a part pair are then priced together, over the edges
+    between movers of different interval pairs; if the joint set does not
+    gain more than tol or fails the boundary rule, only the part pair's best
+    interval pair moves. A reduction reads only its vertex's own and paired
+    part, so part pairs never interact and every step lowers the cut.
     """
     if intervals < 1:
         raise ValueError("interval count must be positive")
     if splits.n != g.n or o.n != g.n:
         raise ValueError("ordering/split points do not cover the graph")
-    firsts = range(round_index % 2, splits.k - 1, 2)
-    if not firsts:
+    if splits.k - 1 <= round_index % 2:
         log.info("rankswap\tswaps\t0")
         return o
-    state = _SwapState(g, o, splits, firsts)
-    q = splits.q
-    for a, i, j in _interval_pairs(splits.k, intervals, round_index, seed):
-        ra = _interval_range(q, a, i, intervals)
-        rb = _interval_range(q, a + 1, j, intervals)
-        _swap_interval_pair(state, ra, rb)
+    state = _SwapRound(g, o, splits, *_matching(splits.k, intervals, round_index, seed))
+    while state.step():
+        pass
     log.info("rankswap\tswaps\t%d", state.swaps)
     return Ordering(state.vertex_at, state.rank_of)

@@ -22,6 +22,7 @@ from linepart.boundary import (
     make_split_points,
     make_windows,
     mincut_window,
+    window_slack,
 )
 from linepart.graph import Graph, Partition, check_balance, cut_weight
 from linepart.maxflow import FlowNetwork
@@ -307,6 +308,57 @@ def test_degenerate_window_takes_the_nearest_rank():
     # a tie goes to the lower rank: prefix weights 4 and 6 around 5
     tie = make_graph([], n=4, vertex_weights=[4, 2, 2, 2])
     assert make_split_points(tie, Ordering.identity(4), 2, 0.1).q.tolist() == [0, 1, 4]
+
+
+def reference_windows(g, o, k, alpha):
+    """make_windows as a loop over the boundaries, kept as the oracle of the
+    array version: the same rule, one boundary at a time."""
+    n = g.n
+    cw = np.concatenate([[0.0], np.cumsum(g.vertex_weights[o.vertex_at])])
+    total = cw[-1]
+    slack, tol = window_slack(total, k, alpha)
+    ranks = [(j * n) // k for j in range(k + 1)]
+    windows = []
+    for j in range(1, k):
+        ideal = j * total / k
+        band_lo = (ranks[j - 1] + ranks[j]) // 2 + 1 if j > 1 else 1
+        band_hi = (ranks[j] + ranks[j + 1]) // 2 if j < k - 1 else n - 1
+        anchor = int(np.searchsorted(cw, ideal + tol, side="right")) - 1
+        lo = int(np.searchsorted(cw, ideal - slack - tol, side="left"))
+        hi = int(np.searchsorted(cw, ideal + slack + tol, side="right")) - 1
+        lo, hi = max(lo, band_lo), min(hi, band_hi)
+        if lo > hi:
+            near = np.abs(cw[band_lo : band_hi + 1] - ideal)
+            lo = hi = band_lo + int(np.argmin(near))
+        windows.append(Window(j, min(max(anchor, lo), hi), lo, hi))
+    return windows
+
+
+def test_windows_match_the_per_boundary_loop():
+    # Random vertex weights over six decades, or a few heavy vertices that
+    # leave degenerate windows; k in {1, 2, n} and a few in between.
+    rng = np.random.default_rng(29)
+    degenerate = 0
+    for case in range(300):
+        n = int(rng.integers(1, 60))
+        if case % 3 == 0:
+            vw = 10.0 ** rng.uniform(-3, 3, n)
+        elif case % 3 == 1:
+            vw = np.where(rng.random(n) < 0.15, rng.integers(5, 40, n), 1).astype(float)
+        else:
+            vw = rng.choice([1.0, 1.0, 2.0, 3.0], n)
+        g = make_graph([], n=n, vertex_weights=vw)
+        o = Ordering.from_vertex_at(rng.permutation(n))
+        for k in sorted({1, min(2, n), n, int(rng.integers(1, n + 1))}):
+            for alpha in (0.0, 0.03, 1.5):
+                got = make_windows(g, o, k, alpha)
+                want = reference_windows(g, o, k, alpha)
+                assert got == want, (case, k, alpha)
+                assert all(type(x) is int for w in got for x in (w.center, w.lo, w.hi))
+                cw = np.concatenate([[0.0], np.cumsum(vw[o.vertex_at])])
+                slack, tol = window_slack(cw[-1], k, alpha)
+                degenerate += sum(abs(cw[w.lo] - w.index * cw[-1] / k) > slack + tol for w in got)
+    assert degenerate > 100
 
 
 @settings(max_examples=300, deadline=None)

@@ -320,7 +320,8 @@ def test_out_of_range_part_or_rank_exits_one(tmp_path, capsys, k3, value):
 
 def test_combine_runs_without_scipy(tmp_path, cliques):
     # numpy is the only runtime dependency: a default (affinity-ordered)
-    # combine in a fresh interpreter must not import scipy
+    # combine in a fresh interpreter must not import scipy, nor numpy.ma,
+    # which costs a fresh process 10-20 ms
     src = Path(__file__).resolve().parents[1] / "src"
     child = (
         "import sys\n"
@@ -329,6 +330,7 @@ def test_combine_runs_without_scipy(tmp_path, cliques):
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert code == 0, code\n"
         "assert not loaded, loaded[:5]\n"
+        "assert 'numpy.ma' not in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(

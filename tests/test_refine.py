@@ -3,6 +3,7 @@
 import threading
 import tracemalloc
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,10 +14,8 @@ from linepart.graph import Graph, Partition, cut_weight
 from linepart.ordering import Ordering
 from linepart.synth import rmat
 from linepart.refine import (
-    _SwapState,
-    _interval_pairs,
-    _swap_interval_pair,
-    _weight_sum,
+    _SwapRound,
+    _matching,
     minla_objective,
     minla_refine,
     minla_round,
@@ -348,7 +347,8 @@ def test_refine_stops_on_two_cycle():
 
 
 def pairs_of(k, intervals, round_index, seed):
-    return sorted({(a, a + 1) for a, _, _ in _interval_pairs(k, intervals, round_index, seed)})
+    firsts, _ = _matching(k, intervals, round_index, seed)
+    return [(a, a + 1) for a in firsts.tolist()]
 
 
 def test_swap_plan_parity_examples():
@@ -358,13 +358,13 @@ def test_swap_plan_parity_examples():
 
 
 def test_swap_plan_deterministic_and_validated():
-    a = list(_interval_pairs(2, 3, 0, 42))
-    b = list(_interval_pairs(2, 3, 0, 42))
-    assert a == b
+    a = _matching(2, 3, 0, 42)
+    b = _matching(2, 3, 0, 42)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
     # pinned: partitions depend on this exact seeded matching
-    assert list(_interval_pairs(5, 3, 0, -7)) == [
-        (0, 0, 1), (0, 1, 0), (0, 2, 2), (2, 0, 1), (2, 1, 0), (2, 2, 2)
-    ]
+    firsts, perm = _matching(5, 3, 0, -7)
+    assert firsts.tolist() == [0, 2]
+    assert perm.tolist() == [[0, 2, 1], [1, 2, 0]]
     g = make_graph([(0, 3)], n=4)
     o = Ordering.from_vertex_at(np.array([2, 0, 3, 1]))
     splits = make_split_points(g, o, 2, 0.0)
@@ -376,9 +376,13 @@ def test_swap_plan_deterministic_and_validated():
 
 
 def test_swap_plan_each_interval_paired_once():
-    pairs = list(_interval_pairs(2, 4, 0, 7))
-    assert sorted((a, i) for a, i, _ in pairs) == [(0, i) for i in range(4)]
-    assert sorted((a + 1, j) for a, _, j in pairs) == [(1, i) for i in range(4)]
+    firsts, perm = _matching(9, 4, 0, 7)
+    assert perm.shape == (len(firsts), 4)
+    for row in perm.tolist():
+        assert sorted(row) == [0, 1, 2, 3]
+    # one generator per round: the rows differ, and so do the rounds
+    assert len({tuple(row) for row in perm.tolist()}) > 1
+    assert not np.array_equal(perm, _matching(9, 4, 2, 7)[1])
 
 
 # -- rank swaps ---------------------------------------------------------------------
@@ -476,106 +480,190 @@ def test_rank_swap_keeps_boundary_in_its_window():
 
 
 def test_swap_keeps_live_reductions_exact():
-    # Integer weights keep every sum exact, so the incrementally maintained
-    # reductions must equal a fresh recount after every swap, including
-    # for neighbours that u and v share.
+    # Integer weights keep every sum exact, so the live reductions must
+    # equal a fresh recount after every step, including for neighbours
+    # that movers share and for movers joined by an edge.
     rng = np.random.default_rng(4)
-    for _ in range(20):
-        g = random_graph(rng, 16, 60, weighted=True)
-        o = Ordering.from_vertex_at(rng.permutation(16))
-        splits = make_split_points(g, o, 2, 0.5)
-        state = _SwapState(g, o, splits, range(1))
-        for _ in range(6):
-            u = int(state.vertex_at[rng.integers(0, 8)])
-            v = int(state.vertex_at[rng.integers(8, 16)])
-            state.swap(u, v, set(range(16)))
-            assert np.array_equal(state.red, state._initial_reductions(range(1)))
-        assert state.part_of[state.vertex_at[:8]].tolist() == [0] * 8
-
-
-def test_weight_sum_is_numpy_sum_bit_for_bit():
-    # The short path's fresh reductions must equal the sums numpy takes, on
-    # both sides of the 8-term switch to pairwise summation.
-    rng = np.random.default_rng(11)
-    for size in range(0, 40):
-        for _ in range(50):
-            ws = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 6, size)
-            assert _weight_sum(ws.tolist()) == np.add.reduce(ws), size
-
-
-@pytest.mark.parametrize("k", [2, 5])
-def test_swap_update_paths_agree_bit_for_bit(monkeypatch, k):
-    # Float weights and zero-weight edges; every swap runs once through the
-    # Python path and once through the numpy path, from the same state.
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        g = random_graph(rng, 40, 300, weighted=True)
-        g = g.with_edge_weights(rng.random(g.edge_count).round(1) / 3)
-        o = Ordering.from_vertex_at(rng.permutation(40))
+    steps = crowded = 0
+    for case in range(30):
+        g = random_graph(rng, 24, 90, weighted=True)
+        o = Ordering.from_vertex_at(rng.permutation(24))
+        k = 2 + case % 3
         splits = make_split_points(g, o, k, 0.5)
-        states = [_SwapState(g, o, splits, range(k - 1)) for _ in range(2)]
-        for _ in range(12):
-            a = int(rng.integers(0, k - 1))
-            lo, mid, hi = (int(q) for q in splits.q[a:a + 3])
-            u = int(states[0].vertex_at[rng.integers(lo, mid)])
-            v = int(states[0].vertex_at[rng.integers(mid, hi)])
-            got = []
-            for state, short_rows in zip(states, (10**9, 0)):
-                monkeypatch.setattr(refine, "_SHORT_ROWS", short_rows)
-                got.append(state.swap(u, v, set(range(40))))
-            assert got[0] == got[1]
-            assert states[0].red.tobytes() == states[1].red.tobytes()
-            assert states[0].vertex_at.tolist() == states[1].vertex_at.tolist()
+        for rnd in range(2 if k > 2 else 1):
+            state = _SwapRound(g, o, splits, *_matching(k, 1 + case % 2, rnd, case))
+            while moved := state.step():
+                steps += 1
+                crowded += moved > 1
+                assert np.array_equal(state.red, state._initial_reductions())
+                now = Ordering(state.vertex_at, state.rank_of)
+                now.validate()
+                assert np.array_equal(state.part_of,
+                                      Partition.from_contiguous(now, splits, g).assignment)
+            o = Ordering(state.vertex_at, state.rank_of)
+    assert steps > 30 and crowded > 10
 
 
-def naive_part_swaps(g, o, splits):
-    """Brute-force swap rule between the two parts of a k=2 chop.
+@st.composite
+def swap_cases(draw):
+    """A graph of at most 14 vertices, edge weights 0 or 1e-6..1e6, unit
+    vertex weights or weights in {1, 2, 3}, a random order, k in {2, 3, n},
+    alpha in {0, 0.05, 1}, and a round, an interval count and a seed."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    edges = [e for e in pairs if e[0] != e[1]]
+    weight = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e6))
+    weights = draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    unit = draw(st.booleans())
+    vw = None if unit else draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=n, max_size=n))
+    g = make_graph(edges, n=n, weights=weights, vertex_weights=vw)
+    o = Ordering.from_vertex_at(np.array(draw(st.permutations(list(range(n)))), dtype=np.int64))
+    k = draw(st.sampled_from(sorted({2, min(3, n), n})))
+    alpha = draw(st.sampled_from([0.0, 0.05, 1.0]))
+    return g, o, k, alpha, draw(st.integers(0, 3)), draw(st.integers(1, 4)), draw(st.integers(0, 9))
 
-    Every step recounts each reduction (weight to the other part minus
-    weight to its own) from the partition; the first u in (-r, id) order
-    with a weight-feasible gain > 0 swaps with its best v, ties to the v
-    first in (-r, id) order. Returns (vertex_at, swaps).
+
+@settings(max_examples=300, deadline=None)
+@given(swap_cases())
+def test_swap_round_properties(case):
+    # One round: a permutation that keeps each part's ranks, moves vertices
+    # only within a part pair, never raises the cut by more than combine's
+    # tolerance, and keeps every moved boundary in its window or no further
+    # from its ideal weight.
+    g, o, k, alpha, rnd, intervals, seed = case
+    splits = make_split_points(g, o, k, alpha)
+    o2 = rank_swap_round(g, o, splits, rnd, intervals, seed)
+    o2.validate()
+    before = Partition.from_contiguous(o, splits, g)
+    after = Partition.from_contiguous(o2, splits, g)
+    firsts, _ = _matching(k, intervals, rnd, seed)
+    paired = np.arange(k)
+    paired[firsts], paired[firsts + 1] = firsts + 1, firsts
+    stays = after.assignment == before.assignment
+    assert (stays | (after.assignment == paired[before.assignment])).all()
+    cut0, cut1 = cut_weight(g, before)[0], cut_weight(g, after)[0]
+    assert cut1 <= cut0 * (1 + 1e-12) + 1e-12
+    total = g.total_vertex_weight
+    slack, tol = window_slack(total, k, alpha)
+    ideal = np.arange(k + 1) * total / k
+    old = np.cumsum(np.r_[0.0, before.part_weights]) - ideal
+    new = np.cumsum(np.r_[0.0, after.part_weights]) - ideal
+    for j in np.flatnonzero(old != new).tolist():
+        assert abs(new[j]) <= slack + tol or abs(new[j]) <= abs(old[j]) + 1e-9, (j, old, new)
+
+
+def test_swap_steps_read_only_active_pairs(monkeypatch):
+    # A step skips the interval pairs that no move touched, that gained
+    # nothing, and whose boundary did not move; stepping every interval
+    # pair each time must give the same rounds. Sparse graphs, unequal
+    # vertex weights and a tight alpha make held-back pairs and moved
+    # boundaries common.
+    rng = np.random.default_rng(41)
+    cases = []
+    for case in range(150):
+        n = int(rng.integers(20, 80))
+        g = random_graph(rng, n, int(rng.integers(n // 2, 2 * n)), weighted=True)
+        g = Graph(g.external_ids, rng.choice([1.0, 1.0, 2.0, 3.0], n), g.edge_u, g.edge_v, g.edge_w)
+        o = Ordering.from_vertex_at(rng.permutation(n))
+        k = int(rng.choice([2, 3, 5]))
+        splits = make_split_points(g, o, k, float(rng.choice([0.0, 0.05, 0.2])))
+        cases.append((g, o, splits, int(rng.integers(0, 2)), int(rng.integers(2, 7)), case))
+    want = [rank_swap_round(*case).vertex_at.tolist() for case in cases]
+    step = _SwapRound.step
+
+    def step_all(self):
+        self.active[:] = True
+        return step(self)
+
+    monkeypatch.setattr(_SwapRound, "step", step_all)
+    assert [rank_swap_round(*case).vertex_at.tolist() for case in cases] == want
+
+
+def reference_swap_round(g, o, splits, round_index, intervals, seed):
+    """The batched swap rule in plain loops, kept as the oracle of
+    ``rank_swap_round``: (vertex_at, swaps).
+
+    Every step recounts each reduction from the partition, and prices every
+    prefix and every part pair's joint set by the change in ``cut_weight``.
     """
-    n, q1 = g.n, int(splits.q[1])
+    k, n = splits.k, g.n
+    firsts, perm = _matching(k, intervals, round_index, seed)
+    q = splits.q.tolist()
+    vw, total = g.vertex_weights, g.total_vertex_weight
+    slack, slack_tol = window_slack(total, k, splits.alpha)
+    tol = 1e-12 * max(1.0, float(g.edge_w.max()) if g.edge_count else 1.0)
     adj = np.zeros((n, n))
     adj[g.edge_u, g.edge_v] = adj[g.edge_v, g.edge_u] = g.edge_w
-    vw = g.vertex_weights
-    half = vw.sum() / 2
-    slack, tol = window_slack(vw.sum(), 2, splits.alpha)
-    vertex_at = o.vertex_at.copy()
-    swaps = 0
+
+    def cut(va):
+        o2 = Ordering.from_vertex_at(va)
+        return cut_weight(g, Partition.from_contiguous(o2, splits, g))[0]
+
+    def swapped(va, pairs):
+        va = va.copy()
+        for x, y in pairs:
+            i, j = int(np.flatnonzero(va == x)[0]), int(np.flatnonzero(va == y)[0])
+            va[i], va[j] = y, x
+        return va
+
+    def feasible(va, a, shift):
+        old = vw[va[:q[a + 1]]].sum() - (a + 1) * total / k
+        new = abs(old + shift)
+        return new <= slack + slack_tol or new <= abs(old)
+
+    vertex_at, swaps = o.vertex_at.copy(), 0
     while True:
-        side = np.zeros(n, dtype=bool)
-        side[vertex_at[q1:]] = True
-        cross = side[:, None] != side[None, :]
-        red = (adj * cross).sum(axis=1) - (adj * ~cross).sum(axis=1)
-        old = vw[vertex_at[:q1]].sum() - half
+        base = cut(vertex_at)
+        part = Partition.from_contiguous(Ordering.from_vertex_at(vertex_at), splits, g).assignment
+        moves = []
+        for p, a in enumerate(firsts.tolist()):
 
-        def best_first(verts):
-            return sorted(verts.tolist(), key=lambda x: (-red[x], x))
+            def red(x):
+                own, other = part[x], 2 * a + 1 - part[x]
+                return adj[x, part == other].sum() - adj[x, part == own].sum()
 
-        chosen = None
-        for u in best_first(vertex_at[:q1]):
-            best_gain = 0.0
-            for v in best_first(vertex_at[q1:]):
-                gain = red[u] + red[v] - 2 * adj[u, v]
-                new = old + vw[v] - vw[u]
-                feasible = vw[u] == vw[v] or abs(new) <= slack + tol or abs(new) <= abs(old)
-                if feasible and gain > best_gain:
-                    best_gain, chosen = gain, (u, v)
-            if chosen is not None:
-                break
-        if chosen is None:
+            options = []
+            for i in range(intervals):
+                sides = []
+                for b, j in ((a, i), (a + 1, int(perm[p, i]))):
+                    size = q[b + 1] - q[b]
+                    lo, hi = q[b] + j * size // intervals, q[b] + (j + 1) * size // intervals
+                    sides.append(sorted(vertex_at[lo:hi].tolist(), key=lambda x: (-red(x), x)))
+                pairs = []
+                for x, y in zip(*sides):
+                    if red(x) + red(y) <= tol:
+                        break
+                    pairs.append((x, y))
+                best = None
+                for length in range(1, len(pairs) + 1):
+                    prefix = pairs[:length]
+                    gain = base - cut(swapped(vertex_at, prefix))
+                    shift = sum(vw[y] - vw[x] for x, y in prefix)
+                    if feasible(vertex_at, a, shift) and (best is None or gain > best[0]):
+                        best = (gain, prefix, shift)
+                if best is not None and best[0] > tol:
+                    options.append(best)
+            if not options:
+                continue
+            together = [xy for _, prefix, _ in options for xy in prefix]
+            joint = base - cut(swapped(vertex_at, together))
+            if joint > tol and feasible(vertex_at, a, sum(shift for *_, shift in options)):
+                moves += together
+            else:  # max keeps the first of equal gains
+                moves += max(options, key=lambda option: option[0])[1]
+        if not moves:
             return vertex_at, swaps
-        ru, rv = (int(np.flatnonzero(vertex_at == x)[0]) for x in chosen)
-        vertex_at[ru], vertex_at[rv] = vertex_at[rv], vertex_at[ru]
-        swaps += 1
+        vertex_at = swapped(vertex_at, moves)
+        swaps += len(moves)
 
 
 def test_interval_pair_swaps_match_brute_force_rule():
-    # Integer edge weights keep every reduction exact, so the live sorted
-    # state must make the same choice as a full recount at every step.
+    # Integer edge weights keep every reduction and price exact, so the
+    # round must make the same choices as the plain-loop recount: with
+    # whole parts as one interval pair at k = 2, then with several
+    # interval pairs per part pair at k = 3 and 4.
     rng = np.random.default_rng(2024)
+    joint = 0
     for case in range(300):
         n = int(rng.integers(4, 18))
         iu, iv = np.triu_indices(n, k=1)
@@ -587,127 +675,13 @@ def test_interval_pair_swaps_match_brute_force_rule():
         )
         o = Ordering.from_vertex_at(rng.permutation(n))
         alpha = (0.1, 0.5, 1.0)[case % 3]
-        splits = make_split_points(g, o, 2, alpha)
-        state = _SwapState(g, o, splits, range(1))
-        q1 = int(splits.q[1])
-        swaps = _swap_interval_pair(state, (0, q1), (q1, n))
-        want_at, want_swaps = naive_part_swaps(g, o, splits)
-        assert (state.vertex_at.tolist(), swaps) == (want_at.tolist(), want_swaps), case
-
-
-def reference_swap_interval_pair(state, range_a, range_b):
-    """The swap walk on two sorted key lists, kept as an oracle for the heap
-    walk: every step walks the lists best-first from the top, and a swap
-    re-keys every touched vertex ranked in either interval by bisection."""
-    from bisect import bisect_left, insort
-
-    (a0, a1), (b0, b1) = range_a, range_b
-    if a0 >= a1 or b0 >= b1:
-        return 0
-    g, red, tol = state.g, state.red, state.gain_tol
-    verts_a, verts_b = state.vertex_at[a0:a1], state.vertex_at[b0:b1]
-    red_a, red_b = red[verts_a], red[verts_b]
-    if red_a.max() + red_b.max() <= tol:
-        return 0
-
-    def sorted_keys(verts, r):
-        order = np.lexsort((verts, -r))
-        return list(zip((-r[order]).tolist(), verts[order].tolist()))
-
-    keys_a, keys_b = sorted_keys(verts_a, red_a), sorted_keys(verts_b, red_b)
-    cap = 1000 + 50 * (a1 - a0 + b1 - b0)
-    swaps = 0
-    while swaps < cap:
-        chosen = None
-        max_rv = -keys_b[0][0]
-        for i, (neg_ru, u) in enumerate(keys_a):
-            ru = -neg_ru
-            if ru + max_rv <= tol:
-                break
-            best_gain = tol
-            nbr, wt = g.neighbors(u)
-            for j, (neg_rv, v) in enumerate(keys_b):
-                rv = -neg_rv
-                if ru + rv <= best_gain:
-                    break
-                pos = int(nbr.searchsorted(v))
-                w_uv = wt.item(pos) if pos < len(nbr) and nbr[pos] == v else 0.0
-                gain = ru + rv - 2.0 * w_uv
-                if gain > best_gain and state.weight_feasible(u, v):
-                    best_gain, chosen = gain, (i, u, j, v)
-            if chosen is not None:
-                break
-        if chosen is None:
-            break
-        i, u, j, v = chosen
-        changed = state.swap(u, v, set(range(g.n)))
-        del keys_a[i], keys_b[j]
-        insort(keys_a, (-red.item(v), v))
-        insort(keys_b, (-red.item(u), u))
-        for x, (r_old, r_new) in changed.items():
-            rank = int(state.rank_of[x])
-            keys = keys_a if a0 <= rank < a1 else keys_b if b0 <= rank < b1 else None
-            if keys is not None:
-                del keys[bisect_left(keys, (-r_old, x))]
-                insort(keys, (-r_new, x))
-        swaps += 1
-    return swaps
-
-
-def test_heap_walk_matches_sorted_list_walk(monkeypatch):
-    # Float weights over twelve decades, zero-weight edges and unequal
-    # vertex weights, so heads are often linked or may not swap and the
-    # walk falls back to sorting the live keys.
-    rng = np.random.default_rng(31)
-    slow_steps = []
-    best_step = refine._best_step
-    monkeypatch.setattr(refine, "_best_step",
-                        lambda *a: slow_steps.append(1) or best_step(*a))
-    for case in range(400):
-        n = int(rng.integers(4, 50))
-        eu, ev = rng.integers(0, n, 4 * n), rng.integers(0, n, 4 * n)
-        keep = eu != ev
-        w = 10.0 ** rng.uniform(-6, 6, int(keep.sum()))
-        w[rng.random(len(w)) < 0.1] = 0.0
-        if case % 2:
-            w = np.round(w) % 3  # heavy ties among reductions
-        vw = rng.choice([1.0, 1.0, 2.0, 3.0], n) if case % 3 else np.ones(n)
-        g = Graph.from_arcs(eu[keep], ev[keep], w, [str(i) for i in range(n)],
-                            vertex_weights=vw)
-        o = Ordering.from_vertex_at(rng.permutation(n))
-        k = int(rng.integers(2, min(5, n) + 1))
-        splits = make_split_points(g, o, k, float(rng.choice([0.0, 0.1, 1.0])))
-        intervals = int(rng.integers(1, 4))
-        for rnd in range(2):
-            got = rank_swap_round(g, o, splits, rnd, intervals, case)
-            with monkeypatch.context() as m:
-                m.setattr(refine, "_swap_interval_pair", reference_swap_interval_pair)
-                want = rank_swap_round(g, o, splits, rnd, intervals, case)
-            assert got.vertex_at.tolist() == want.vertex_at.tolist(), (case, rnd)
-            o = got
-    assert len(slow_steps) > 50
-
-
-@pytest.mark.parametrize("short_rows", [10**9, 0])
-def test_swap_reports_watched_vertices_only(monkeypatch, short_rows):
-    # swap reports the changed vertices of its watched set: a smaller set
-    # gets the same values for its own vertices and leaves the reductions
-    # bit for bit as with every vertex watched.
-    monkeypatch.setattr(refine, "_SHORT_ROWS", short_rows)
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        g = random_graph(rng, 40, 300, weighted=True)
-        g = g.with_edge_weights(rng.random(g.edge_count).round(1) / 3)
-        o = Ordering.from_vertex_at(rng.permutation(40))
-        splits = make_split_points(g, o, 3, 0.5)
-        states = [_SwapState(g, o, splits, range(2)) for _ in range(2)]
-        watched = set(rng.choice(40, 15, replace=False).tolist())
-        for _ in range(12):
-            a = int(rng.integers(0, 2))
-            lo, mid, hi = (int(q) for q in splits.q[a:a + 3])
-            u = int(states[0].vertex_at[rng.integers(lo, mid)])
-            v = int(states[0].vertex_at[rng.integers(mid, hi)])
-            full = states[0].swap(u, v, set(range(40)))
-            some = states[1].swap(u, v, watched)
-            assert some == {x: c for x, c in full.items() if x in watched}
-            assert states[0].red.tobytes() == states[1].red.tobytes()
+        for k, intervals, rnd in ((2, 1, 0), (min(n, 3 + case % 2), 1 + case % 3, case % 2)):
+            splits = make_split_points(g, o, k, alpha)
+            state = _SwapRound(g, o, splits, *_matching(k, intervals, rnd, case))
+            while moved := state.step():
+                joint += moved > 1
+            want_at, want_swaps = reference_swap_round(g, o, splits, rnd, intervals, case)
+            got = (state.vertex_at.tolist(), state.swaps)
+            assert got == (want_at.tolist(), want_swaps), (case, k, intervals)
+            assert rank_swap_round(g, o, splits, rnd, intervals, case).vertex_at.tolist() == got[0]
+    assert joint > 50
