@@ -8,8 +8,8 @@ prices a proposal once, if it changed the state, and enforces the
 never-raise rule: the metric stage optimizes the linear-arrangement
 objective and may move the cut either way, while a proposal of any other
 stage that raises the cut is rejected and the previous state kept. The
-driver keeps the best pass-end state, so the emitted partition never cuts
-more than the initial balanced chop.
+driver keeps the best pass-end state, balanced before unbalanced, so the
+emitted partition never cuts more than the initial chop.
 """
 
 from __future__ import annotations
@@ -164,9 +164,11 @@ def _initial_ordering(g: Graph, cfg: PipelineConfig) -> Ordering:
 def combine(g: Graph, cfg: PipelineConfig) -> PipelineReport:
     """Full pipeline: similarity, embedding, balanced splits, stage loop.
 
-    Deterministic given (graph bytes, config, seed). The final state is the
-    best cut among the initial chop and every pass-end state, so the
-    reported cut never exceeds the initial ordering's balanced chop.
+    Deterministic given (graph bytes, config, seed). The final state is,
+    among the initial chop and every pass-end state that cuts no more than
+    it, the lowest cut of the balanced ones, or of all if none is balanced.
+    So the reported cut never exceeds the initial ordering's chop, and an
+    unequal-weight run ends unbalanced only if every such state is.
     """
     cfg.validate(g)
     ordering = _initial_ordering(g, cfg)
@@ -181,7 +183,8 @@ def combine(g: Graph, cfg: PipelineConfig) -> PipelineReport:
 
     # cw, cf, part, bal: the current state, priced when it was made
     cw, cf, part, bal = w0, f0, part0, bal0
-    best_cut = w0
+    # (unbalanced, cut) of the best state cutting no more than the initial chop
+    best_key = (not bal0, w0)
     best_state = (ordering.copy(), splits.copy(), f0, part0)
     converged = False
     iterations = 0
@@ -208,8 +211,8 @@ def combine(g: Graph, cfg: PipelineConfig) -> PipelineReport:
             if note:
                 warnings.append(note)
             log.info("combine\t%s", records[-1].row())
-        if cw < best_cut:
-            best_cut = cw
+        if cw <= w0 and (not bal, cw) < best_key:
+            best_key = (not bal, cw)
             best_state = (ordering.copy(), splits.copy(), cf, part)
         if np.array_equal(pass_start[0], ordering.vertex_at) and np.array_equal(
             pass_start[1], splits.q
@@ -218,7 +221,7 @@ def combine(g: Graph, cfg: PipelineConfig) -> PipelineReport:
             break
 
     final_f, partition = cf, part
-    if cw > best_cut:
+    if cw > w0 or (not bal, cw) > best_key:
         ordering, splits, final_f, partition = best_state
         warnings.append("final state replaced by best intermediate state")
         log.info("combine\treverted to best intermediate state")

@@ -416,7 +416,9 @@ def rank_swap_round(
     Round t pairs the parts (a, a+1) with a = t (mod 2), cuts each part into
     ``intervals`` equal rank intervals and matches them one to one across
     the pair (``_matching``). A round with no pair (k = 1, or k = 2 on an
-    odd round) returns ``o``. Steps repeat until no interval pair gains.
+    odd round) returns ``o``. Steps repeat until no interval pair gains, or,
+    with a warning, until 1000 + 50·m swaps, m the ranks of the part pairs:
+    a float-drift cap, as the live reductions are kept up by repeated sums.
     Each step acts on every interval pair at once, from the live reductions:
 
     1. sort each side by (-reduction, id);
@@ -441,7 +443,10 @@ def rank_swap_round(
         log.info("rankswap\tswaps\t0")
         return o
     state = _SwapRound(g, o, splits, *_matching(splits.k, intervals, round_index, seed))
-    while state.step():
+    cap = 1000 + 50 * int(state.size.sum())
+    while state.swaps < cap and state.step():
         pass
+    if state.swaps >= cap:
+        log.warning("swap round hit its swap cap (%d); float drift suspected", cap)
     log.info("rankswap\tswaps\t%d", state.swaps)
     return Ordering(state.vertex_at, state.rank_of)

@@ -294,6 +294,31 @@ def test_combine_reports_the_state_it_returns():
     assert rep2.final_cut_fraction == rep2.records[-1].cut_fraction
 
 
+def test_combine_keeps_a_balanced_pass_end_over_a_lower_unbalanced_cut():
+    # Unequal vertex weights and a tight alpha leave some pass-end states
+    # unbalanced. combine returns, among the initial chop and the pass-end
+    # states that cut no more than it, the lowest cut of the balanced ones,
+    # or of all if none is balanced.
+    rng = np.random.default_rng(7)
+    traded = 0
+    for case in range(40):
+        n = int(rng.integers(20, 60))
+        iu, iv = np.triu_indices(n, 1)
+        pick = rng.random(len(iu)) < 0.15
+        g = make_graph(list(zip(iu[pick].tolist(), iv[pick].tolist())), n=n,
+                       vertex_weights=rng.choice([1.0, 1.0, 2.0, 3.0], n))
+        cfg = PipelineConfig(k=int(rng.integers(2, 6)), alpha=float(rng.choice([0.05, 0.1])),
+                             initial_ordering="random", seed=case, max_outer_iters=4)
+        rep = combine(g, cfg)
+        init = rep.records[0]
+        ends = [init] + [r for r in rep.records[1:] if r.stage == cfg.stages[-1]]
+        states = [(not r.balanced, r.cut_weight) for r in ends if r.cut_weight <= init.cut_weight]
+        got = (not check_balance(g, rep.partition, cfg.alpha).balanced, cut_weight(g, rep.partition)[0])
+        assert got == min(states), case
+        traded += not got[0] and got[1] > min(cut for _, cut in states)
+    assert traded >= 2
+
+
 def test_combine_on_fractional_edge_weights():
     from linepart.graph import common_neighbors_similarity
 

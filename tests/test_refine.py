@@ -579,6 +579,27 @@ def test_swap_steps_read_only_active_pairs(monkeypatch):
     assert [rank_swap_round(*case).vertex_at.tolist() for case in cases] == want
 
 
+def test_swap_round_ends_at_its_cap_when_steps_are_mispriced(monkeypatch, caplog):
+    # Live reductions set to 1 before every step price each swap as a gain
+    # forever; the round must still end, at its swap cap, warn, and return
+    # a permutation.
+    g = path_graph(12)
+    o = Ordering.identity(12)
+    splits = make_split_points(g, o, 2, 0.0)
+    step = _SwapRound.step
+
+    def mispriced(self):
+        self.red[:] = 1.0
+        self.active[:] = True
+        return step(self)
+
+    monkeypatch.setattr(_SwapRound, "step", mispriced)
+    with caplog.at_level("WARNING", logger="linepart.refine"):
+        o2 = rank_swap_round(g, o, splits, 0, 1, 0)
+    assert caplog.messages == ["swap round hit its swap cap (1600); float drift suspected"]
+    o2.validate()
+
+
 def reference_swap_round(g, o, splits, round_index, intervals, seed):
     """The batched swap rule in plain loops, kept as the oracle of
     ``rank_swap_round``: (vertex_at, swaps).
