@@ -147,6 +147,7 @@ class Graph:
 
         self.total_edge_weight = float(self.edge_w.sum())
         self.total_vertex_weight = float(self.vertex_weights.sum())
+        self._unit_edge_weights = bool((self.edge_w == 1.0).all())
         self._ext_index: dict[str, int] | None = None
 
     # -- construction --------------------------------------------------
@@ -208,6 +209,7 @@ class Graph:
         g.edge_w = edge_w
         g.adj_weights = edge_w[self.adj_edge]
         g.total_edge_weight = float(edge_w.sum())
+        g._unit_edge_weights = bool((edge_w == 1.0).all())
         return g
 
     def _check_edge_weights(self, edge_w: np.ndarray) -> None:
@@ -224,6 +226,11 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edge_w)
+
+    @property
+    def unit_edge_weights(self) -> bool:
+        """Is every edge weight exactly 1.0 (true of an edgeless graph)?"""
+        return self._unit_edge_weights
 
     def neighbors(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """(neighbor ids, edge weights) views, neighbors sorted by id."""
@@ -333,7 +340,8 @@ def common_neighbors_similarity(g: Graph) -> Graph:
     before its search, and threads share the chunks (``_work.share``);
     the counts are integers, so the output does not depend on the thread
     count. Memory is O(m) plus one chunk per thread, at most 4 chunks of
-    2**16 probes.
+    2**16 probes; a chunk holds each probe's two arcs, its key and its
+    position, so a hit's arcs are read by position, not searched for.
     """
     n, m = g.n, g.edge_count
     deg = np.diff(g.adj_indptr)
@@ -380,29 +388,19 @@ def common_neighbors_similarity(g: Graph) -> Graph:
         mate += arc
         mate += 1
         want = out_v[arc]
-        del arc
         want *= n
         want += out_v[mate]
-        del mate
         want <<= bits
         want |= np.arange(hi - lo)
         want.sort()  # probes in key order walk the keys once
-        pair = want & (chunk - 1)
+        pos = want & (chunk - 1)
         want >>= bits
         at = np.searchsorted(keys, want)
         at[at == m] = 0  # harmless: compared key then mismatches
         hit = keys[at] == want
         del want
-        # the hits' pair numbers, sorted for the search, and from them their
-        # two arcs; each count is a multiset, so the three need not align
-        pair = np.sort(pair[hit])
-        pair += lo
-        arc = np.searchsorted(pair_end[p0:p1], pair, "right")
-        arc += p0
-        pair -= pair_start[arc]
-        pair += arc
-        pair += 1  # now the mate arc
-        ends = (out_e[arc], out_e[pair], key_order[at[hit]])
+        pos = pos[hit]  # each hit's position in the chunk, and so its two arcs
+        ends = (out_e[arc[pos]], out_e[mate[pos]], key_order[at[hit]])
         # add.at, not bincount: a per-chunk bincount would cost O(m) each time.
         # The lock keeps each read-modify-write whole; integer counts add up
         # the same in any order of the chunks.

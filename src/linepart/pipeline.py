@@ -118,18 +118,22 @@ def run_stage(
     s: SplitPoints,
     cfg: PipelineConfig | None = None,
     iteration: int = 0,
+    *,
+    median_round: refine._MedianRound | None = None,
 ) -> tuple[Ordering, SplitPoints, str]:
     """Apply one named stage to (ordering, splits) and return its proposal.
 
     Returns the proposed ordering, the proposed splits, and a note that is
     empty unless the stage was skipped. The proposal is not priced here:
-    ``combine`` rejects a non-metric proposal that raises the cut.
+    ``combine`` rejects a non-metric proposal that raises the cut. The
+    metric stage runs its rounds on ``median_round`` if given (see
+    ``refine.minla_refine``).
     """
     if cfg is None:
         cfg = PipelineConfig(k=s.k, alpha=s.alpha)
     note = ""
     if stage == "metric":
-        st = refine.minla_refine(g, o, cfg.minla_max_rounds)
+        st = refine.minla_refine(g, o, cfg.minla_max_rounds, median_round=median_round)
         if not np.array_equal(st.ordering.vertex_at, o.vertex_at):
             o = st.ordering
             # reordering invalidates previous boundary choices
@@ -174,6 +178,8 @@ def combine(g: Graph, cfg: PipelineConfig) -> PipelineReport:
     ordering = _initial_ordering(g, cfg)
     splits = make_split_points(g, ordering, cfg.k, cfg.alpha)
 
+    # the median rounds' rank-free state, built once for every metric stage
+    median_round = refine._MedianRound(g) if "metric" in cfg.stages else None
     records: list[StageRecord] = []
     warnings: list[str] = []
     w0, f0, part0 = _state_cut(g, ordering, splits)
@@ -192,7 +198,7 @@ def combine(g: Graph, cfg: PipelineConfig) -> PipelineReport:
         iterations = it
         pass_start = (ordering.vertex_at.copy(), splits.q.copy())
         for stage in cfg.stages:
-            o2, s2, note = run_stage(stage, g, ordering, splits, cfg, it)
+            o2, s2, note = run_stage(stage, g, ordering, splits, cfg, it, median_round=median_round)
             changed = not (
                 np.array_equal(o2.vertex_at, ordering.vertex_at)
                 and np.array_equal(s2.q, splits.q)

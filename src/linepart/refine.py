@@ -4,7 +4,10 @@ The median iteration drives the weighted linear-arrangement objective
 sum |rank(u) - rank(v)| * w(u,v): every vertex proposes the weighted median
 of its neighbors' ranks, then a global sort resolves collisions. Proposals
 are simultaneous, so a single round may overshoot or cycle; the driver
-keeps a round only while it lowers the objective.
+keeps a round only while it lowers the objective. On a graph whose edge
+weights are all 1 the weighted median of a row sorted by neighbor rank is
+its middle arc, so a round there reads it by index, with no weight sums
+or search, to the same bytes (``minla_round``).
 
 Rank swaps improve the cut of the k-way chop directly. Round t pairs the
 adjacent parts (a, a+1) with a = t (mod 2), so every boundary is visited
@@ -49,9 +52,16 @@ _BLOCK_ARCS = 1 << 16
 
 
 def minla_objective(g: Graph, o: Ordering) -> float:
-    """sum over edges of |rank(u) - rank(v)| * w(u, v)."""
+    """sum over edges of |rank(u) - rank(v)| * w(u, v).
+
+    On unit edge weights the sum is taken in int64: every partial sum of
+    the float formula is then an integer below 2**53, so the value is the
+    same float."""
     r = o.rank_of
-    return float((np.abs(r[g.edge_u] - r[g.edge_v]) * g.edge_w).sum())
+    span = np.abs(r[g.edge_u] - r[g.edge_v])
+    if g.unit_edge_weights:
+        return float(span.sum())
+    return float((span * g.edge_w).sum())
 
 
 def minla_round(g: Graph, o: Ordering) -> Ordering:
@@ -75,10 +85,18 @@ def minla_round(g: Graph, o: Ordering) -> Ordering:
     as x grows, so a binary search over the rows of all vertices at once
     finds it in b steps.
 
+    With unit weights (``Graph.unit_edge_weights``) the round skips the
+    weights, the sum and the search and reads position row start + (d - 1)
+    // 2 of each sorted row of d arcs. This is exact: cw holds integers
+    there, so cw[p] - prefix is the count p - row start + 1, and the first p
+    where it reaches d/2 is that middle position; parallel arcs share
+    their neighbor's rank, so their tie order does not matter.
+
     Everything but nbr_rank is the same every round: ``_MedianRound``
-    builds it once, with the work arrays the round sorts and sums in, and
-    ``minla_refine`` runs all its rounds on one. This function builds one
-    and runs a single round.
+    builds it once, with the work arrays the round sorts and sums in;
+    ``minla_refine`` runs all its rounds on one, and ``combine`` hands one
+    to every metric stage of its run. This function builds one and runs a
+    single round.
     """
     return _MedianRound(g)(o)
 
@@ -86,9 +104,11 @@ def minla_round(g: Graph, o: Ordering) -> Ordering:
 class _MedianRound:
     """The rank-free part of ``minla_round``, built once per graph.
 
-    It holds four arrays of one entry per arc: the row start of each arc,
-    the key without its neighbor rank, ((src % per_sort) * n << b) | off,
-    and the int64 and float64 arrays the round sorts and sums in. It also
+    It holds two arrays of one entry per arc, the key without its neighbor
+    rank, ((src % per_sort) * n << b) | off, and the int64 array the round
+    sorts in. With unit weights it adds each nonempty row's middle arc;
+    otherwise it adds each arc's row start and the float64 array the round
+    sums in, plus each nonempty row's last arc for the search. It also
     cuts the arcs into blocks at row boundaries, inside the runs of
     sources that sort together: one block per run, and from
     2·``_BLOCK_ARCS`` arcs on a cut at the first row start at or after
@@ -121,18 +141,24 @@ class _MedianRound:
             cuts += indptr[np.searchsorted(indptr, even)].tolist()
         cuts = sorted(set(cuts))  # a plain np.unique imports numpy.ma on first use (~20 ms)
         self.blocks = list(zip(cuts[:-1], cuts[1:]))
-        self.row_start = np.repeat(indptr[:-1], deg)
-        self.keys = np.arange(len(self.row_start))
-        self.keys -= self.row_start  # each arc's offset within its row
+        row_start = np.repeat(indptr[:-1], deg)
+        self.keys = np.arange(arcs)
+        self.keys -= row_start  # each arc's offset within its row
         self.base = np.repeat(np.arange(n) % per_sort * np.int64(n), deg)
         self.base <<= b
         self.base |= self.keys
-        self.cw = np.empty(len(self.keys))
         self.row_lo = indptr[self.nonempty]
-        self.row_hi = indptr[self.nonempty + 1] - 1
         # each block's rows, as a range of nonempty rows
         rows = np.searchsorted(self.row_lo, cuts).tolist()
         self.block_rows = list(zip(rows[:-1], rows[1:]))
+        self.middle = self.cw = None
+        if g.unit_edge_weights:
+            # each nonempty row's middle arc, its median (see minla_round)
+            self.middle = self.row_lo + (deg[self.nonempty] - 1) // 2
+        else:
+            self.row_start = row_start
+            self.cw = np.empty(arcs)
+            self.row_hi = indptr[self.nonempty + 1] - 1
 
     def __call__(self, o: Ordering) -> Ordering:
         g = self.g
@@ -140,7 +166,7 @@ class _MedianRound:
         ranks = o.rank_of
         proposed = ranks.copy()
         if g.edge_count:
-            b, keys, cw = self.b, self.keys, self.cw
+            b, keys, middle, cw = self.b, self.keys, self.middle, self.cw
 
             def sort_rows(i: int) -> None:
                 lo, hi = self.blocks[i]
@@ -150,9 +176,13 @@ class _MedianRound:
                 k <<= b
                 k += self.base[lo:hi]
                 k.sort()
-                k &= (1 << b) - 1
-                k += self.row_start[lo:hi]  # a sorted arc's index: its row start plus its offset
-                np.take(g.adj_weights, k, out=cw[lo:hi], mode="clip")
+                if middle is not None:  # unit weights: the median is the middle arc
+                    r0, r1 = self.block_rows[i]
+                    proposed[self.nonempty[r0:r1]] = (keys[middle[r0:r1]] >> b) % n
+                else:
+                    k &= (1 << b) - 1
+                    k += self.row_start[lo:hi]  # a sorted arc's index: its row start plus its offset
+                    np.take(g.adj_weights, k, out=cw[lo:hi], mode="clip")
 
             def search_rows(i: int) -> None:
                 r0, r1 = self.block_rows[i]
@@ -168,8 +198,9 @@ class _MedianRound:
                 proposed[self.nonempty[r0:r1]] = ranks[g.adj_indices[keys[lo]]]
 
             share(sort_rows, len(self.blocks))
-            np.cumsum(cw, out=cw)  # serial, so every block sums in the same order
-            share(search_rows, len(self.blocks))
+            if middle is None:
+                np.cumsum(cw, out=cw)  # serial, so every block sums in the same order
+                share(search_rows, len(self.blocks))
         # the keys are distinct, so sorting them orders the current ranks (key % n)
         # exactly as their argsort would
         final = np.sort(proposed * np.int64(n) + ranks) % n
@@ -189,14 +220,18 @@ class MinLAState:
     trace: list[float] = field(default_factory=list)
 
 
-def minla_refine(g: Graph, o: Ordering, max_rounds: int) -> MinLAState:
+def minla_refine(
+    g: Graph, o: Ordering, max_rounds: int, *, median_round: _MedianRound | None = None
+) -> MinLAState:
     """Iterate minla_round while each round lowers the objective.
 
     The first round that does not lower it (the permutation converged, the
     objective rose or stayed level, or the proposals cycled) is discarded
     and ends the run, as does max_rounds. The kept objective falls strictly
     every round, so the result is the best ordering seen and never worse
-    than the input.
+    than the input. ``median_round``, a ``_MedianRound`` of g, lets callers
+    that refine g many times build the rounds' state once; without it this
+    call builds its own.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
@@ -204,7 +239,8 @@ def minla_refine(g: Graph, o: Ordering, max_rounds: int) -> MinLAState:
     obj = minla_objective(g, current)
     trace = [obj]
     stop = "cap"
-    median_round = _MedianRound(g)
+    if median_round is None:
+        median_round = _MedianRound(g)
     for rounds in range(1, max_rounds + 1):
         nxt = median_round(current)
         new_obj = minla_objective(g, nxt)

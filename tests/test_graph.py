@@ -146,6 +146,19 @@ def test_with_edge_weights_shares_adjacency_and_validates():
         g.with_edge_weights(np.array([1.0, -1.0, 1.0, 1.0]))
 
 
+def test_unit_edge_weights_flag_follows_the_weights():
+    g = make_graph([(0, 1), (1, 2), (0, 2)])
+    assert g.unit_edge_weights and make_graph([], n=3).unit_edge_weights
+    assert not g.with_edge_weights(np.array([1.0, 1.0, 1.0 + 2**-52])).unit_edge_weights
+    assert not g.with_edge_weights(np.array([1.0, 0.0, 1.0])).unit_edge_weights
+    assert g.with_edge_weights(np.ones(3)).unit_edge_weights
+    assert g.unit_edge_weights  # the source graph keeps its own
+    # parallel unit edges merge into weight 2
+    assert not make_graph([(0, 1), (1, 0)]).unit_edge_weights
+    with pytest.raises(AttributeError):
+        g.unit_edge_weights = False
+
+
 # -- similarity -----------------------------------------------------------
 
 

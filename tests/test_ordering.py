@@ -71,6 +71,37 @@ def test_hilbert_index_matches_recursive_construction(order):
     assert np.array_equal(hilbert_index(xs, ys, order), np.arange(len(cells)))
 
 
+def masked_hilbert_index(x, y, order):
+    """The conversion with masked gathers and scatters for the rotations."""
+    x = np.array(x, dtype=np.int64, copy=True)
+    y = np.array(y, dtype=np.int64, copy=True)
+    side = np.int64(1) << order
+    d = np.zeros_like(x)
+    s = side >> 1
+    while s > 0:
+        rx = ((x & s) > 0).astype(np.int64)
+        ry = ((y & s) > 0).astype(np.int64)
+        d += s * s * ((3 * rx) ^ ry)
+        swap = ry == 0
+        flip = swap & (rx == 1)
+        x[flip] = side - 1 - x[flip]
+        y[flip] = side - 1 - y[flip]
+        xs = x[swap]
+        x[swap] = y[swap]
+        y[swap] = xs
+        s >>= 1
+    return d
+
+
+def test_hilbert_index_matches_masked_loop():
+    rng = np.random.default_rng(29)
+    xs, ys = rng.integers(0, 1 << 16, (2, 100_000))
+    assert hilbert_index(xs, ys, 16).tobytes() == masked_hilbert_index(xs, ys, 16).tobytes()
+    top = (1 << 31) - 1
+    xs, ys = np.array([0, 0, top, top]), np.array([0, top, 0, top])
+    assert hilbert_index(xs, ys, 31).tobytes() == masked_hilbert_index(xs, ys, 31).tobytes()
+
+
 def test_hilbert_index_validates_order():
     with pytest.raises(ValueError, match="curve order"):
         hilbert_index(np.array([0]), np.array([0]), 0)

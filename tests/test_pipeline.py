@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 
 from linepart.boundary import apply_window_stage, make_split_points, make_windows
 from linepart.graph import Partition, balance_bounds, check_balance, cut_weight
-from linepart import pipeline
+from linepart import pipeline, refine
 from linepart.ordering import Ordering, random_ordering
 from linepart.pipeline import STAGES, PipelineConfig, combine, run_stage
 from linepart.synth import disjoint_cliques, erdos_renyi, ring_of_cliques, rmat
@@ -132,9 +132,9 @@ def test_dp_stage_with_identity_blocks_matches_exhaustive():
 def test_combine_rejects_a_cut_raising_proposal(monkeypatch):
     inputs = []
 
-    def spy(stage, g, o, s, cfg=None, iteration=0):
+    def spy(stage, g, o, s, cfg=None, iteration=0, **kwargs):
         inputs.append((o.vertex_at.copy(), s.q.copy()))
-        return run_stage(stage, g, o, s, cfg, iteration)
+        return run_stage(stage, g, o, s, cfg, iteration, **kwargs)
 
     monkeypatch.setattr(pipeline, "run_stage", spy)
     cases = [
@@ -390,3 +390,22 @@ def test_combine_properties(case):
         size_lo, size_hi = max(1, math.ceil(lo)), math.floor(hi)
         if cfg.k * size_lo <= g.n <= cfg.k * size_hi:
             assert check_balance(g, rep.partition, cfg.alpha).balanced, rep.partition.part_weights
+
+
+def test_combine_builds_the_median_state_once(monkeypatch):
+    built = []
+
+    class CountedMedianRound(refine._MedianRound):
+        def __init__(self, g):
+            built.append(g)
+            super().__init__(g)
+
+    monkeypatch.setattr(refine, "_MedianRound", CountedMedianRound)
+    g = ring_of_cliques(16, 8)
+    cfg = PipelineConfig(k=4, alpha=0.1, initial_ordering="random", max_outer_iters=3)
+    report = combine(g, cfg)
+    assert sum(r.stage == "metric" for r in report.records) >= 2
+    assert built == [g]
+    built.clear()
+    combine(g, PipelineConfig(k=4, alpha=0.1, initial_ordering="random", stages=("swap",)))
+    assert built == []

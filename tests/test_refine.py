@@ -177,9 +177,16 @@ def oracle_graphs():
     hub = np.zeros(1200, dtype=np.int64)
     leaves = np.arange(1, 1201)
     ring = np.arange(1, 1200)
-    yield "hub", Graph([str(i) for i in range(1201)], np.ones(1201),
-                       np.concatenate([hub, ring]), np.concatenate([leaves, ring + 1]),
+    hub_u, hub_v = np.concatenate([hub, ring]), np.concatenate([leaves, ring + 1])
+    yield "hub", Graph([str(i) for i in range(1201)], np.ones(1201), hub_u, hub_v,
                        10.0 ** rng.uniform(-6, 6, 2399))
+    # unit weights take the middle-arc shortcut; vertices 50..59 are isolated
+    g = random_graph(rng, 50, 300)
+    yield "unit", Graph([str(i) for i in range(60)], np.ones(60), g.edge_u, g.edge_v,
+                        np.ones(g.edge_count))
+    yield "unit hub", Graph([str(i) for i in range(1201)], np.ones(1201), hub_u, hub_v,
+                            np.ones(2399))
+    yield "unit parallel", Graph([str(i) for i in range(n)], np.ones(n), u, v, np.ones(len(u)))
 
 
 def one_source_bits(g):
@@ -201,8 +208,13 @@ def test_round_matches_argsort_round(monkeypatch, chunked):
             o = want
 
 
+def test_oracle_graphs_take_both_median_paths():
+    unit = {name: g.unit_edge_weights for name, g in oracle_graphs()}
+    assert sum(unit.values()) == 3 and len(unit) == 7
+
+
 def test_round_rejects_a_graph_too_large_for_one_key(monkeypatch):
-    _, g = list(oracle_graphs())[-1]
+    g = dict(oracle_graphs())["hub"]
     monkeypatch.setattr(refine, "_KEY_BITS", one_source_bits(g))
     minla_round(g, Ordering.identity(g.n))  # one source per sort still fits
     monkeypatch.setattr(refine, "_KEY_BITS", one_source_bits(g) - 1)
@@ -215,6 +227,27 @@ def test_round_rejects_a_graph_too_large_for_one_key(monkeypatch):
 def test_round_matches_argsort_round_on_random_graphs(go):
     g, o = go
     assert minla_round(g, o).vertex_at.tobytes() == argsort_round(g, o).vertex_at.tobytes()
+
+
+@settings(max_examples=60)
+@given(small_graph_and_order())
+def test_unit_round_matches_argsort_round_on_random_graphs(go):
+    g, o = go
+    # make_graph merges parallel edges by summing their weights; reset them to 1
+    g = Graph(g.external_ids, g.vertex_weights, g.edge_u, g.edge_v, np.ones(g.edge_count))
+    assert minla_round(g, o).vertex_at.tobytes() == argsort_round(g, o).vertex_at.tobytes()
+
+
+def test_unit_objective_equals_the_float_formula():
+    rng = np.random.default_rng(4)
+    graphs = [rmat(13, 1 << 17, seed=2), dict(oracle_graphs())["unit parallel"], path_graph(9)]
+    for g in graphs:
+        assert g.unit_edge_weights
+        for _ in range(3):
+            o = Ordering.from_vertex_at(rng.permutation(g.n))
+            r = o.rank_of
+            float_sum = float((np.abs(r[g.edge_u] - r[g.edge_v]) * g.edge_w).sum())
+            assert np.float64(minla_objective(g, o)).tobytes() == np.float64(float_sum).tobytes()
 
 
 # -- refinement loop -------------------------------------------------------------
@@ -269,8 +302,7 @@ def test_refine_matches_a_loop_of_argsort_rounds(monkeypatch, chunked):
             assert longest >= 3
 
 
-def test_refine_peak_memory_stays_within_six_arc_arrays(monkeypatch):
-    g = rmat(13, 1 << 17, seed=1)
+def assert_refine_peak_memory_within_six_arc_arrays(monkeypatch, g):
     o = Ordering.from_vertex_at(np.random.default_rng(0).permutation(g.n))
     # rounds split into 4096-arc blocks, on 1, 2 and 4 threads
     monkeypatch.setattr(refine, "_BLOCK_ARCS", 1 << 12)
@@ -283,6 +315,16 @@ def test_refine_peak_memory_stays_within_six_arc_arrays(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 8 * len(g.adj_indices), workers
+
+
+def test_refine_peak_memory_stays_within_six_arc_arrays(monkeypatch):
+    assert_refine_peak_memory_within_six_arc_arrays(monkeypatch, rmat(13, 1 << 17, seed=1))
+
+
+def test_weighted_refine_peak_memory_stays_within_six_arc_arrays(monkeypatch):
+    g = rmat(13, 1 << 17, seed=1)
+    g = g.with_edge_weights(np.random.default_rng(1).uniform(0.5, 2.0, g.edge_count))
+    assert_refine_peak_memory_within_six_arc_arrays(monkeypatch, g)
 
 
 def test_refine_surfaces_a_failed_block_after_joining(monkeypatch):
