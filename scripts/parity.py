@@ -13,9 +13,11 @@ On instance 0 of every workload at seed 1 it also runs ``linepart order
 ``linepart refine --method metric`` with the workload's k and alpha and
 ``--seed 1`` under both trees, and prints the sha256 of each refined
 ordering and of stdout (the metric run prints every round's objective).
-The metric run repeats on a copy of that instance's edge file with a
-third column of seeded uniform weights in [0.1, 10), so the weighted-median
-search stays checked next to the unit-weight shortcut.
+The metric run and the ``postprocess --method mincut`` run below repeat
+on a copy of that instance's edge file with a third column of seeded
+uniform weights in [0.1, 10), so the weighted-median search stays checked
+next to the unit-weight shortcut, and a min cut with float capacities
+stays checked too.
 From the same random order it runs ``linepart postprocess --method dp`` at
 ``--blocks 300`` and at the default block count, and prints the exit code
 and the sha256 of the splits file and stdout (which holds ``cut_value``),
@@ -165,7 +167,9 @@ def main() -> int:
     same = total = 0
     methods = ("swap", "metric")
     refine_same = dict.fromkeys(methods, 0)
-    refine_total = weighted_same = 0
+    refine_total = 0
+    weighted = {"metric": refine_digests, "mincut": window_digests}
+    weighted_same = dict.fromkeys(weighted, 0)
     dp_blocks = (300, None)
     dp_same = dp_total = 0
     windows = ("mincut", "linopt")
@@ -204,12 +208,13 @@ def main() -> int:
                     refine_same[method] += ours == theirs
                     row = "refine" if method == "swap" else method
                     report([w.name, str(seed), row], ours, theirs)
-                weighted = ["--graph", str(weighted_copy(inputs.edges, seed, work / "weighted.tsv")),
-                            *graph[2:]]
-                ours = refine_digests(ROOT / "src", "metric", weighted, w.k, w.alpha, work)
-                theirs = refine_digests(ref_src, "metric", weighted, w.k, w.alpha, work)
-                weighted_same += ours == theirs
-                report([w.name, str(seed), "metric weighted"], ours, theirs)
+                copy = ["--graph", str(weighted_copy(inputs.edges, seed, work / "weighted.tsv")),
+                        *graph[2:]]
+                for method, digests in weighted.items():
+                    ours = digests(ROOT / "src", method, copy, w.k, w.alpha, work)
+                    theirs = digests(ref_src, method, copy, w.k, w.alpha, work)
+                    weighted_same[method] += ours == theirs
+                    report([w.name, str(seed), f"{method} weighted"], ours, theirs)
                 for blocks in dp_blocks:
                     ours = dp_digests(ROOT / "src", graph, w.k, w.alpha, blocks, work)
                     theirs = dp_digests(ref_src, graph, w.k, w.alpha, blocks, work)
@@ -225,15 +230,17 @@ def main() -> int:
     for method in methods:
         print(f"refine --method {method}: {refine_same[method]}/{refine_total} identical "
               "(refined ordering, stdout)")
-    print(f"refine --method metric, weighted copy: {weighted_same}/{refine_total} identical "
-          "(refined ordering, stdout)")
+    print(f"refine --method metric, weighted copy: {weighted_same['metric']}/{refine_total} "
+          "identical (refined ordering, stdout)")
+    print(f"postprocess --method mincut, weighted copy: {weighted_same['mincut']}/{refine_total} "
+          "identical (splits, ordering, stdout)")
     print(f"postprocess --method dp: {dp_same}/{dp_total} identical "
           "(exit code, splits and stdout, or stderr)")
     for method in windows:
         print(f"postprocess --method {method}: {window_same[method]}/{refine_total} identical "
               "(splits, ordering, stdout)")
     ok = (same == total and all(c == refine_total for c in refine_same.values())
-          and weighted_same == refine_total
+          and all(c == refine_total for c in weighted_same.values())
           and dp_same == dp_total
           and all(c == refine_total for c in window_same.values()))
     return 0 if ok else 1

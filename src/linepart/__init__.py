@@ -59,7 +59,6 @@ from .refine import (
     MinLAState,
     minla_objective,
     minla_refine,
-    minla_round,
     rank_swap_round,
 )
 

@@ -1,4 +1,4 @@
-"""Dinic maximum flow on small dense-ish networks with float capacities.
+"""Maximum flow by shortest augmenting paths, with float capacities.
 
 Used for the two-terminal minimum cuts inside boundary windows. The network
 is built once from arc arrays and kept as flat CSR lists: the arcs of
@@ -7,12 +7,13 @@ disjoint components, each with its own source and sink, and solve them one
 ``max_flow`` call each: a call touches only the vertices its BFS labels,
 so it costs the size of its component, not of the network. Capacities are
 real-valued; residual arcs below a scale-relative epsilon count as
-saturated so float drift cannot stall termination. The number of BFS
-phases is bounded by the node count regardless of capacity values. A BFS
-stops once it labels the sink. The last BFS of a completed flow, which no
-longer reaches the sink, leaves ``level[v] >= 0`` exactly on the vertices
-residual-reachable from the source: the minimal source side of a minimum
-cut.
+saturated so float drift cannot stall termination. Each augmenting path
+is a shortest one, found by a BFS that stops once it labels the sink, so
+the number of paths is bounded by the node and arc counts regardless of
+capacity values [Edmonds & Karp, JACM 1972]. The last BFS of a completed
+flow, which no longer reaches the sink, leaves ``level[v] >= 0`` exactly
+on the vertices residual-reachable from the source: the minimal source
+side of a minimum cut.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ class FlowNetwork:
 
     Edge i gives arc 2i, tail[i] -> head[i] with capacity cap[i], and its
     reverse arc 2i+1 with capacity cap_rev[i]. Each vertex lists its
-    outgoing arcs in arc order.
+    outgoing arcs in arc order. ``level[v]`` is the arc by which the last
+    BFS reached v, -1 if it did not reach v; the source holds 0.
     """
 
     def __init__(self, n: int, tail, head, cap, cap_rev):
@@ -45,7 +47,6 @@ class FlowNetwork:
         ).tolist()
         self.eps = 1e-12 * max(1.0, float(caps.max()) if len(caps) else 0.0)
         self.level = [-1] * n
-        self._it = [0] * n  # each labelled vertex's next arc slot in a phase
 
     def max_flow(
         self, s: int, t: int, max_augmentations: int | None = None, eps: float | None = None
@@ -69,32 +70,32 @@ class FlowNetwork:
             eps = self.eps
         flow = 0.0
         augmentations = 0
-        level, it, first, cap = self.level, self._it, self.first, self.cap
+        level, to, cap = self.level, self.to, self.cap
         seen: list[int] = []  # the vertices the last BFS labelled
         while self._bfs(s, t, seen, eps):
-            for v in seen:
-                it[v] = first[v]
-            while True:
-                pushed, path = self._dfs(s, t, level, it, eps)
-                if pushed <= 0.0:
-                    break
-                if augmentations == max_augmentations:
-                    for v in seen:
-                        level[v] = -1
-                    return flow, True
-                for a in path:
-                    cap[a] -= pushed
-                    cap[a ^ 1] += pushed
-                flow += pushed
-                augmentations += 1
+            if augmentations == max_augmentations:
+                for v in seen:
+                    level[v] = -1
+                return flow, True
+            path = []  # arc indices from t back toward s
+            v = t
+            while v != s:
+                path.append(level[v])
+                v = to[level[v] ^ 1]  # the tail of the arc that reached v
+            pushed = min(cap[a] for a in path)
+            for a in path:
+                cap[a] -= pushed
+                cap[a ^ 1] += pushed
+            flow += pushed
+            augmentations += 1
         return flow, False
 
     def _bfs(self, s: int, t: int, seen: list[int], eps: float) -> bool:
-        """Level the residual network from s, stopping once t is labelled.
+        """Label the residual network from s, stopping once t is labelled.
 
         Unlabels only what the previous BFS (``seen``) labelled, then
-        refills ``seen``. Every vertex nearer s than t is labelled before
-        t is, so the level graph's paths to t are all there.
+        refills ``seen``. Each labelled vertex keeps the arc it was first
+        reached by, so the arcs back from t form a shortest path.
         """
         level, arcs, first, to, cap = self.level, self.arcs, self.first, self.to, self.cap
         for v in seen:
@@ -103,42 +104,11 @@ class FlowNetwork:
         level[s] = 0
         seen.append(s)
         for u in seen:  # seen is the queue: it grows as the loop walks it
-            next_level = level[u] + 1
             for a in arcs[first[u] : first[u + 1]]:
                 v = to[a]
                 if level[v] < 0 and cap[a] > eps:
-                    level[v] = next_level
+                    level[v] = a
                     seen.append(v)
                     if v == t:
                         return True
         return False
-
-    def _dfs(
-        self, s: int, t: int, level: list[int], it: list[int], eps: float
-    ) -> tuple[float, list[int]]:
-        """One augmenting path along the level graph, iteratively: its
-        bottleneck and its arcs from s toward t, or (0.0, []) if none is
-        left. The caller pushes the flow."""
-        arcs, first, to, cap = self.arcs, self.first, self.to, self.cap
-        path: list[int] = []  # arc indices from s toward t
-        u = s
-        while True:
-            if u == t:
-                return min(cap[a] for a in path), path
-            advanced = False
-            end = first[u + 1]
-            while it[u] < end:
-                a = arcs[it[u]]
-                v = to[a]
-                if cap[a] > eps and level[v] == level[u] + 1:
-                    path.append(a)
-                    u = v
-                    advanced = True
-                    break
-                it[u] += 1
-            if not advanced:
-                if u == s:
-                    return 0.0, path
-                level[u] = -1  # dead end; prune
-                last = path.pop()
-                u = to[last ^ 1]  # back to the tail of the last arc

@@ -7,7 +7,7 @@ are simultaneous, so a single round may overshoot or cycle; the driver
 keeps a round only while it lowers the objective. On a graph whose edge
 weights are all 1 the weighted median of a row sorted by neighbor rank is
 its middle arc, so a round there reads it by index, with no weight sums
-or search, to the same bytes (``minla_round``).
+or search, to the same bytes (``_MedianRound``).
 
 Rank swaps improve the cut of the k-way chop directly. Round t pairs the
 adjacent parts (a, a+1) with a = t (mod 2), so every boundary is visited
@@ -33,14 +33,13 @@ from .ordering import Ordering
 __all__ = [
     "MinLAState",
     "minla_objective",
-    "minla_round",
     "minla_refine",
     "rank_swap_round",
 ]
 
 log = logging.getLogger(__name__)
 
-# Bits of one packed median sort key (see minla_round); 2·23 bits of vertex
+# Bits of one packed median sort key (see _MedianRound); 2·23 bits of vertex
 # ids plus 15 of row offset keep a LiveJournal-sized graph in one sort.
 _KEY_BITS = 63
 
@@ -64,8 +63,8 @@ def minla_objective(g: Graph, o: Ordering) -> float:
     return float((span * g.edge_w).sum())
 
 
-def minla_round(g: Graph, o: Ordering) -> Ordering:
-    """One propose-and-resort round.
+class _MedianRound:
+    """One propose-and-resort round per call, ``_MedianRound(g)(o)``.
 
     Every vertex independently proposes the weighted median of its
     neighbors' current ranks: the smallest rank where the cumulative weight
@@ -92,20 +91,11 @@ def minla_round(g: Graph, o: Ordering) -> Ordering:
     where it reaches d/2 is that middle position; parallel arcs share
     their neighbor's rank, so their tie order does not matter.
 
-    Everything but nbr_rank is the same every round: ``_MedianRound``
-    builds it once, with the work arrays the round sorts and sums in;
-    ``minla_refine`` runs all its rounds on one, and ``combine`` hands one
-    to every metric stage of its run. This function builds one and runs a
-    single round.
-    """
-    return _MedianRound(g)(o)
-
-
-class _MedianRound:
-    """The rank-free part of ``minla_round``, built once per graph.
-
-    It holds two arrays of one entry per arc, the key without its neighbor
-    rank, ((src % per_sort) * n << b) | off, and the int64 array the round
+    Everything but nbr_rank is the same every round, so it is built once
+    per graph: ``minla_refine`` runs all its rounds on one object, and
+    ``combine`` hands one to every metric stage of its run. It holds two
+    arrays of one entry per arc, the key without its neighbor rank,
+    ((src % per_sort) * n << b) | off, and the int64 array the round
     sorts in. With unit weights it adds each nonempty row's middle arc;
     otherwise it adds each arc's row start and the float64 array the round
     sums in, plus each nonempty row's last arc for the search. It also
@@ -153,7 +143,7 @@ class _MedianRound:
         self.block_rows = list(zip(rows[:-1], rows[1:]))
         self.middle = self.cw = None
         if g.unit_edge_weights:
-            # each nonempty row's middle arc, its median (see minla_round)
+            # each nonempty row's middle arc, its median (see the class docstring)
             self.middle = self.row_lo + (deg[self.nonempty] - 1) // 2
         else:
             self.row_start = row_start
@@ -223,7 +213,7 @@ class MinLAState:
 def minla_refine(
     g: Graph, o: Ordering, max_rounds: int, *, median_round: _MedianRound | None = None
 ) -> MinLAState:
-    """Iterate minla_round while each round lowers the objective.
+    """Iterate median rounds (``_MedianRound``) while each lowers the objective.
 
     The first round that does not lower it (the permutation converged, the
     objective rose or stayed level, or the proposals cycled) is discarded

@@ -737,6 +737,58 @@ def test_apply_window_stage_monotone_and_balanced():
             assert sizes.sum() == n and (sizes > 0).all()
 
 
+@st.composite
+def window_stage_case(draw):
+    """(graph, ordering, splits, unit vertex weights?) for one window stage:
+    up to 25 vertices, some of them isolated, edge weights from six decades
+    below to six above 1 (and 0), k in {1, 2, n}, and splits at the
+    balanced chop, anywhere in their windows, or anywhere at all."""
+    n = draw(st.integers(1, 25))
+    active = draw(st.integers(1, n))  # vertices active..n-1 are isolated
+    pairs = st.tuples(st.integers(0, active - 1), st.integers(0, active - 1))
+    m = draw(st.integers(0, 3 * n))
+    edges = [e for e in draw(st.lists(pairs, min_size=m, max_size=m)) if e[0] != e[1]]
+    weights = draw(st.lists(st.sampled_from([0.0, 1e-6, 1.0, 2.5, 1e6]),
+                            min_size=len(edges), max_size=len(edges)))
+    unit = draw(st.booleans())
+    vw = None if unit else draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=n, max_size=n))
+    g = make_graph(edges, n=n, weights=weights, vertex_weights=vw)
+    o = Ordering.from_vertex_at(np.array(draw(st.permutations(range(n))), dtype=np.int64))
+    k = draw(st.sampled_from(sorted({1, min(2, n), n})))
+    alpha = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    q = make_split_points(g, o, k, alpha).q
+    how = draw(st.sampled_from(["chop", "in window", "anywhere"])) if k > 1 else "chop"
+    if how == "in window":
+        inner = [draw(st.integers(w.lo, w.hi)) for w in make_windows(g, o, k, alpha)]
+    elif how == "anywhere":
+        inner = sorted(draw(st.sets(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1)))
+    if how != "chop" and (np.diff([0, *inner, n]) > 0).all():
+        q = np.array([0, *inner, n])
+    return g, o, SplitPoints(q, alpha), unit
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_stage_case(), st.sampled_from(["mincut", "linopt"]))
+def test_window_stage_properties(case, method):
+    g, o, splits, unit = case
+    windows = make_windows(g, o, splits.k, splits.alpha)
+    o2, s2, _ = apply_window_stage(g, o, splits, method)
+    o2.validate()
+    assert s2.q[0] == 0 and s2.q[-1] == g.n and (np.diff(s2.q) > 0).all()
+    inside = np.zeros(g.n, dtype=bool)
+    for w in windows:
+        inside[w.lo : w.hi] = True
+        was, now = splits.q[w.index], s2.q[w.index]
+        if w.lo <= was <= w.hi:
+            assert w.lo <= now <= w.hi
+        else:
+            assert now == was
+    # ranks outside every window keep their vertices
+    assert (o2.vertex_at[~inside] == o.vertex_at[~inside]).all()
+    if unit and check_balance(g, Partition.from_contiguous(o, splits, g), splits.alpha).balanced:
+        assert check_balance(g, Partition.from_contiguous(o2, s2, g), splits.alpha).balanced
+
+
 def test_window_stage_leaves_splits_outside_their_windows_alone():
     # the dp puts the splits of a path at the lowest balanced ranks, 4 and
     # 14, outside the windows [7, 13] and [17, 23]

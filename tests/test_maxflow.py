@@ -1,4 +1,4 @@
-"""Dinic max flow against brute-force minimum cuts."""
+"""Shortest-augmenting-path max flow against brute-force minimum cuts."""
 
 import itertools
 
@@ -124,6 +124,16 @@ def test_budget_that_the_flow_needs_exactly_is_not_exceeded():
     arrays = ([0, 1, 0, 2], [1, 3, 2, 3], [1.0] * 4, [0.0] * 4)
     assert FlowNetwork(4, *arrays).max_flow(0, 3, max_augmentations=2) == (2.0, False)
     assert FlowNetwork(4, *arrays).max_flow(0, 3, max_augmentations=1)[1] is True
+
+
+def test_shortest_paths_keep_the_budget_at_the_path_count():
+    # s=0 -> a=1 -> t=3 and s -> b=2 -> t at capacity 1000, plus a -> b at
+    # capacity 1, listed before a -> t. Two shortest paths carry the whole
+    # flow; a search that took the first arc out of a would push 1 along
+    # s -> a -> b -> t and need a third path after it.
+    arrays = ([0, 0, 1, 1, 2], [1, 2, 2, 3, 3], [1000.0, 1000.0, 1.0, 1000.0, 1000.0], [0.0] * 5)
+    assert FlowNetwork(4, *arrays).max_flow(0, 3, max_augmentations=2) == (2000.0, False)
+    assert FlowNetwork(4, *arrays).max_flow(0, 3, max_augmentations=1) == (1000.0, True)
 
 
 def test_flow_after_an_exceeded_budget_completes_on_the_same_network():

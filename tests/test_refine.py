@@ -18,7 +18,6 @@ from linepart.refine import (
     _matching,
     minla_objective,
     minla_refine,
-    minla_round,
     rank_swap_round,
 )
 
@@ -119,14 +118,14 @@ def test_round_matches_reference():
         g = random_graph(rng, n, int(rng.integers(0, 30)), weighted=True)
         o = Ordering.from_vertex_at(rng.permutation(n))
         expected, _ = reference_round(g, o)
-        assert minla_round(g, o) == expected
+        assert refine._MedianRound(g)(o) == expected
 
 
 def test_round_tie_resolved_by_current_rank():
     # both leaves propose the center's rank; lower current rank goes first
     g = make_graph([(0, 1), (0, 2)])
     o = Ordering.from_rank_of(np.array([0, 2, 1]))  # leaves at ranks 2 and 1
-    new = minla_round(g, o)
+    new = refine._MedianRound(g)(o)
     assert new.rank_of[2] < new.rank_of[1]  # vertex 2 held the smaller rank
 
 
@@ -151,7 +150,7 @@ def test_proposed_move_does_not_increase_own_term():
 @given(small_graph_and_order(weighted=True))
 def test_round_output_is_permutation(go):
     g, o = go
-    minla_round(g, o).validate()
+    refine._MedianRound(g)(o).validate()
 
 
 def oracle_graphs():
@@ -203,7 +202,7 @@ def test_round_matches_argsort_round(monkeypatch, chunked):
         o = Ordering.from_vertex_at(rng.permutation(g.n))
         for _ in range(3):  # chained rounds see ranks the sort itself made
             want = argsort_round(g, o)
-            got = minla_round(g, o)
+            got = refine._MedianRound(g)(o)
             assert got.vertex_at.tobytes() == want.vertex_at.tobytes(), name
             o = want
 
@@ -216,17 +215,17 @@ def test_oracle_graphs_take_both_median_paths():
 def test_round_rejects_a_graph_too_large_for_one_key(monkeypatch):
     g = dict(oracle_graphs())["hub"]
     monkeypatch.setattr(refine, "_KEY_BITS", one_source_bits(g))
-    minla_round(g, Ordering.identity(g.n))  # one source per sort still fits
+    refine._MedianRound(g)(Ordering.identity(g.n))  # one source per sort still fits
     monkeypatch.setattr(refine, "_KEY_BITS", one_source_bits(g) - 1)
     with pytest.raises(ValueError, match="too large"):
-        minla_round(g, Ordering.identity(g.n))
+        refine._MedianRound(g)(Ordering.identity(g.n))
 
 
 @settings(max_examples=60)
 @given(small_graph_and_order(weighted=True))
 def test_round_matches_argsort_round_on_random_graphs(go):
     g, o = go
-    assert minla_round(g, o).vertex_at.tobytes() == argsort_round(g, o).vertex_at.tobytes()
+    assert refine._MedianRound(g)(o).vertex_at.tobytes() == argsort_round(g, o).vertex_at.tobytes()
 
 
 @settings(max_examples=60)
@@ -235,7 +234,7 @@ def test_unit_round_matches_argsort_round_on_random_graphs(go):
     g, o = go
     # make_graph merges parallel edges by summing their weights; reset them to 1
     g = Graph(g.external_ids, g.vertex_weights, g.edge_u, g.edge_v, np.ones(g.edge_count))
-    assert minla_round(g, o).vertex_at.tobytes() == argsort_round(g, o).vertex_at.tobytes()
+    assert refine._MedianRound(g)(o).vertex_at.tobytes() == argsort_round(g, o).vertex_at.tobytes()
 
 
 def test_unit_objective_equals_the_float_formula():
