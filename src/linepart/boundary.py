@@ -18,18 +18,20 @@ or the whole boundary set:
   of block weight.
 
 A window stage gathers the edges of all its windows in one pass
-(``_stage_edges``), each row tagged with its window. The linear scan takes
-each window's slice and returns a left mask over the window. The minimum
-cut solves every window over one flow network whose components are the
-windows, one ``max_flow`` call each, with the capacities of all windows
-taken by one ``np.bincount`` each. The optimizers minimize the window
-objective, with everything before the window on the left and everything
-after on the right. One vectorized evaluator (``_stage_cuts``) prices
-every window's old and new masks for acceptance against the frozen current
-parts, since an edge to a part not next to the window is cut whichever
-side its window end takes. ``linopt_window`` and ``mincut_window`` are the
-one-window cases. Windows moved together can still interact, so
-``pipeline.combine`` enforces the never-raise rule on each whole stage.
+(``_stage_edges``), each row tagged with its window. The linear scan
+solves every window at once (``_stage_linopt``), each window's running
+sum one row of a padded array. The minimum cut solves every window over
+one flow network whose components are the windows, one ``max_flow`` call
+each, with the capacities of all windows taken by one ``np.bincount``
+each. Both return the windows' left masks laid end to end. The optimizers
+minimize the window objective, with everything before the window on the
+left and everything after on the right. One vectorized evaluator
+(``_stage_cuts``) prices every window's old and new masks for acceptance
+against the frozen current parts, since an edge to a part not next to the
+window is cut whichever side its window end takes. ``linopt_window`` and
+``mincut_window`` are the one-window cases. Windows moved together can
+still interact, so ``pipeline.combine`` enforces the never-raise rule on
+each whole stage.
 """
 
 from __future__ import annotations
@@ -192,31 +194,26 @@ class _StageEdges:
     """The edges of several disjoint windows, gathered in one pass.
 
     The windows' vertices are laid end to end: window j holds positions
-    start[j] .. start[j+1]-1, position start[j]+i being rank lo_j+i. Each
-    edge row carries its window ``win``, the position ``pos`` of its window
-    end, the rank of its other end and its weight; rows are grouped by
-    window, in window order. ``edges(j)`` is window j's slice as the
-    one-window optimizers take it.
+    start[j] .. start[j+1]-1, position start[j]+i being its ``offset`` i and
+    rank lo_j+i. Each edge row carries its window ``win``, the position
+    ``pos`` of its window end, the rank of its other end and its weight;
+    rows are grouped by window, in window order.
     """
 
     def __init__(self, windows: list[Window]):
         self.windows = windows
-        self.lo = np.array([x.lo for x in windows], dtype=np.int64)
-        self.hi = np.array([x.hi for x in windows], dtype=np.int64)
-        self.index = np.array([x.index for x in windows], dtype=np.int64)
+        self.index, self.center, self.lo, self.hi = np.array(
+            [(x.index, x.center, x.lo, x.hi) for x in windows], dtype=np.int64).reshape(-1, 4).T
         size = self.hi - self.lo
         self.start = np.concatenate([[0], np.cumsum(size)])
         self.win_of_pos = np.repeat(np.arange(len(windows)), size)
-        self.rank_of_pos = np.arange(self.start[-1]) - self.start[self.win_of_pos]
-        self.rank_of_pos += self.lo[self.win_of_pos]
+        self.offset = np.arange(self.start[-1]) - self.start[self.win_of_pos]
+        self.rank_of_pos = self.offset + self.lo[self.win_of_pos]
 
     def hold(self, win: np.ndarray, pos: np.ndarray, rank: np.ndarray,
              w: np.ndarray) -> "_StageEdges":
         """Take the edge rows, grouped by window in window order."""
         self.win, self.pos, self.rank, self.w = win, pos, rank, w
-        self.edge_start = np.concatenate(
-            [[0], np.cumsum(np.bincount(win, minlength=len(self.windows)))]
-        )
         return self
 
     @classmethod
@@ -224,16 +221,19 @@ class _StageEdges:
         row, rank, w = edges
         return cls([win]).hold(np.zeros(len(row), dtype=np.int64), row, rank, w)
 
-    def edges(self, j: int) -> _Edges:
-        a, b = self.edge_start[j], self.edge_start[j + 1]
-        return self.pos[a:b] - self.start[j], self.rank[a:b], self.w[a:b]
-
-    def sums(self, edge_mask: np.ndarray) -> list[float]:
+    def sums(self, edge_mask: np.ndarray) -> np.ndarray:
         """Each window's sum of the weights ``edge_mask`` selects, as
-        ``w[edge_mask].sum()`` over the window's own slice gives it."""
+        ``w[edge_mask].sum()`` over the window's own slice gives it: numpy's
+        pairwise summation groups a slice's terms by its length, so each
+        nonempty slice is summed alone."""
         picked = self.w[edge_mask]
-        ends = np.cumsum(np.bincount(self.win[edge_mask], minlength=len(self.windows)))
-        return [float(picked[a:b].sum()) for a, b in zip([0, *ends[:-1].tolist()], ends.tolist())]
+        count = np.bincount(self.win[edge_mask], minlength=len(self.windows))
+        ends = np.cumsum(count)
+        held = np.flatnonzero(count)
+        out = np.zeros(len(count))
+        out[held] = [picked[a:b].sum() for a, b in zip((ends - count)[held].tolist(),
+                                                       ends[held].tolist())]
+        return out
 
 
 def _stage_edges(g: Graph, o: Ordering, windows: list[Window]) -> _StageEdges:
@@ -254,7 +254,7 @@ def _stage_edges(g: Graph, o: Ordering, windows: list[Window]) -> _StageEdges:
     return stage.hold(win[keep], pos[keep], rank[keep], g.adj_weights[slot[keep]])
 
 
-def _stage_cuts(stage: _StageEdges, left_masks, q: np.ndarray) -> list[list[float]]:
+def _stage_cuts(stage: _StageEdges, left_masks, q: np.ndarray) -> list[np.ndarray]:
     """Each window's weight of edges whose ends land in different parts,
     for each of ``left_masks``.
 
@@ -279,28 +279,47 @@ def _stage_cuts(stage: _StageEdges, left_masks, q: np.ndarray) -> list[list[floa
 # -- window optimizers ----------------------------------------------------
 
 
-def linopt_window(edges: _Edges, win: Window) -> np.ndarray:
-    """Cheapest order-respecting split in the window via one prefix scan.
+def _stage_linopt(stage: _StageEdges) -> np.ndarray:
+    """Cheapest order-respecting split in every window via one prefix scan.
 
-    Returns the left mask over the window, a prefix. The window objective
-    at every candidate split is the edges to the before-block plus a running
-    sum of per-vertex changes, each taken with ``np.bincount`` over the
-    window's edge slice. Ties go to the split closest to the balanced
-    center, then to the smaller index. Runs in O(|V_W| + |E_W|) plus the
-    scan sort.
+    Returns the left masks laid end to end, each a prefix of its window.
+    A window's objective at split lo+i is its edges to the before-block
+    plus the running sum of per-vertex changes over its first i positions.
+    Two ``np.bincount`` calls over the stage's edge rows take every
+    change, and each window's running sum is one row of a windows x
+    (widest + 1) grid, so it adds in the window's own order. Ties go to
+    the split closest to the balanced center, then to the smaller index.
+    Runs in O(|V_W| + |E_W|) plus the grid.
     """
-    row, rank, w = edges
-    lo, hi = win.lo, win.hi
+    win, pos, rank, w = stage.win, stage.pos, stage.rank, stage.w
+    lo = stage.lo[win]
     # Moving the split past a vertex starts cutting its edges to later
     # ranks and stops cutting those to earlier ranks.
     ahead = rank >= lo
-    inner = ahead & (rank < hi)
-    delta = np.bincount(row, np.where(ahead, w, -w), hi - lo)
-    delta -= np.bincount(rank[inner] - lo, w[inner], hi - lo)
-    c = np.concatenate([[0.0], np.cumsum(delta)]) + w[~ahead].sum()
-    s = np.arange(lo, hi + 1)
-    pick = int(np.lexsort((s, np.abs(s - win.center), c))[0])
-    return np.arange(hi - lo) < pick
+    inner = np.flatnonzero(ahead & (rank < stage.hi[win]))
+    total = int(stage.start[-1])
+    delta = np.bincount(pos, np.where(ahead, w, -w), total)
+    other = stage.start[win[inner]] + rank[inner] - lo[inner]
+    delta -= np.bincount(other, w[inner], total)
+    size = stage.hi - stage.lo
+    split = np.arange(size.max(initial=0) + 1)
+    grid = np.zeros((len(size), len(split)))
+    grid[stage.win_of_pos, stage.offset + 1] = delta
+    cost = np.cumsum(grid, axis=1) + stage.sums(~ahead)[:, None]
+    cost[split > size[:, None]] = np.inf
+    # lowest cost, then nearest the center, then below it
+    center = (stage.center - stage.lo)[:, None]
+    rule = 2 * np.abs(split - center) + (split > center)
+    rule[cost > cost.min(axis=1, keepdims=True)] = np.iinfo(np.int64).max
+    pick = rule.argmin(axis=1)
+    return stage.offset < pick[stage.win_of_pos]
+
+
+def linopt_window(edges: _Edges, win: Window) -> np.ndarray:
+    """Cheapest order-respecting split in the window: the left mask over
+    the window, a prefix. This is the one-window case of a window stage's
+    ``_stage_linopt``."""
+    return _stage_linopt(_StageEdges.of_window(edges, win))
 
 
 @dataclass
@@ -319,21 +338,23 @@ def _flow_budget(size: int) -> int:
 
 def _stage_mincut(
     stage: _StageEdges, max_augmentations: int | None = None
-) -> tuple[np.ndarray, list[bool]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """``mincut_window`` for every window of the stage over one network.
 
     Window j's vertices are nodes start[j]+2j onward, followed by its own
     source and sink; the network's components are the windows, and each
     is solved with its own budget (``max_augmentations``, or by default
     ``_flow_budget`` of its size) and epsilon, 1e-12 * max(1, the
-    window's largest capacity). Returns the left masks laid end to end
-    and, per window, whether its budget ran out.
+    window's largest capacity). A window whose budget runs out takes its
+    slice of one ``_stage_linopt`` scan instead. Returns the left masks
+    laid end to end and, per window, whether its budget ran out.
     """
     count = len(stage.windows)
     size = stage.hi - stage.lo
     total = int(stage.start[-1])
+    exceeded = np.zeros(count, dtype=bool)
     if total == 0:
-        return np.zeros(0, dtype=bool), [False] * count
+        return np.zeros(0, dtype=bool), exceeded
     win, pos, rank, w = stage.win, stage.pos, stage.rank, stage.w
     win_of_pos = stage.win_of_pos
     lo = stage.lo[win]
@@ -363,7 +384,6 @@ def _stage_mincut(
     arcs = np.argsort(owner, kind="stable")
     net = FlowNetwork(total + 2 * count, *(a[arcs] for a in (tail, head, cap, cap_rev)))
 
-    exceeded = [False] * count
     for j, (s, nw, big) in enumerate(zip(source.tolist(), size.tolist(), largest.tolist())):
         if nw:
             budget = _flow_budget(nw) if max_augmentations is None else max_augmentations
@@ -374,13 +394,12 @@ def _stage_mincut(
     free_seen = np.concatenate([[0], np.cumsum(free)])
     left_seen = np.concatenate([[0], np.cumsum(left)])
     bounds = stage.start
-    center = np.array([x.center for x in stage.windows], dtype=np.int64)
-    need = np.clip(center - stage.lo - (left_seen[bounds[1:]] - left_seen[bounds[:-1]]),
+    need = np.clip(stage.center - stage.lo - (left_seen[bounds[1:]] - left_seen[bounds[:-1]]),
                    0, free_seen[bounds[1:]] - free_seen[bounds[:-1]])
     free_rank = free_seen[:-1] - free_seen[bounds[:-1]][win_of_pos]
     left |= free & (free_rank < need[win_of_pos])
-    for j in np.flatnonzero(exceeded).tolist():
-        left[bounds[j] : bounds[j + 1]] = linopt_window(stage.edges(j), stage.windows[j])
+    if exceeded.any():
+        left = np.where(exceeded[win_of_pos], _stage_linopt(stage), left)
     return left, exceeded
 
 
@@ -412,7 +431,7 @@ def mincut_window(
     left, exceeded = _stage_mincut(_StageEdges.of_window(edges, win), max_augmentations)
     if exceeded[0]:
         _log_fallback(win)
-    return WindowCutResult(left, exceeded[0])
+    return WindowCutResult(left, bool(exceeded[0]))
 
 
 def apply_window_stage(
@@ -424,84 +443,63 @@ def apply_window_stage(
     """Run one window optimizer over every window and apply accepted results.
 
     Windows are disjoint, so every window is optimized against the same
-    immutable snapshot and the results are applied in window order. One
-    gather collects the edges of all windows that run (``_stage_edges``);
-    the minimum cut solves them all over one flow network, the linear scan
-    takes each window's slice, and one evaluator pass prices every window's
-    old and new masks. A left mask is accepted only if it does not increase
-    the true local cut against the frozen exterior (the window objective
-    alone can overcount edges to far-away parts as variable), and then the
-    left vertices move before the split, each side in its previous order.
-    Window j runs only while splits j-1, j and j+1 each lie in their own
-    windows (splits 0 and k always do): moving a split onto its window
-    would carry vertices no window prices, and a displaced neighbour could
-    cross the window or push a part beside it out of the alpha bound.
-    Returns the new ordering, the new split points, and per-window
-    diagnostic rows (window index, old local cut, new local cut, vertices
-    moved) for the windows that ran.
+    immutable snapshot and the results are applied together. One gather
+    collects the edges of all windows that run (``_stage_edges``); the
+    linear scan and the minimum cut each solve them all at once, and one
+    evaluator pass prices every window's old and new masks. A left mask is
+    accepted only if it does not increase the true local cut against the
+    frozen exterior (the window objective alone can overcount edges to
+    far-away parts as variable), and then the left vertices move before
+    the split, each side in its previous order. Window j runs only while
+    splits j-1, j and j+1 each lie in their own windows (splits 0 and k
+    always do): moving a split onto its window would carry vertices no
+    window prices, and a displaced neighbour could cross the window or push
+    a part beside it out of the alpha bound. Logs one summary line: windows
+    run and skipped, accepted windows that changed a split or the order,
+    accepted windows that changed nothing, rejected windows, vertices moved
+    and flow fallbacks. Returns the new ordering, the new split points, and
+    per-window diagnostic rows (window index, old local cut, new local cut,
+    vertices moved) for the windows that ran.
     """
     if method not in ("linopt", "mincut"):
         raise ValueError(f"unknown window method {method!r}")
     windows = make_windows(g, o, splits.k, splits.alpha)
-    if not windows:
-        return o, splits, []
-
+    q = splits.q
     # placed[j]: split j lies in window j. Only a dp proposal or an
     # unequal-weight swap displaces one; window j and both its neighbours
     # are then skipped.
-    placed = [True, *(w.lo <= splits.q[w.index] <= w.hi for w in windows), True]
-    runs = [placed[w.index - 1] and placed[w.index] and placed[w.index + 1] for w in windows]
+    placed = np.array([True, *(w.lo <= q[w.index] <= w.hi for w in windows), True])
+    runs = placed[:-2] & placed[1:-1] & placed[2:]
     stage = _stage_edges(g, o, [w for w, run in zip(windows, runs) if run])
-    bounds = stage.start
+    count = len(stage.windows)
     if method == "linopt":
-        new_mask = np.zeros(bounds[-1], dtype=bool)
-        for j, win in enumerate(stage.windows):
-            new_mask[bounds[j] : bounds[j + 1]] = linopt_window(stage.edges(j), win)
-        exceeded = [False] * len(stage.windows)
+        new_mask, exceeded = _stage_linopt(stage), np.zeros(count, dtype=bool)
     else:
         new_mask, exceeded = _stage_mincut(stage)
-    old_mask = stage.rank_of_pos < splits.q[stage.index][stage.win_of_pos]
-    old_values, new_values = _stage_cuts(stage, (old_mask, new_mask), splits.q)
+    old_mask = stage.rank_of_pos < q[stage.index][stage.win_of_pos]
+    old, new = _stage_cuts(stage, (old_mask, new_mask), q)
 
-    tol = 1e-12 * max(1.0, g.total_edge_weight)
-    accepted = [new <= old + tol for old, new in zip(old_values, new_values)]
+    accepted = new <= old + 1e-12 * max(1.0, g.total_edge_weight)
+    take = accepted[stage.win_of_pos]
     members = o.vertex_at[stage.rank_of_pos]
     # each window's left vertices first, each side in its previous order
     new_order = members[np.argsort(2 * stage.win_of_pos + ~new_mask, kind="stable")]
-    moved = np.bincount(stage.win_of_pos, members != new_order, len(accepted))
-    lefts = np.bincount(stage.win_of_pos, new_mask, len(accepted))
-    take = np.array(accepted, dtype=bool)[stage.win_of_pos]
+    moved = np.bincount(stage.win_of_pos[take & (members != new_order)], minlength=count)
     vertex_at = o.vertex_at.copy()
     vertex_at[stage.rank_of_pos[take]] = new_order[take]
-    new_q = splits.q.copy()
+    split = stage.lo + np.bincount(stage.win_of_pos[new_mask], minlength=count)
+    new_q = q.copy()
+    new_q[stage.index[accepted]] = split[accepted]
+    diagnostics = list(zip(stage.index.tolist(), old.tolist(),
+                           np.where(accepted, new, old).tolist(), moved.tolist()))
 
-    diagnostics = []
-    ran = iter(range(len(stage.windows)))
-    for win, run in zip(windows, runs):
-        if not run:
-            log.info("window\t%d\tskipped: it or a neighbour has its split outside", win.index)
-            continue
-        j = next(ran)
-        if exceeded[j]:
-            _log_fallback(win)
-        old_value, new_value = old_values[j], new_values[j]
-        moves = 0
-        if accepted[j]:
-            new_q[win.index] = win.lo + int(lefts[j])
-            moves = int(moved[j])
-        diagnostics.append(
-            (win.index, old_value, new_value if accepted[j] else old_value, moves)
-        )
-        log.info(
-            "window\t%d\told\t%.6g\tnew\t%.6g\tmoved\t%d\taccepted\t%d",
-            win.index,
-            old_value,
-            new_value,
-            moves,
-            int(accepted[j]),
-        )
-    new_o = Ordering.from_vertex_at(vertex_at)
-    return new_o, SplitPoints(new_q, splits.alpha), diagnostics
+    for j in np.flatnonzero(exceeded).tolist():
+        _log_fallback(stage.windows[j])
+    changed = accepted & ((moved > 0) | (split != q[stage.index]))
+    log.info("window stage\t%s\tran\t%d\tskipped\t%d\tchanged\t%d\tunchanged\t%d\trejected"
+             "\t%d\tmoved\t%d\tfallbacks\t%d", method, count, len(windows) - count, changed.sum(),
+             (accepted & ~changed).sum(), count - accepted.sum(), moved.sum(), exceeded.sum())
+    return Ordering.from_vertex_at(vertex_at), SplitPoints(new_q, splits.alpha), diagnostics
 
 
 # -- contraction and dynamic programming ---------------------------------

@@ -8,6 +8,7 @@ atomically. Exit codes: 0 success, 1 validation error, 2 infeasibility.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 
@@ -39,6 +40,13 @@ log = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
+
+# PipelineConfig's defaults, which the run flags below take as their own
+_DEFAULTS = {
+    f.name: f.default
+    for f in dataclasses.fields(PipelineConfig)
+    if f.default is not dataclasses.MISSING
+}
 
 
 class _Infeasible(Exception):
@@ -81,12 +89,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--alpha", type=float, default=0.0, metavar="A")
     p.add_argument(
-        "--intervals", type=int, default=8, metavar="R",
-        help="intervals per partition for swap rounds (default 8)",
+        "--intervals", type=int, default=_DEFAULTS["swap_intervals"], metavar="R",
+        help="intervals per partition for swap rounds (default %(default)s)",
     )
     p.add_argument(
-        "--max-rounds", type=int, default=10, metavar="N",
-        help="round cap (default 10)",
+        "--max-rounds", type=int, default=_DEFAULTS["minla_max_rounds"], metavar="N",
+        help="round cap (default %(default)s)",
     )
     p.add_argument("--seed", type=int, default=0, metavar="S")
     p.add_argument("-o", "--output", required=True, metavar="OUT")
@@ -114,21 +122,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True, metavar="A")
     p.add_argument(
-        "--stages", default="metric,swap,mincut", metavar="LIST",
-        help=f"comma-separated subset of {','.join(STAGES)} "
-        "(default metric,swap,mincut)",
+        "--stages", default=",".join(_DEFAULTS["stages"]), metavar="LIST",
+        help=f"comma-separated subset of {','.join(STAGES)} (default %(default)s)",
     )
     p.add_argument(
-        "--initial", default="affinity", choices=INITIAL_ORDERINGS,
-        help="initial embedding (default affinity)",
+        "--initial", default=_DEFAULTS["initial_ordering"], choices=INITIAL_ORDERINGS,
+        help="initial embedding (default %(default)s)",
     )
-    p.add_argument("--seed", type=int, default=0, metavar="S")
-    p.add_argument("--intervals", type=int, default=8, metavar="R")
-    p.add_argument("--blocks", type=int, default=None, metavar="B")
-    p.add_argument("--max-rounds", type=int, default=10, metavar="N",
-                   help="metric-stage round cap (default 10)")
-    p.add_argument("--max-iters", type=int, default=10, metavar="N",
-                   help="outer iteration cap (default 10)")
+    p.add_argument("--seed", type=int, default=_DEFAULTS["seed"], metavar="S",
+                   help="random-order and swap seed (default %(default)s)")
+    p.add_argument("--intervals", type=int, default=_DEFAULTS["swap_intervals"], metavar="R",
+                   help="intervals per partition for swap rounds (default %(default)s)")
+    p.add_argument(
+        "--blocks", type=int, default=_DEFAULTS["dp_blocks"], metavar="B",
+        help=f"dp contraction block count (default min(n, {DEFAULT_DP_BLOCKS}))",
+    )
+    p.add_argument("--max-rounds", type=int, default=_DEFAULTS["minla_max_rounds"], metavar="N",
+                   help="metric-stage round cap (default %(default)s)")
+    p.add_argument("--max-iters", type=int, default=_DEFAULTS["max_outer_iters"], metavar="N",
+                   help="outer iteration cap (default %(default)s)")
     p.add_argument("--ordering-out", metavar="F")
     p.add_argument("-o", "--output", required=True, metavar="OUT_PARTITION")
 

@@ -1,7 +1,8 @@
 """Window optimizers, contraction, and dynamic-program tests."""
 
 import itertools
-from collections import namedtuple
+import logging
+from collections import Counter, namedtuple
 
 import hypothesis.strategies as st
 import numpy as np
@@ -59,7 +60,8 @@ def naive_window_cost(g, o, lo, hi, left_window_vertices):
 
 def window_edges(g, o, win):
     """One window's (row, rank, w) edge rows, as a stage gathers them."""
-    return _stage_edges(g, o, [win]).edges(0)
+    stage = _stage_edges(g, o, [win])
+    return stage.pos, stage.rank, stage.w
 
 
 def window_cut(edges, win, left_mask, q):
@@ -738,11 +740,12 @@ def test_apply_window_stage_monotone_and_balanced():
 
 
 @st.composite
-def window_stage_case(draw):
-    """(graph, ordering, splits, unit vertex weights?) for one window stage:
-    up to 25 vertices, some of them isolated, edge weights from six decades
-    below to six above 1 (and 0), k in {1, 2, n}, and splits at the
-    balanced chop, anywhere in their windows, or anywhere at all."""
+def window_stage_case(draw, alphas=(0.0, 0.1, 1.0)):
+    """(graph, ordering, splits, unit vertex weights?) for one stage: up to
+    25 vertices, some of them isolated, edge weights from six decades below
+    to six above 1 (and 0), k in {1, 2, n}, alpha from ``alphas``, and
+    splits at the balanced chop, anywhere in their windows, or anywhere at
+    all."""
     n = draw(st.integers(1, 25))
     active = draw(st.integers(1, n))  # vertices active..n-1 are isolated
     pairs = st.tuples(st.integers(0, active - 1), st.integers(0, active - 1))
@@ -755,7 +758,7 @@ def window_stage_case(draw):
     g = make_graph(edges, n=n, weights=weights, vertex_weights=vw)
     o = Ordering.from_vertex_at(np.array(draw(st.permutations(range(n))), dtype=np.int64))
     k = draw(st.sampled_from(sorted({1, min(2, n), n})))
-    alpha = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    alpha = draw(st.sampled_from(alphas))
     q = make_split_points(g, o, k, alpha).q
     how = draw(st.sampled_from(["chop", "in window", "anywhere"])) if k > 1 else "chop"
     if how == "in window":
@@ -873,9 +876,26 @@ def reference_window_cut(edges, win, left_mask, q):
     return float(w[side[row] != part].sum())
 
 
+def reference_linopt_mask(edges, win):
+    """One window's cheapest order-respecting split by its own prefix scan:
+    the objective at every candidate split is the edges to the before-block
+    plus a running sum of per-vertex changes, and the first of a lexsort by
+    (cost, distance to the center, split) wins."""
+    row, rank, w = edges
+    lo, hi = win.lo, win.hi
+    ahead = rank >= lo
+    inner = ahead & (rank < hi)
+    delta = np.bincount(row, np.where(ahead, w, -w), hi - lo)
+    delta -= np.bincount(rank[inner] - lo, w[inner], hi - lo)
+    c = np.concatenate([[0.0], np.cumsum(delta)]) + w[~ahead].sum()
+    s = np.arange(lo, hi + 1)
+    pick = int(np.lexsort((s, np.abs(s - win.center), c))[0])
+    return np.arange(hi - lo) < pick
+
+
 def reference_mincut_mask(edges, win):
     """One window's minimum cut over its own network, budget
-    ``boundary._flow_budget``, falling back to ``linopt_window``."""
+    ``boundary._flow_budget``, falling back to ``reference_linopt_mask``."""
     lo, hi = win.lo, win.hi
     nw = hi - lo
     if nw == 0:
@@ -899,7 +919,7 @@ def reference_mincut_mask(edges, win):
     net = FlowNetwork(nw + 2, *(a[arcs] for a in (tail, head, cap, cap_rev)))
     _, exceeded = net.max_flow(s, t, boundary._flow_budget(nw))
     if exceeded:
-        return linopt_window(edges, win)
+        return reference_linopt_mask(edges, win)
     reach = np.array(net.level[:nw]) >= 0
     free = incident <= 0.0
     left_mask = reach & ~free
@@ -912,7 +932,7 @@ def reference_mincut_mask(edges, win):
 def reference_window_stage(g, o, splits, method):
     """The window stage as a loop that gathers, solves and prices one
     window at a time."""
-    optimize = linopt_window if method == "linopt" else reference_mincut_mask
+    optimize = reference_linopt_mask if method == "linopt" else reference_mincut_mask
     windows = make_windows(g, o, splits.k, splits.alpha)
     if not windows:
         return o, splits, []
@@ -1004,6 +1024,57 @@ def test_window_stage_matches_per_window_loop_on_flow_fallback(monkeypatch, capl
         assert_same_stage(got, reference_window_stage(g, o, splits, "mincut"))
         fallbacks += sum("linear-scan fallback" in m for m in caplog.messages)
     assert fallbacks
+
+
+def stage_summary(caplog):
+    """The one INFO record of a window stage, as a dict of its counts."""
+    records = [r for r in caplog.records if r.name == "linepart.boundary" and r.levelno == logging.INFO]
+    assert len(records) == 1
+    fields = records[0].getMessage().split("\t")
+    assert fields[0] == "window stage"
+    return fields[1], {key: int(value) for key, value in zip(fields[2::2], fields[3::2])}
+
+
+@pytest.mark.parametrize("method, budget", [("linopt", None), ("mincut", None), ("mincut", 1)])
+def test_window_stage_logs_one_summary_line(method, budget, monkeypatch, caplog):
+    if budget is not None:
+        monkeypatch.setattr(boundary, "_flow_budget", lambda size: budget)
+    optimize = reference_linopt_mask if method == "linopt" else reference_mincut_mask
+    # a path at its balanced chop: every split cuts one edge, so linopt
+    # keeps each split, and its accepted windows change nothing
+    path = path_graph(30)
+    cases = [*stage_oracle_cases(), (path, Ordering.identity(30),
+                                     make_split_points(path, Ordering.identity(30), 3, 0.6))]
+    totals = Counter()
+    for g, o, splits in cases:
+        caplog.clear()
+        with caplog.at_level("INFO", logger="linepart.boundary"):
+            o2, s2, rows = apply_window_stage(g, o, splits, method)
+        name, counts = stage_summary(caplog)
+        windows = make_windows(g, o, splits.k, splits.alpha)
+        tol = 1e-12 * max(1.0, g.total_edge_weight)
+        want = Counter(ran=len(rows), skipped=len(windows) - len(rows),
+                                   moved=sum(row[3] for row in rows))
+        for index, old, _, moved in rows:
+            win = windows[index - 1]
+            edges = reference_window_edges(g, o, win)
+            new = reference_window_cut(edges, win, optimize(edges, win), splits.q)
+            if new > old + tol:
+                want["rejected"] += 1
+            elif moved or s2.q[index] != splits.q[index]:
+                want["changed"] += 1
+            else:
+                want["unchanged"] += 1
+        want["fallbacks"] = sum("linear-scan fallback" in m for m in caplog.messages)
+        assert name == method
+        assert counts == {key: want[key] for key in counts}
+        assert set(counts) == {"ran", "skipped", "changed", "unchanged", "rejected",
+                               "moved", "fallbacks"}
+        totals.update(counts)
+    if method == "linopt":  # the path, last
+        assert counts["unchanged"] == 2
+    assert totals["skipped"] and totals["changed"] and totals["unchanged"]
+    assert totals["fallbacks"] if budget else not totals["fallbacks"]
 
 
 def test_frozen_local_cut_matches_direct_count():

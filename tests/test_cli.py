@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from linepart import cli
 from linepart.cli import main
+from linepart.pipeline import PipelineConfig
 
 
 K3 = "a\tb\nb\tc\na\tc\n"
@@ -379,6 +381,26 @@ def test_no_partial_output_on_failure(tmp_path, capsys, cliques):
 )
 def test_help_exits_zero(capsys, argv):
     assert main(argv) == 0
+
+
+def test_run_defaults_come_from_the_pipeline_config(tmp_path, capsys, cliques, monkeypatch):
+    handed = []
+    real = cli.combine
+
+    def spy(g, cfg):
+        handed.append(cfg)
+        return real(g, cfg)
+
+    monkeypatch.setattr(cli, "combine", spy)
+    code, _, _ = run(capsys, "combine", "--graph", cliques, "-k", "2", "--alpha", "0.1",
+                     "-o", tmp_path / "part.out")
+    assert code == 0
+    assert handed == [PipelineConfig(2, 0.1)]
+    args = cli._build_parser().parse_args(
+        ["refine", "--graph", "g", "--ordering", "o", "--method", "swap", "-k", "2", "-o", "x"]
+    )
+    defaults = PipelineConfig(2, 0.1)
+    assert (args.intervals, args.max_rounds) == (defaults.swap_intervals, defaults.minla_max_rounds)
 
 
 def test_help_documents_defaults(capsys):

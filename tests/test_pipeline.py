@@ -15,7 +15,7 @@ from linepart.pipeline import STAGES, PipelineConfig, combine, run_stage
 from linepart.synth import disjoint_cliques, erdos_renyi, ring_of_cliques, rmat
 
 from conftest import make_graph, random_graph
-from test_boundary import exhaustive_contiguous_cut, make_figure_instance
+from test_boundary import exhaustive_contiguous_cut, make_figure_instance, window_stage_case
 
 
 NONMETRIC = ("swap", "linopt", "mincut", "dp")
@@ -390,6 +390,30 @@ def test_combine_properties(case):
         size_lo, size_hi = max(1, math.ceil(lo)), math.floor(hi)
         if cfg.k * size_lo <= g.n <= cfg.k * size_hi:
             assert check_balance(g, rep.partition, cfg.alpha).balanced, rep.partition.part_weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_stage_case(alphas=(0.0, 0.05, 1.0)), st.sampled_from(["metric", "dp"]))
+def test_metric_and_dp_stage_properties(case, stage):
+    g, o, splits, _ = case
+    k, alpha = splits.k, splits.alpha
+    o2, s2, note = run_stage(stage, g, o, splits, PipelineConfig(k=k, alpha=alpha))
+    o2.validate()
+    q = s2.q
+    assert len(q) == k + 1 and q[0] == 0 and q[-1] == g.n and (np.diff(q) > 0).all()
+    reordered = not np.array_equal(o2.vertex_at, o.vertex_at)
+    if stage == "metric":
+        assert note == ""
+        assert s2 == (make_split_points(g, o2, k, alpha) if reordered else splits)
+    elif note:
+        assert note == "dp stage skipped: no alpha-balanced contiguous partition"
+        assert not reordered and s2 == splits
+        assert exhaustive_contiguous_cut(g, o, np.arange(g.n + 1), k, alpha) == np.inf
+    else:
+        assert not reordered
+        lo, hi = balance_bounds(g.total_vertex_weight, k, alpha)
+        weights = Partition.from_contiguous(o2, s2, g).part_weights
+        assert ((weights >= lo) & (weights <= hi)).all(), weights
 
 
 def test_combine_builds_the_median_state_once(monkeypatch):
