@@ -25,6 +25,10 @@ or of stderr when the dp finds no balanced split and exits 2. From that
 random order it also runs ``linepart postprocess --method mincut`` and
 ``--method linopt`` with ``--ordering-out``, and prints the sha256 of the
 splits file, the ordering and stdout (which holds every window's row).
+On rmat-affinity it repeats those two window runs at k = 1024, where the
+half slack at the workload's alpha is under a rank and most windows are
+degenerate (646 of 1023 hold no rank within their slack and take their
+band's nearest rank), so the placement of degenerate windows stays checked.
 Exits 1 on any mismatch.
 
     python3 scripts/parity.py --ref ../linepart-parent
@@ -47,6 +51,7 @@ import workloads  # noqa: E402
 
 SEEDS = (1, 2)
 INSTANCES = (0, 1)
+LARGE_K = 1024  # k of the extra rmat-affinity window rows
 CLI = "import sys; from linepart.cli import main; sys.exit(main(sys.argv[1:]))"
 GRAPH = """
 import hashlib, sys
@@ -174,6 +179,8 @@ def main() -> int:
     dp_same = dp_total = 0
     windows = ("mincut", "linopt")
     window_same = dict.fromkeys(windows, 0)
+    large_same = dict.fromkeys(windows, 0)
+    large_total = 0
 
     def report(row: list[str], ours: list[str], theirs: list[str]) -> None:
         print("\t".join([*row, "same" if ours == theirs else "DIFF", *ours]), flush=True)
@@ -226,6 +233,13 @@ def main() -> int:
                     theirs = window_digests(ref_src, method, graph, w.k, w.alpha, work)
                     window_same[method] += ours == theirs
                     report([w.name, str(seed), method], ours, theirs)
+                if w.name == "rmat-affinity":
+                    large_total += 1
+                    for method in windows:
+                        ours = window_digests(ROOT / "src", method, graph, LARGE_K, w.alpha, work)
+                        theirs = window_digests(ref_src, method, graph, LARGE_K, w.alpha, work)
+                        large_same[method] += ours == theirs
+                        report([w.name, str(seed), f"{method} -k {LARGE_K}"], ours, theirs)
     print(f"{same}/{total} identical")
     for method in methods:
         print(f"refine --method {method}: {refine_same[method]}/{refine_total} identical "
@@ -239,10 +253,14 @@ def main() -> int:
     for method in windows:
         print(f"postprocess --method {method}: {window_same[method]}/{refine_total} identical "
               "(splits, ordering, stdout)")
+    for method in windows:
+        print(f"postprocess --method {method} -k {LARGE_K}: {large_same[method]}/{large_total} "
+              "identical (splits, ordering, stdout)")
     ok = (same == total and all(c == refine_total for c in refine_same.values())
           and all(c == refine_total for c in weighted_same.values())
           and dp_same == dp_total
-          and all(c == refine_total for c in window_same.values()))
+          and all(c == refine_total for c in window_same.values())
+          and all(c == large_total for c in large_same.values()))
     return 0 if ok else 1
 
 

@@ -9,12 +9,10 @@ from .boundary import (
     ContractedGraph,
     DpResult,
     SplitPoints,
-    Window,
-    WindowCutResult,
+    Windows,
     apply_window_stage,
     contract_blocks,
     dp_partition,
-    linopt_window,
     make_split_points,
     make_windows,
     mincut_window,

@@ -17,27 +17,30 @@ or the whole boundary set:
   program reads: the 2-D prefix of cross-block edge weight and the prefix
   of block weight.
 
-A window stage gathers the edges of all its windows in one pass
-(``_stage_edges``), each row tagged with its window. The linear scan
-solves every window at once (``_stage_linopt``), each window's running
-sum one row of a padded array. The minimum cut solves every window over
-one flow network whose components are the windows, one ``max_flow`` call
-each, with the capacities of all windows taken by one ``np.bincount``
-each. Both return the windows' left masks laid end to end. The optimizers
-minimize the window objective, with everything before the window on the
-left and everything after on the right. One vectorized evaluator
-(``_stage_cuts``) prices every window's old and new masks for acceptance
-against the frozen current parts, since an edge to a part not next to the
-window is cut whichever side its window end takes. ``linopt_window`` and
-``mincut_window`` are the one-window cases. Windows moved together can
-still interact, so ``pipeline.combine`` enforces the never-raise rule on
-each whole stage.
+The windows of a k-way split are one table (``Windows``): int64 arrays of
+the boundary index, center and [lo, hi] range, one entry per interior
+boundary, from placement to apply. A window stage gathers the edges of
+the windows it runs in one pass (``_StageEdges``), each row tagged with
+its window. The linear scan solves every window at once
+(``_stage_linopt``), each window's running sum one row of a padded array.
+The minimum cut solves every window over one flow network whose
+components are the windows, one ``max_flow`` call each, with the
+capacities of all windows taken by one ``np.bincount`` each. Both return
+the windows' left masks laid end to end. The optimizers minimize the
+window objective, with everything before the window on the left and
+everything after on the right. One vectorized evaluator (``_stage_cuts``)
+prices every window's old and new masks for acceptance against the frozen
+current parts, since an edge to a part not next to the window is cut
+whichever side its window end takes. ``mincut_window`` is the one-window
+case of the minimum cut. Windows moved together can still interact, so
+``pipeline.combine`` enforces the never-raise rule on each whole stage.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,14 +50,12 @@ from .ordering import Ordering
 
 __all__ = [
     "SplitPoints",
-    "Window",
-    "WindowCutResult",
+    "Windows",
     "ContractedGraph",
     "DpResult",
     "make_split_points",
     "make_windows",
     "window_slack",
-    "linopt_window",
     "mincut_window",
     "apply_window_stage",
     "contract_blocks",
@@ -108,28 +109,26 @@ def make_split_points(g: Graph, o: Ordering, k: int, alpha: float) -> SplitPoint
     With unit weights a center is the rank floor(j*n/k) whenever its
     window holds that rank.
     """
-    if k > g.n:
-        raise ValueError(f"cannot split {g.n} vertices into {k} parts")
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    centers = [w.center for w in make_windows(g, o, k, alpha)]
-    return SplitPoints(np.array([0, *centers, g.n], dtype=np.int64), alpha)
+    centers = make_windows(g, o, k, alpha).center
+    return SplitPoints(np.concatenate([[0], centers, [g.n]]), alpha)
 
 
-@dataclass(frozen=True)
-class Window:
-    """Movement range for one interior boundary.
+class Windows(NamedTuple):
+    """Movement ranges of the interior boundaries, one int64 entry each.
 
-    Candidate split indices are [lo, hi] inclusive; the vertices at ranks
-    [lo, hi) are the ones whose side can change. ``center`` is the balanced
-    position of the boundary, inside [lo, hi]: the last rank whose prefix
-    weight is at most j*w(V)/k, clipped into the window.
+    Boundary ``index[i]`` may sit at any split in [lo[i], hi[i]] inclusive;
+    the vertices at ranks [lo[i], hi[i]) are the ones whose side can change.
+    ``center[i]`` is the balanced position of the boundary, inside its
+    range: the last rank whose prefix weight is at most j*w(V)/k, clipped
+    into the window.
     """
 
-    index: int
-    center: int
-    lo: int
-    hi: int
+    index: np.ndarray
+    center: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
 
 def window_slack(total_weight: float, k: int, alpha: float) -> tuple[float, float]:
@@ -143,7 +142,7 @@ def window_slack(total_weight: float, k: int, alpha: float) -> tuple[float, floa
     return slack, 1e-9 * max(1.0, slack)
 
 
-def make_windows(g: Graph, o: Ordering, k: int, alpha: float) -> list[Window]:
+def make_windows(g: Graph, o: Ordering, k: int, alpha: float) -> Windows:
     """Windows around the balanced boundaries; the one placement rule.
 
     Boundary j is anchored at the last rank whose prefix weight is at most
@@ -157,11 +156,14 @@ def make_windows(g: Graph, o: Ordering, k: int, alpha: float) -> list[Window]:
     between the midpoints of adjacent ranks floor(j*n/k), so vertex ranges
     stay disjoint and centers strictly increasing for any alpha or weights.
     A window whose slack admits no rank degenerates to the rank of its band
-    whose prefix weight is nearest the ideal (ties to the lower rank).
+    whose prefix weight is nearest the ideal (ties to the lower rank); the
+    bands are disjoint, so one pass over all degenerate bands finds them.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     n = g.n
+    if k > n:
+        raise ValueError(f"cannot split {n} vertices into {k} parts")
     if o.n != n:
         raise ValueError("ordering does not cover the graph")
     cw = np.concatenate([[0.0], np.cumsum(g.vertex_weights[o.vertex_at])])
@@ -176,18 +178,20 @@ def make_windows(g: Graph, o: Ordering, k: int, alpha: float) -> list[Window]:
     anchor = np.searchsorted(cw, ideal + tol, side="right") - 1
     lo = np.maximum(np.searchsorted(cw, ideal - slack - tol, side="left"), band_lo)
     hi = np.minimum(np.searchsorted(cw, ideal + slack + tol, side="right") - 1, band_hi)
-    # no rank in the slack: the band's rank nearest the ideal
-    for j in np.flatnonzero(lo > hi).tolist():
-        near = np.abs(cw[band_lo[j] : band_hi[j] + 1] - ideal[j])
-        lo[j] = hi[j] = band_lo[j] + np.argmin(near)  # first minimum: ties go low
+    # no rank in the slack: the band's rank nearest the ideal, the first of equals
+    empty = np.flatnonzero(lo > hi)
+    size = band_hi[empty] - band_lo[empty] + 1
+    first = np.cumsum(size) - size  # where each band starts in ``rank``
+    band = np.repeat(np.arange(len(empty)), size)
+    rank = band_lo[empty][band] + np.arange(len(band)) - first[band]
+    near = np.abs(cw[rank] - ideal[empty][band])
+    best = np.flatnonzero(near == np.minimum.reduceat(near, first)[band])
+    lo[empty] = hi[empty] = rank[best[np.searchsorted(best, first)]]
     center = np.minimum(np.maximum(anchor, lo), hi)
-    return [Window(j, c, a, b) for j, c, a, b in
-            zip(range(1, k), center.tolist(), lo.tolist(), hi.tolist())]
+    return Windows(np.arange(1, k), center, lo, hi)
 
 
 # -- gathering and pricing the windows of a stage -------------------------
-
-_Edges = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class _StageEdges:
@@ -197,29 +201,29 @@ class _StageEdges:
     start[j] .. start[j+1]-1, position start[j]+i being its ``offset`` i and
     rank lo_j+i. Each edge row carries its window ``win``, the position
     ``pos`` of its window end, the rank of its other end and its weight;
-    rows are grouped by window, in window order.
+    rows are grouped by window, in window order. Every edge with an end
+    among the windows' vertices is gathered once; an edge with both ends
+    inside one window appears at its lower-ranked end.
     """
 
-    def __init__(self, windows: list[Window]):
-        self.windows = windows
-        self.index, self.center, self.lo, self.hi = np.array(
-            [(x.index, x.center, x.lo, x.hi) for x in windows], dtype=np.int64).reshape(-1, 4).T
+    def __init__(self, g: Graph, o: Ordering, windows: Windows):
+        self.index, self.center, self.lo, self.hi = windows
         size = self.hi - self.lo
         self.start = np.concatenate([[0], np.cumsum(size)])
-        self.win_of_pos = np.repeat(np.arange(len(windows)), size)
+        self.win_of_pos = np.repeat(np.arange(len(size)), size)
         self.offset = np.arange(self.start[-1]) - self.start[self.win_of_pos]
         self.rank_of_pos = self.offset + self.lo[self.win_of_pos]
 
-    def hold(self, win: np.ndarray, pos: np.ndarray, rank: np.ndarray,
-             w: np.ndarray) -> "_StageEdges":
-        """Take the edge rows, grouped by window in window order."""
-        self.win, self.pos, self.rank, self.w = win, pos, rank, w
-        return self
-
-    @classmethod
-    def of_window(cls, edges: _Edges, win: Window) -> "_StageEdges":
-        row, rank, w = edges
-        return cls([win]).hold(np.zeros(len(row), dtype=np.int64), row, rank, w)
+        members = o.vertex_at[self.rank_of_pos]
+        first = g.adj_indptr[members]
+        deg = g.adj_indptr[members + 1] - first
+        pos = np.repeat(np.arange(len(members)), deg)
+        slot = np.repeat(first - (np.cumsum(deg) - deg), deg) + np.arange(len(pos))
+        rank = o.rank_of[g.adj_indices[slot]]
+        win = self.win_of_pos[pos]
+        keep = (rank < self.lo[win]) | (rank > self.rank_of_pos[pos])
+        self.win, self.pos, self.rank = win[keep], pos[keep], rank[keep]
+        self.w = g.adj_weights[slot[keep]]
 
     def sums(self, edge_mask: np.ndarray) -> np.ndarray:
         """Each window's sum of the weights ``edge_mask`` selects, as
@@ -227,31 +231,13 @@ class _StageEdges:
         pairwise summation groups a slice's terms by its length, so each
         nonempty slice is summed alone."""
         picked = self.w[edge_mask]
-        count = np.bincount(self.win[edge_mask], minlength=len(self.windows))
+        count = np.bincount(self.win[edge_mask], minlength=len(self.index))
         ends = np.cumsum(count)
         held = np.flatnonzero(count)
         out = np.zeros(len(count))
         out[held] = [picked[a:b].sum() for a, b in zip((ends - count)[held].tolist(),
                                                        ends[held].tolist())]
         return out
-
-
-def _stage_edges(g: Graph, o: Ordering, windows: list[Window]) -> _StageEdges:
-    """Every edge with an end among the windows' vertices, gathered once.
-
-    An edge with both ends inside one window appears once, at its
-    lower-ranked end.
-    """
-    stage = _StageEdges(windows)
-    members = o.vertex_at[stage.rank_of_pos]
-    first = g.adj_indptr[members]
-    deg = g.adj_indptr[members + 1] - first
-    pos = np.repeat(np.arange(len(members)), deg)
-    slot = np.repeat(first - (np.cumsum(deg) - deg), deg) + np.arange(len(pos))
-    rank = o.rank_of[g.adj_indices[slot]]
-    win = stage.win_of_pos[pos]
-    keep = (rank < stage.lo[win]) | (rank > stage.rank_of_pos[pos])
-    return stage.hold(win[keep], pos[keep], rank[keep], g.adj_weights[slot[keep]])
 
 
 def _stage_cuts(stage: _StageEdges, left_masks, q: np.ndarray) -> list[np.ndarray]:
@@ -315,22 +301,6 @@ def _stage_linopt(stage: _StageEdges) -> np.ndarray:
     return stage.offset < pick[stage.win_of_pos]
 
 
-def linopt_window(edges: _Edges, win: Window) -> np.ndarray:
-    """Cheapest order-respecting split in the window: the left mask over
-    the window, a prefix. This is the one-window case of a window stage's
-    ``_stage_linopt``."""
-    return _stage_linopt(_StageEdges.of_window(edges, win))
-
-
-@dataclass
-class WindowCutResult:
-    """Outcome of a window minimum cut: the left side as a window mask, and
-    whether the flow budget ran out and the linear scan chose it instead."""
-
-    left_mask: np.ndarray
-    used_fallback: bool = False
-
-
 def _flow_budget(size: int) -> int:
     """Augmenting paths a window of ``size`` vertices may take."""
     return 1000 + 100 * size
@@ -349,7 +319,7 @@ def _stage_mincut(
     slice of one ``_stage_linopt`` scan instead. Returns the left masks
     laid end to end and, per window, whether its budget ran out.
     """
-    count = len(stage.windows)
+    count = len(stage.index)
     size = stage.hi - stage.lo
     total = int(stage.start[-1])
     exceeded = np.zeros(count, dtype=bool)
@@ -403,35 +373,37 @@ def _stage_mincut(
     return left, exceeded
 
 
-def _log_fallback(win: Window) -> None:
-    log.warning("window %d: flow budget exhausted, linear-scan fallback", win.index)
+def _log_fallback(index: int) -> None:
+    log.warning("window %d: flow budget exhausted, linear-scan fallback", index)
 
 
 def mincut_window(
-    edges: _Edges,
-    win: Window,
+    g: Graph,
+    o: Ordering,
+    win: Windows,
     max_augmentations: int | None = None,
-) -> WindowCutResult:
-    """Best bipartition of the window, free to permute its vertices.
+) -> tuple[np.ndarray, bool]:
+    """Best bipartition of the one window of ``win``, free to permute its
+    vertices.
 
     Everything before the window contracts into the source, everything after
     into the sink; window-internal edges keep their weight in both
     directions. The terminal capacities come from one ``np.bincount`` each
-    over the window's edge slice, and the network is built from those arc
+    over the window's edge rows, and the network is built from those arc
     arrays in one pass. Among minimum cuts the canonical source-side-minimal
     one is taken: the vertices the flow's last BFS still reaches in the
     residual network. Vertices with no incident instance edges are
     indifferent, so they are placed to pull the split toward the balanced
     center. Both sides keep their previous relative order, which makes a
     rerun a no-op. If the flow exceeds the augmentation budget (default
-    ``_flow_budget``) the order-respecting scan is used instead and the
-    result is flagged. This is the one-window case of a window stage's
-    ``_stage_mincut``.
+    ``_flow_budget``) the order-respecting scan is used instead. Returns the
+    left side as a window mask and whether the budget ran out. This is the
+    one-window case of a window stage's ``_stage_mincut``.
     """
-    left, exceeded = _stage_mincut(_StageEdges.of_window(edges, win), max_augmentations)
+    left, exceeded = _stage_mincut(_StageEdges(g, o, win), max_augmentations)
     if exceeded[0]:
-        _log_fallback(win)
-    return WindowCutResult(left, bool(exceeded[0]))
+        _log_fallback(int(win.index[0]))
+    return left, bool(exceeded[0])
 
 
 def apply_window_stage(
@@ -444,7 +416,7 @@ def apply_window_stage(
 
     Windows are disjoint, so every window is optimized against the same
     immutable snapshot and the results are applied together. One gather
-    collects the edges of all windows that run (``_stage_edges``); the
+    collects the edges of all windows that run (``_StageEdges``); the
     linear scan and the minimum cut each solve them all at once, and one
     evaluator pass prices every window's old and new masks. A left mask is
     accepted only if it does not increase the true local cut against the
@@ -468,10 +440,11 @@ def apply_window_stage(
     # placed[j]: split j lies in window j. Only a dp proposal or an
     # unequal-weight swap displaces one; window j and both its neighbours
     # are then skipped.
-    placed = np.array([True, *(w.lo <= q[w.index] <= w.hi for w in windows), True])
+    current = q[windows.index]
+    placed = np.concatenate([[True], (windows.lo <= current) & (current <= windows.hi), [True]])
     runs = placed[:-2] & placed[1:-1] & placed[2:]
-    stage = _stage_edges(g, o, [w for w, run in zip(windows, runs) if run])
-    count = len(stage.windows)
+    stage = _StageEdges(g, o, Windows._make(a[runs] for a in windows))
+    count = len(stage.index)
     if method == "linopt":
         new_mask, exceeded = _stage_linopt(stage), np.zeros(count, dtype=bool)
     else:
@@ -493,11 +466,11 @@ def apply_window_stage(
     diagnostics = list(zip(stage.index.tolist(), old.tolist(),
                            np.where(accepted, new, old).tolist(), moved.tolist()))
 
-    for j in np.flatnonzero(exceeded).tolist():
-        _log_fallback(stage.windows[j])
+    for index in stage.index[exceeded].tolist():
+        _log_fallback(index)
     changed = accepted & ((moved > 0) | (split != q[stage.index]))
     log.info("window stage\t%s\tran\t%d\tskipped\t%d\tchanged\t%d\tunchanged\t%d\trejected"
-             "\t%d\tmoved\t%d\tfallbacks\t%d", method, count, len(windows) - count, changed.sum(),
+             "\t%d\tmoved\t%d\tfallbacks\t%d", method, count, len(runs) - count, changed.sum(),
              (accepted & ~changed).sum(), count - accepted.sum(), moved.sum(), exceeded.sum())
     return Ordering.from_vertex_at(vertex_at), SplitPoints(new_q, splits.alpha), diagnostics
 

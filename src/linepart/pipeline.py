@@ -72,6 +72,10 @@ class PipelineConfig:
             raise ValueError("swap interval count must be positive")
         if self.dp_blocks is not None and self.dp_blocks < 1:
             raise ValueError("dp block count must be at least 1")
+        if self.dp_blocks is not None and self.dp_blocks > g.n:
+            raise ValueError(f"dp block count {self.dp_blocks} exceeds the {g.n} vertices")
+        if self.minla_max_rounds < 1:
+            raise ValueError("minla_max_rounds must be at least 1")
 
 
 @dataclass

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from linepart.boundary import (
-    Window,
     contract_blocks,
     dp_partition,
     make_split_points,
@@ -26,6 +25,7 @@ from linepart.synth import disjoint_cliques, erdos_renyi, ring_of_cliques, rmat
 
 from conftest import random_graph
 from test_boundary import (
+    WindowRow,
     exhaustive_contiguous_cut,
     linopt_split,
     make_figure_instance,
@@ -102,7 +102,7 @@ def mincut_suite():
         lo = int(rng.integers(1, 6))
         hi = lo + int(rng.integers(1, 13))
         hi = min(hi, n - 1)
-        win = Window(index=1, center=(lo + hi) // 2, lo=lo, hi=hi)
+        win = WindowRow(index=1, center=(lo + hi) // 2, lo=lo, hi=hi)
         members = [int(v) for v in o.vertex_at[lo:hi]]
         brute = min(
             naive_window_cost(
@@ -131,7 +131,7 @@ def test_criterion_03_linopt_matches_naive_scan():
         o = Ordering.from_vertex_at(rng.permutation(n))
         lo = int(rng.integers(1, 8))
         hi = min(lo + int(rng.integers(1, 14)), n - 1)
-        win = Window(index=1, center=(lo + hi) // 2, lo=lo, hi=hi)
+        win = WindowRow(index=1, center=(lo + hi) // 2, lo=lo, hi=hi)
         s = linopt_split(g, o, win)
         best = min(naive_split_cost(g, o, win, c) for c in range(lo, hi + 1))
         assert naive_split_cost(g, o, win, s) == pytest.approx(best, abs=1e-9)

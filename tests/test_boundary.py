@@ -12,14 +12,13 @@ from hypothesis import given, settings
 from linepart import boundary
 from linepart.boundary import (
     SplitPoints,
-    Window,
+    Windows,
     _stage_cuts,
-    _stage_edges,
+    _stage_linopt,
     _StageEdges,
     apply_window_stage,
     contract_blocks,
     dp_partition,
-    linopt_window,
     make_split_points,
     make_windows,
     mincut_window,
@@ -58,20 +57,33 @@ def naive_window_cost(g, o, lo, hi, left_window_vertices):
     return total
 
 
+WindowRow = namedtuple("WindowRow", "index center lo hi")
+
+
+def window_rows(windows):
+    """A window table as a list of ``WindowRow``s of Python ints."""
+    return [WindowRow(*row) for row in zip(*(a.tolist() for a in windows))]
+
+
+def table(win):
+    """The one-window table of the ``WindowRow`` ``win``."""
+    return Windows._make(np.array([x], dtype=np.int64) for x in win)
+
+
 def window_edges(g, o, win):
-    """One window's (row, rank, w) edge rows, as a stage gathers them."""
-    stage = _stage_edges(g, o, [win])
-    return stage.pos, stage.rank, stage.w
+    """One window's edge rows, gathered as a stage gathers them."""
+    return _StageEdges(g, o, table(win))
 
 
-def window_cut(edges, win, left_mask, q):
+def window_cut(edges, left_mask, q):
     """The stage evaluator's cut for one window and one mask."""
-    return _stage_cuts(_StageEdges.of_window(edges, win), [left_mask], q)[0][0]
+    return _stage_cuts(edges, [left_mask], q)[0][0]
 
 
 def linopt_split(g, o, win):
-    """The split ``linopt_window`` picks, after checking its mask is a prefix."""
-    mask = linopt_window(window_edges(g, o, win), win)
+    """The split the stage's linear scan picks for the one window ``win``,
+    after checking its mask is a prefix."""
+    mask = _stage_linopt(window_edges(g, o, win))
     s = win.lo + int(mask.sum())
     assert mask.tolist() == [r < s for r in range(win.lo, win.hi)]
     return s
@@ -80,26 +92,24 @@ def linopt_split(g, o, win):
 def window_objective(edges, win, left_mask, n):
     """``window_cut`` with everything before the window in part win.index-1
     and everything after it in part win.index: the optimizers' objective."""
-    return window_cut(edges, win, left_mask, np.array([0] * win.index + [win.lo, n]))
+    return window_cut(edges, left_mask, np.array([0] * win.index + [win.lo, n]))
 
 
 MincutSides = namedtuple("MincutSides", "cut split left right used_fallback")
 
 
 def mincut_sides(g, o, win, **kwargs):
-    """``mincut_window`` on the window's edges: the window objective and
-    split of its mask, its left and right vertex lists (each in the
-    ordering's relative order), and its fallback flag."""
-    edges = window_edges(g, o, win)
-    res = mincut_window(edges, win, **kwargs)
-    mask = res.left_mask
+    """``mincut_window`` on the window: the window objective and split of
+    its mask, its left and right vertex lists (each in the ordering's
+    relative order), and its fallback flag."""
+    mask, used_fallback = mincut_window(g, o, table(win), **kwargs)
     members = o.vertex_at[win.lo : win.hi]
     return MincutSides(
-        window_objective(edges, win, mask, g.n),
+        window_objective(window_edges(g, o, win), win, mask, g.n),
         win.lo + int(mask.sum()),
         members[mask].tolist(),
         members[~mask].tolist(),
-        res.used_fallback,
+        used_fallback,
     )
 
 
@@ -230,6 +240,8 @@ def test_split_points_validation():
     g = make_graph([], n=3)
     with pytest.raises(ValueError, match="3 vertices into 5"):
         make_split_points(g, Ordering.identity(3), 5, 0.0)
+    with pytest.raises(ValueError, match="3 vertices into 5"):
+        make_windows(g, Ordering.identity(3), 5, 1.0)
     with pytest.raises(ValueError, match="strictly increasing"):
         SplitPoints(np.array([0, 2, 2, 3]), 0.0)
 
@@ -237,7 +249,8 @@ def test_split_points_validation():
 def test_half_width_formula_and_float_guard():
     def spans(n, k, alpha):
         g = make_graph([], n=n)
-        return [(w.lo, w.center, w.hi) for w in make_windows(g, Ordering.identity(n), k, alpha)]
+        wins = make_windows(g, Ordering.identity(n), k, alpha)
+        return [(w.lo, w.center, w.hi) for w in window_rows(wins)]
 
     # exact slack of 5 ranks; the float product must not round it away
     assert spans(1000, 10, 0.1) == [(100 * j - 5, 100 * j, 100 * j + 5) for j in range(1, 10)]
@@ -249,7 +262,7 @@ def test_half_width_formula_and_float_guard():
 def test_windows_disjoint_and_clipped():
     for n, k, alpha in [(30, 3, 0.1), (20, 4, 0.9), (50, 7, 0.5), (6, 3, 0.9)]:
         g = make_graph([], n=n)
-        wins = make_windows(g, Ordering.identity(n), k, alpha)
+        wins = window_rows(make_windows(g, Ordering.identity(n), k, alpha))
         assert len(wins) == k - 1
         for w in wins:
             assert 1 <= w.lo <= w.hi <= n - 1
@@ -259,7 +272,7 @@ def test_windows_disjoint_and_clipped():
 
 def test_alpha_zero_windows_allow_no_movement():
     g = make_graph([], n=40)
-    for w in make_windows(g, Ordering.identity(40), 4, 0.0):
+    for w in window_rows(make_windows(g, Ordering.identity(40), 4, 0.0)):
         assert w.lo == w.hi == w.center
 
 
@@ -267,7 +280,7 @@ def test_windows_match_uniform_half_width():
     g = make_graph([], n=64)
     for k, alpha in [(4, 0.25), (8, 0.5), (2, 0.125)]:
         half = int(alpha * 64 / (2 * k))  # exact in binary for these cases
-        for w in make_windows(g, Ordering.identity(64), k, alpha):
+        for w in window_rows(make_windows(g, Ordering.identity(64), k, alpha)):
             assert w.lo == max(1, w.center - half) or w.lo > w.center - half
             assert w.hi - w.lo <= 2 * half
 
@@ -276,11 +289,11 @@ def test_weighted_windows_respect_weight_slack():
     # a dominant vertex leaves no rank within the weight slack: the window
     # degenerates to the balanced position and the boundary cannot move
     g = make_graph([], n=8, vertex_weights=[1, 1, 1, 1, 10, 1, 1, 1])
-    (w,) = make_windows(g, Ordering.identity(8), 2, 0.2)
+    (w,) = window_rows(make_windows(g, Ordering.identity(8), 2, 0.2))
     assert w.lo == w.hi == w.center == 4
     # with enough slack the window only spans ranks inside the weight band
     g2 = make_graph([], n=6, vertex_weights=[1, 1, 1, 1, 3, 1])
-    (w2,) = make_windows(g2, Ordering.identity(6), 2, 0.5)
+    (w2,) = window_rows(make_windows(g2, Ordering.identity(6), 2, 0.5))
     assert (w2.lo, w2.hi) == (3, 4)  # crossing the heavy vertex is out
 
 
@@ -290,7 +303,7 @@ def test_balanced_chop_is_the_window_centers():
     o = Ordering.identity(10)
     splits = make_split_points(g, o, 3, 0.3)
     assert splits.q.tolist() == [0, 3, 7, 10]
-    for w in make_windows(g, o, 3, 0.3):
+    for w in window_rows(make_windows(g, o, 3, 0.3)):
         assert w.lo <= splits.q[w.index] == w.center <= w.hi
     # weighted: the boundary follows prefix weight, not rank (floor(n/2) = 3)
     heavy = make_graph([], n=6, vertex_weights=[3, 3, 1, 1, 1, 1])
@@ -305,7 +318,7 @@ def test_degenerate_window_takes_the_nearest_rank():
     splits = make_split_points(g, o, 2, 0.2)
     assert splits.q.tolist() == [0, 2, 6]
     assert check_balance(g, Partition.from_contiguous(o, splits, g), 0.2).balanced
-    (win,) = make_windows(g, o, 2, 0.2)
+    (win,) = window_rows(make_windows(g, o, 2, 0.2))
     assert (win.lo, win.center, win.hi) == (2, 2, 2)
     # a tie goes to the lower rank: prefix weights 4 and 6 around 5
     tie = make_graph([], n=4, vertex_weights=[4, 2, 2, 2])
@@ -314,13 +327,16 @@ def test_degenerate_window_takes_the_nearest_rank():
 
 def reference_windows(g, o, k, alpha):
     """make_windows as a loop over the boundaries, kept as the oracle of the
-    array version: the same rule, one boundary at a time."""
+    array version: the same rule, one boundary at a time. Returns the
+    ``WindowRow``s and the number of degenerate windows whose band holds
+    more than one rank nearest the ideal (the lowest of them wins)."""
     n = g.n
     cw = np.concatenate([[0.0], np.cumsum(g.vertex_weights[o.vertex_at])])
     total = cw[-1]
     slack, tol = window_slack(total, k, alpha)
     ranks = [(j * n) // k for j in range(k + 1)]
     windows = []
+    ties = 0
     for j in range(1, k):
         ideal = j * total / k
         band_lo = (ranks[j - 1] + ranks[j]) // 2 + 1 if j > 1 else 1
@@ -332,18 +348,37 @@ def reference_windows(g, o, k, alpha):
         if lo > hi:
             near = np.abs(cw[band_lo : band_hi + 1] - ideal)
             lo = hi = band_lo + int(np.argmin(near))
-        windows.append(Window(j, min(max(anchor, lo), hi), lo, hi))
-    return windows
+            ties += int((near == near.min()).sum() > 1)
+        windows.append(WindowRow(j, min(max(anchor, lo), hi), lo, hi))
+    return windows, ties
+
+
+def windows_against_loop(g, o, k, alpha, case):
+    """Assert that make_windows equals ``reference_windows`` and holds
+    int64 arrays (``case`` labels a failure); returns the number of
+    degenerate windows and of ties among them."""
+    got = make_windows(g, o, k, alpha)
+    want, ties = reference_windows(g, o, k, alpha)
+    assert window_rows(got) == want, (case, k, alpha)
+    assert all(a.dtype == np.int64 for a in got)
+    cw = np.concatenate([[0.0], np.cumsum(g.vertex_weights[o.vertex_at])])
+    slack, tol = window_slack(cw[-1], k, alpha)
+    degenerate = sum(abs(cw[w.lo] - w.index * cw[-1] / k) > slack + tol for w in want)
+    return degenerate, ties
 
 
 def test_windows_match_the_per_boundary_loop():
     # Random vertex weights over six decades, or a few heavy vertices that
-    # leave degenerate windows; k in {1, 2, n} and a few in between.
+    # leave degenerate windows; k in {1, 2, n} and a few in between. Then
+    # weights over 26 decades, where light vertices leave the prefix
+    # weight unchanged and two ranks of a band lie equally near the ideal.
     rng = np.random.default_rng(29)
-    degenerate = 0
-    for case in range(300):
+    degenerate = ties = 0
+    for case in range(400):
         n = int(rng.integers(1, 60))
-        if case % 3 == 0:
+        if case >= 300:
+            vw = 10.0 ** rng.uniform(-20, 6, n)
+        elif case % 3 == 0:
             vw = 10.0 ** rng.uniform(-3, 3, n)
         elif case % 3 == 1:
             vw = np.where(rng.random(n) < 0.15, rng.integers(5, 40, n), 1).astype(float)
@@ -353,14 +388,21 @@ def test_windows_match_the_per_boundary_loop():
         o = Ordering.from_vertex_at(rng.permutation(n))
         for k in sorted({1, min(2, n), n, int(rng.integers(1, n + 1))}):
             for alpha in (0.0, 0.03, 1.5):
-                got = make_windows(g, o, k, alpha)
-                want = reference_windows(g, o, k, alpha)
-                assert got == want, (case, k, alpha)
-                assert all(type(x) is int for w in got for x in (w.center, w.lo, w.hi))
-                cw = np.concatenate([[0.0], np.cumsum(vw[o.vertex_at])])
-                slack, tol = window_slack(cw[-1], k, alpha)
-                degenerate += sum(abs(cw[w.lo] - w.index * cw[-1] / k) > slack + tol for w in got)
+                counts = windows_against_loop(g, o, k, alpha, case)
+                degenerate += counts[0]
+                ties += counts[1] if case >= 300 else 0
     assert degenerate > 100
+    assert ties > 300
+    # n near 16k at k = 64 and 1024: at alpha 0.03 and k = 1024 the half
+    # slack is a quarter rank, and most windows degenerate
+    n = 16_411
+    degenerate = 0
+    for case, vw in enumerate((np.ones(n), rng.choice([1.0, 1.0, 2.0, 3.0], n))):
+        g = make_graph([], n=n, vertex_weights=vw)
+        o = Ordering.from_vertex_at(rng.permutation(n))
+        for k, alpha in itertools.product((64, 1024), (0.0, 0.03)):
+            degenerate += windows_against_loop(g, o, k, alpha, ("large", case))[0]
+    assert degenerate > 3000
 
 
 @settings(max_examples=300, deadline=None)
@@ -371,7 +413,7 @@ def test_balanced_chop_properties(data, vertex_weighted):
     k = data.draw(st.sampled_from(sorted({1, min(2, n), n})))
     alpha = data.draw(st.sampled_from([0.0, 0.01, 0.3, 1.0, 1.5]))
     q = make_split_points(g, o, k, alpha).q
-    wins = make_windows(g, o, k, alpha)
+    wins = window_rows(make_windows(g, o, k, alpha))
     assert (np.diff(q) > 0).all()
     assert all(w.lo <= q[w.index] <= w.hi for w in wins)
     cw = np.concatenate([[0.0], np.cumsum(g.vertex_weights[o.vertex_at])])
@@ -392,7 +434,7 @@ def test_linopt_picks_zero_weight_gap():
     g = make_graph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)],
                    weights=[1, 1, 1, 0, 1, 1, 1])
     o = Ordering.identity(8)
-    win = Window(index=1, center=4, lo=2, hi=6)
+    win = WindowRow(index=1, center=4, lo=2, hi=6)
     s = linopt_split(g, o, win)
     assert s == 4
     assert naive_split_cost(g, o, win, s) == 0.0
@@ -405,7 +447,7 @@ def make_figure_instance():
              (4, 9), (5, 9), (5, 9), (6, 9), (7, 0)]
     g = make_graph(edges, n=10)
     o = Ordering.identity(10)
-    win = Window(index=1, center=5, lo=1, hi=9)
+    win = WindowRow(index=1, center=5, lo=1, hi=9)
     return g, o, win
 
 
@@ -427,7 +469,7 @@ def test_linopt_matches_naive_evaluation():
         o = Ordering.from_vertex_at(rng.permutation(n))
         lo = int(rng.integers(1, 6))
         hi = int(rng.integers(lo, 13))
-        win = Window(index=1, center=int(rng.integers(lo, hi + 1)), lo=lo, hi=hi)
+        win = WindowRow(index=1, center=int(rng.integers(lo, hi + 1)), lo=lo, hi=hi)
         s = linopt_split(g, o, win)
         values = {cand: naive_split_cost(g, o, win, cand) for cand in range(lo, hi + 1)}
         assert naive_split_cost(g, o, win, s) == pytest.approx(min(values.values()))
@@ -458,7 +500,7 @@ def test_mincut_figure_instance_cut_one():
 def test_mincut_no_edges_keeps_balanced_split_and_order():
     g = make_graph([], n=10)
     o = Ordering.identity(10)
-    win = Window(index=1, center=5, lo=2, hi=8)
+    win = WindowRow(index=1, center=5, lo=2, hi=8)
     res = mincut_sides(g, o, win)
     assert res.split == 5
     assert res.left + res.right == [2, 3, 4, 5, 6, 7]
@@ -475,7 +517,7 @@ def test_mincut_matches_exhaustive_bipartitions():
         o = Ordering.from_vertex_at(rng.permutation(n))
         lo = int(rng.integers(1, 5))
         hi = lo + int(rng.integers(1, 11))
-        win = Window(index=1, center=(lo + hi) // 2, lo=lo, hi=hi)
+        win = WindowRow(index=1, center=(lo + hi) // 2, lo=lo, hi=hi)
         res = mincut_sides(g, o, win)
         members = [int(v) for v in o.vertex_at[lo:hi]]
         best = min(
@@ -492,7 +534,7 @@ def test_mincut_dominates_linopt():
         n = 15
         g = random_graph(rng, n, int(rng.integers(5, 40)))
         o = Ordering.from_vertex_at(rng.permutation(n))
-        win = Window(index=1, center=7, lo=3, hi=11)
+        win = WindowRow(index=1, center=7, lo=3, hi=11)
         res = mincut_sides(g, o, win)
         s = linopt_split(g, o, win)
         assert res.cut <= naive_split_cost(g, o, win, s) + 1e-9
@@ -762,7 +804,7 @@ def window_stage_case(draw, alphas=(0.0, 0.1, 1.0)):
     q = make_split_points(g, o, k, alpha).q
     how = draw(st.sampled_from(["chop", "in window", "anywhere"])) if k > 1 else "chop"
     if how == "in window":
-        inner = [draw(st.integers(w.lo, w.hi)) for w in make_windows(g, o, k, alpha)]
+        inner = [draw(st.integers(w.lo, w.hi)) for w in window_rows(make_windows(g, o, k, alpha))]
     elif how == "anywhere":
         inner = sorted(draw(st.sets(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1)))
     if how != "chop" and (np.diff([0, *inner, n]) > 0).all():
@@ -774,7 +816,7 @@ def window_stage_case(draw, alphas=(0.0, 0.1, 1.0)):
 @given(window_stage_case(), st.sampled_from(["mincut", "linopt"]))
 def test_window_stage_properties(case, method):
     g, o, splits, unit = case
-    windows = make_windows(g, o, splits.k, splits.alpha)
+    windows = window_rows(make_windows(g, o, splits.k, splits.alpha))
     o2, s2, _ = apply_window_stage(g, o, splits, method)
     o2.validate()
     assert s2.q[0] == 0 and s2.q[-1] == g.n and (np.diff(s2.q) > 0).all()
@@ -799,7 +841,7 @@ def test_window_stage_leaves_splits_outside_their_windows_alone():
     o = Ordering.identity(30)
     splits = dp_partition(contract_blocks(g, o, 30), 3, 0.6).split_points(0.6)
     assert splits.q.tolist() == [0, 4, 14, 30]
-    wins = make_windows(g, o, 3, 0.6)
+    wins = window_rows(make_windows(g, o, 3, 0.6))
     assert [(w.lo, w.hi) for w in wins] == [(7, 13), (17, 23)]
     for method in ("linopt", "mincut"):
         o2, s2, diag = apply_window_stage(g, o, splits, method)
@@ -811,7 +853,8 @@ def test_window_stage_leaves_splits_outside_their_windows_alone():
     rng = np.random.default_rng(4)
     g = random_graph(rng, 40, 110)
     o = Ordering.from_vertex_at(rng.permutation(40))
-    assert [(w.lo, w.hi) for w in make_windows(g, o, 4, 0.6)] == [(7, 13), (17, 23), (27, 33)]
+    wins = make_windows(g, o, 4, 0.6)
+    assert [(w.lo, w.hi) for w in window_rows(wins)] == [(7, 13), (17, 23), (27, 33)]
     mixed = SplitPoints(np.array([0, 4, 20, 30, 40]), 0.6)
     for method in ("linopt", "mincut"):
         o2, s2, diag = apply_window_stage(g, o, mixed, method)
@@ -825,7 +868,8 @@ def test_window_stage_leaves_splits_outside_their_windows_alone():
                    weights=[100.0 if i == 10 else 1.0 for i in range(23)])
     o = Ordering.identity(24)
     displaced = SplitPoints(np.array([0, 10, 11, 18, 24]), 1.0)
-    assert [(w.lo, w.hi) for w in make_windows(g, o, 4, 1.0)] == [(3, 9), (10, 15), (16, 21)]
+    wins = make_windows(g, o, 4, 1.0)
+    assert [(w.lo, w.hi) for w in window_rows(wins)] == [(3, 9), (10, 15), (16, 21)]
     for method in ("linopt", "mincut"):
         o2, s2, diag = apply_window_stage(g, o, displaced, method)
         assert [row[0] for row in diag] == [3]
@@ -835,11 +879,12 @@ def test_window_stage_leaves_splits_outside_their_windows_alone():
 def test_window_stage_gathers_each_window_once(monkeypatch):
     gathered = []
 
-    def counting_stage_edges(g, o, windows):
-        gathered.append([w.index for w in windows])
-        return _stage_edges(g, o, windows)
+    class CountingStageEdges(_StageEdges):
+        def __init__(self, g, o, windows):
+            gathered.append(windows.index.tolist())
+            super().__init__(g, o, windows)
 
-    monkeypatch.setattr(boundary, "_stage_edges", counting_stage_edges)
+    monkeypatch.setattr(boundary, "_StageEdges", CountingStageEdges)
     rng = np.random.default_rng(8)
     g = random_graph(rng, 40, 120)
     o = Ordering.from_vertex_at(rng.permutation(40))
@@ -933,7 +978,7 @@ def reference_window_stage(g, o, splits, method):
     """The window stage as a loop that gathers, solves and prices one
     window at a time."""
     optimize = reference_linopt_mask if method == "linopt" else reference_mincut_mask
-    windows = make_windows(g, o, splits.k, splits.alpha)
+    windows = window_rows(make_windows(g, o, splits.k, splits.alpha))
     if not windows:
         return o, splits, []
     tol = 1e-12 * max(1.0, g.total_edge_weight)
@@ -992,7 +1037,7 @@ def stage_oracle_cases():
     o = Ordering.from_vertex_at(rng.permutation(60))
     splits = make_split_points(g, o, 6, 0.3)
     q = splits.q.copy()
-    q[2] = make_windows(g, o, 6, 0.3)[1].hi + 2
+    q[2] = make_windows(g, o, 6, 0.3).hi[1] + 2
     yield g, o, SplitPoints(q, 0.3)
 
 
@@ -1051,7 +1096,7 @@ def test_window_stage_logs_one_summary_line(method, budget, monkeypatch, caplog)
         with caplog.at_level("INFO", logger="linepart.boundary"):
             o2, s2, rows = apply_window_stage(g, o, splits, method)
         name, counts = stage_summary(caplog)
-        windows = make_windows(g, o, splits.k, splits.alpha)
+        windows = window_rows(make_windows(g, o, splits.k, splits.alpha))
         tol = 1e-12 * max(1.0, g.total_edge_weight)
         want = Counter(ran=len(rows), skipped=len(windows) - len(rows),
                                    moved=sum(row[3] for row in rows))
@@ -1105,11 +1150,11 @@ def test_frozen_local_cut_matches_direct_count():
     for g, o, splits, j, half, mask in cases:
         lo = int(splits.q[j]) - half
         hi = int(splits.q[j]) + half
-        win = Window(index=j, center=int(splits.q[j]), lo=lo, hi=hi)
+        win = WindowRow(index=j, center=int(splits.q[j]), lo=lo, hi=hi)
         part_of = np.empty(n, dtype=np.int64)
         for p in range(4):
             part_of[o.vertex_at[splits.q[p] : splits.q[p + 1]]] = p
-        got = window_cut(window_edges(g, o, win), win, mask, splits.q)
+        got = window_cut(window_edges(g, o, win), mask, splits.q)
 
         side = part_of.copy()
         for i in range(hi - lo):
@@ -1127,9 +1172,9 @@ def test_frozen_local_cut_matches_direct_count():
 
     # the far-part edges (weights 3 and 2) count, and the internal edge
     # (weight 1) crosses the window split
-    far_win = Window(index=2, center=12, lo=10, hi=14)
+    far_win = WindowRow(index=2, center=12, lo=10, hi=14)
     far_edges = window_edges(far, Ordering.identity(n), far_win)
-    assert window_cut(far_edges, far_win, far_mask, far_splits.q) == 6.0
+    assert window_cut(far_edges, far_mask, far_splits.q) == 6.0
     # the window objective would see neither far-part edge
     assert window_objective(far_edges, far_win, far_mask, n) == 1.0
 

@@ -268,6 +268,19 @@ def test_blocks_below_one_exit_one(tmp_path, capsys, cliques):
             assert not out.exists()
 
 
+def test_combine_round_and_block_limits_exit_one(tmp_path, capsys, cliques):
+    for flags, message in (
+        (["--max-rounds", "0"], "minla_max_rounds must be at least 1"),
+        (["--stages", "dp", "--blocks", "9"], "dp block count 9 exceeds the 8 vertices"),
+    ):
+        out = tmp_path / "part.tsv"
+        code, _, err = run(capsys, "combine", "--graph", cliques, "-k", "2", "--alpha", "0.5",
+                           *flags, "-o", out)
+        assert code == 1
+        assert message in err
+        assert not out.exists()
+
+
 def test_weigh_queries(tmp_path, capsys):
     g = tmp_path / "path.tsv"
     g.write_text("a\tb\nb\tc\nc\td\nx\ty\n")

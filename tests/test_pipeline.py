@@ -181,7 +181,8 @@ def test_window_stages_start_from_in_window_splits(monkeypatch):
     handed = []
 
     def spy(g, o, s, method):
-        handed.append([(w.lo, int(s.q[w.index]), w.hi) for w in make_windows(g, o, s.k, s.alpha)])
+        wins = make_windows(g, o, s.k, s.alpha)
+        handed.append(list(zip(wins.lo.tolist(), s.q[wins.index].tolist(), wins.hi.tolist())))
         return apply_window_stage(g, o, s, method)
 
     monkeypatch.setattr(pipeline, "apply_window_stage", spy)
@@ -244,6 +245,19 @@ def test_config_validation():
         combine(g, PipelineConfig(k=2, alpha=0.0, initial_ordering="sorted"))
     with pytest.raises(ValueError, match="coordinates"):
         combine(g, PipelineConfig(k=2, alpha=0.0, initial_ordering="hilbert"))
+
+
+def test_round_and_block_limits_fail_before_the_ordering(monkeypatch):
+    # both used to raise only once a metric or dp stage ran, after the
+    # initial ordering (on an affinity start, the similarity) was built
+    built = []
+    monkeypatch.setattr(pipeline, "_initial_ordering", lambda g, cfg: built.append(cfg))
+    g = make_graph([(0, 1), (1, 2), (2, 3)], n=4)
+    with pytest.raises(ValueError, match="minla_max_rounds must be at least 1"):
+        combine(g, PipelineConfig(k=2, alpha=0.0, minla_max_rounds=0))
+    with pytest.raises(ValueError, match="dp block count 5 exceeds the 4 vertices"):
+        combine(g, PipelineConfig(k=2, alpha=0.0, stages=("dp",), dp_blocks=5))
+    assert built == []
 
 
 def test_random_and_hilbert_initial_orderings():
