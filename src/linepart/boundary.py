@@ -19,21 +19,21 @@ or the whole boundary set:
 
 The windows of a k-way split are one table (``Windows``): int64 arrays of
 the boundary index, center and [lo, hi] range, one entry per interior
-boundary, from placement to apply. A window stage gathers the edges of
-the windows it runs in one pass (``_StageEdges``), each row tagged with
-its window. The linear scan solves every window at once
-(``_stage_linopt``), each window's running sum one row of a padded array.
-The minimum cut solves every window over one flow network whose
+boundary, from placement to apply. A window stage gathers in one pass
+(``_StageEdges``) the edges whose cut its windows decide: an end in a
+window, the other end in one of the two parts beside its boundary. Each
+row is tagged with its window; an edge to any other part is cut whichever
+side its window end takes, so it is left out. These rows are the one
+definition of a window's cost. The linear scan solves every window at
+once (``_stage_linopt``), each window's running sum one row of a padded
+array. The minimum cut solves every window over one flow network whose
 components are the windows, one ``max_flow`` call each, with the
 capacities of all windows taken by one ``np.bincount`` each. Both return
-the windows' left masks laid end to end. The optimizers minimize the
-window objective, with everything before the window on the left and
-everything after on the right. One vectorized evaluator (``_stage_cuts``)
-prices every window's old and new masks for acceptance against the frozen
-current parts, since an edge to a part not next to the window is cut
-whichever side its window end takes. ``mincut_window`` is the one-window
-case of the minimum cut. Windows moved together can still interact, so
-``pipeline.combine`` enforces the never-raise rule on each whole stage.
+the windows' left masks laid end to end, and one ``np.bincount`` per mask
+prices them over the same rows; a window is applied only if it strictly
+lowers its cut. ``mincut_window`` is the one-window case of the minimum
+cut. Windows moved together can still interact, so ``pipeline.combine``
+enforces the never-raise rule on each whole stage.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def make_split_points(g: Graph, o: Ordering, k: int, alpha: float) -> SplitPoint
     With unit weights a center is the rank floor(j*n/k) whenever its
     window holds that rank.
     """
-    if alpha < 0:
+    if not alpha >= 0:  # also rejects NaN
         raise ValueError("alpha must be non-negative")
     centers = make_windows(g, o, k, alpha).center
     return SplitPoints(np.concatenate([[0], centers, [g.n]]), alpha)
@@ -195,71 +195,58 @@ def make_windows(g: Graph, o: Ordering, k: int, alpha: float) -> Windows:
 
 
 class _StageEdges:
-    """The edges of several disjoint windows, gathered in one pass.
+    """The edges whose cut the boundaries of several disjoint windows
+    decide, gathered in one pass: the one definition of a window's cost.
 
-    The windows' vertices are laid end to end: window j holds positions
-    start[j] .. start[j+1]-1, position start[j]+i being its ``offset`` i and
-    rank lo_j+i. Each edge row carries its window ``win``, the position
-    ``pos`` of its window end, the rank of its other end and its weight;
-    rows are grouped by window, in window order. Every edge with an end
-    among the windows' vertices is gathered once; an edge with both ends
-    inside one window appears at its lower-ranked end.
+    The windows' vertices are laid end to end: window i holds positions
+    start[i] .. start[i+1]-1, position start[i]+t being its ``offset`` t and
+    rank lo_i+t. Window i serves boundary j = index[i], and each of its
+    vertices ends in part j-1 or j, so only an edge whose other end lies in
+    those two parts, at ranks [q[j-1], q[j+1]), can change whether it is
+    cut; every other edge is cut whatever the window does, and is left out.
+    Each kept row carries its window ``win``, the position ``pos`` of its
+    window end and its weight. Its other end lies ``before`` the window,
+    ``after`` it, or inside it at position ``other`` (an edge with both
+    ends inside one window appears once, at its lower-ranked end); ``other``
+    is ``total`` for a before row and ``total`` + 1 for an after row, the
+    two blocks that stay left and right. Rows are grouped by window, in
+    window order. The solvers minimize this cost and ``cuts`` prices it.
     """
 
-    def __init__(self, g: Graph, o: Ordering, windows: Windows):
+    def __init__(self, g: Graph, o: Ordering, windows: Windows, q: np.ndarray):
         self.index, self.center, self.lo, self.hi = windows
         size = self.hi - self.lo
         self.start = np.concatenate([[0], np.cumsum(size)])
+        self.total = total = int(self.start[-1])
         self.win_of_pos = np.repeat(np.arange(len(size)), size)
-        self.offset = np.arange(self.start[-1]) - self.start[self.win_of_pos]
+        self.offset = np.arange(total) - self.start[self.win_of_pos]
         self.rank_of_pos = self.offset + self.lo[self.win_of_pos]
 
         members = o.vertex_at[self.rank_of_pos]
         first = g.adj_indptr[members]
         deg = g.adj_indptr[members + 1] - first
-        pos = np.repeat(np.arange(len(members)), deg)
+        pos = np.repeat(np.arange(total), deg)
         slot = np.repeat(first - (np.cumsum(deg) - deg), deg) + np.arange(len(pos))
         rank = o.rank_of[g.adj_indices[slot]]
         win = self.win_of_pos[pos]
-        keep = (rank < self.lo[win]) | (rank > self.rank_of_pos[pos])
-        self.win, self.pos, self.rank = win[keep], pos[keep], rank[keep]
-        self.w = g.adj_weights[slot[keep]]
+        lo = self.lo[win]
+        keep = ((q[self.index - 1][win] <= rank) & (rank < q[self.index + 1][win])
+                & ((rank < lo) | (rank > self.rank_of_pos[pos])))
+        self.win, self.pos, self.w = win[keep], pos[keep], g.adj_weights[slot[keep]]
+        rank, lo = rank[keep], lo[keep]
+        self.before, self.after = rank < lo, rank >= self.hi[self.win]
+        self.other = np.where(self.before, total, np.where(
+            self.after, total + 1, self.start[self.win] + rank - lo))
 
-    def sums(self, edge_mask: np.ndarray) -> np.ndarray:
-        """Each window's sum of the weights ``edge_mask`` selects, as
-        ``w[edge_mask].sum()`` over the window's own slice gives it: numpy's
-        pairwise summation groups a slice's terms by its length, so each
-        nonempty slice is summed alone."""
-        picked = self.w[edge_mask]
-        count = np.bincount(self.win[edge_mask], minlength=len(self.index))
-        ends = np.cumsum(count)
-        held = np.flatnonzero(count)
-        out = np.zeros(len(count))
-        out[held] = [picked[a:b].sum() for a, b in zip((ends - count)[held].tolist(),
-                                                       ends[held].tolist())]
-        return out
-
-
-def _stage_cuts(stage: _StageEdges, left_masks, q: np.ndarray) -> list[np.ndarray]:
-    """Each window's weight of edges whose ends land in different parts,
-    for each of ``left_masks``.
-
-    Window vertex p joins part index-1 of its window if ``mask[p]``, else
-    part index; every other vertex keeps its part under the split points
-    ``q`` (the frozen exterior).
-    """
-    win, rank = stage.win, stage.rank
-    lo = stage.lo[win]
-    part = np.searchsorted(q, rank, side="right") - 1
-    inside = np.flatnonzero((rank >= lo) & (rank < stage.hi[win]))
-    other = stage.start[win[inside]] + rank[inside] - lo[inside]
-    right_part = stage.index[stage.win_of_pos]
-    values = []
-    for mask in left_masks:
-        side = right_part - mask
-        part[inside] = side[other]
-        values.append(stage.sums(side[stage.pos] != part))
-    return values
+    def cuts(self, left_mask: np.ndarray) -> np.ndarray:
+        """Each window's cut weight with the vertices of ``left_mask`` on the
+        left: a before row is cut if its window end goes right, an after row
+        if it goes left, an inner row if its ends land on different sides.
+        One ``np.bincount`` sums each window's cut rows in row order."""
+        side = np.concatenate([left_mask, [True, False]])
+        cut = side[self.pos] != side[self.other]
+        # float even when no row is cut, where bincount returns int64 zeros
+        return np.bincount(self.win[cut], self.w[cut], len(self.index)).astype(float)
 
 
 # -- window optimizers ----------------------------------------------------
@@ -269,29 +256,26 @@ def _stage_linopt(stage: _StageEdges) -> np.ndarray:
     """Cheapest order-respecting split in every window via one prefix scan.
 
     Returns the left masks laid end to end, each a prefix of its window.
-    A window's objective at split lo+i is its edges to the before-block
-    plus the running sum of per-vertex changes over its first i positions.
-    Two ``np.bincount`` calls over the stage's edge rows take every
+    A window's cost at split lo+i is the weight of its before rows plus
+    the running sum of per-vertex changes over its first i positions.
+    ``np.bincount`` calls over the stage's rows take the base and every
     change, and each window's running sum is one row of a windows x
     (widest + 1) grid, so it adds in the window's own order. Ties go to
     the split closest to the balanced center, then to the smaller index.
     Runs in O(|V_W| + |E_W|) plus the grid.
     """
-    win, pos, rank, w = stage.win, stage.pos, stage.rank, stage.w
-    lo = stage.lo[win]
+    win, pos, w, before = stage.win, stage.pos, stage.w, stage.before
+    total = stage.total
     # Moving the split past a vertex starts cutting its edges to later
     # ranks and stops cutting those to earlier ranks.
-    ahead = rank >= lo
-    inner = np.flatnonzero(ahead & (rank < stage.hi[win]))
-    total = int(stage.start[-1])
-    delta = np.bincount(pos, np.where(ahead, w, -w), total)
-    other = stage.start[win[inner]] + rank[inner] - lo[inner]
-    delta -= np.bincount(other, w[inner], total)
+    delta = np.bincount(pos, np.where(before, -w, w), total)
+    delta -= np.bincount(stage.other, w, total + 2)[:total]
     size = stage.hi - stage.lo
     split = np.arange(size.max(initial=0) + 1)
     grid = np.zeros((len(size), len(split)))
     grid[stage.win_of_pos, stage.offset + 1] = delta
-    cost = np.cumsum(grid, axis=1) + stage.sums(~ahead)[:, None]
+    base = np.bincount(win[before], w[before], len(size))
+    cost = np.cumsum(grid, axis=1) + base[:, None]
     cost[split > size[:, None]] = np.inf
     # lowest cost, then nearest the center, then below it
     center = (stage.center - stage.lo)[:, None]
@@ -321,21 +305,17 @@ def _stage_mincut(
     """
     count = len(stage.index)
     size = stage.hi - stage.lo
-    total = int(stage.start[-1])
+    total = stage.total
     exceeded = np.zeros(count, dtype=bool)
     if total == 0:
         return np.zeros(0, dtype=bool), exceeded
-    win, pos, rank, w = stage.win, stage.pos, stage.rank, stage.w
+    win, pos, other, w = stage.win, stage.pos, stage.other, stage.w
+    before, after = stage.before, stage.after
     win_of_pos = stage.win_of_pos
-    lo = stage.lo[win]
-    before, after = rank < lo, rank >= stage.hi[win]
-    inner = ~before & ~after
-    other = stage.start[win] + rank - lo  # the other end's position, if inner
     src_cap = np.bincount(pos[before], w[before], total)
     snk_cap = np.bincount(pos[after], w[after], total)
-    # weights are non-negative: zero exactly when every incident edge is
-    incident = np.bincount(np.concatenate([pos, other[inner]]),
-                           np.concatenate([w, w[inner]]), total)
+    # weights are non-negative: zero exactly when every kept edge is
+    incident = np.bincount(pos, w, total) + np.bincount(other, w, total + 2)[:total]
 
     node = np.arange(total) + 2 * win_of_pos
     source = stage.start[1:] + 2 * np.arange(count)
@@ -343,7 +323,7 @@ def _stage_mincut(
     # edges to later window vertices (each with its weight both ways).
     src = np.flatnonzero(src_cap > 0)
     snk = np.flatnonzero(snk_cap > 0)
-    both = np.flatnonzero(inner & (w > 0))
+    both = np.flatnonzero((other < total) & (w > 0))
     owner = node[np.concatenate([src, snk, pos[both]])]
     tail = np.concatenate([source[win_of_pos[src]], node[snk], node[pos[both]]])
     head = np.concatenate([node[src], source[win_of_pos[snk]] + 1, node[other[both]]])
@@ -381,18 +361,21 @@ def mincut_window(
     g: Graph,
     o: Ordering,
     win: Windows,
+    q: np.ndarray,
     max_augmentations: int | None = None,
 ) -> tuple[np.ndarray, bool]:
-    """Best bipartition of the one window of ``win``, free to permute its
-    vertices.
+    """Best bipartition of the one window of ``win`` under the split points
+    ``q``, free to permute its vertices.
 
-    Everything before the window contracts into the source, everything after
-    into the sink; window-internal edges keep their weight in both
-    directions. The terminal capacities come from one ``np.bincount`` each
-    over the window's edge rows, and the network is built from those arc
+    The window's rows are those of ``_StageEdges``: edges to the part
+    before the window contract into the source, edges to the part after it
+    into the sink, and window-internal edges keep their weight in both
+    directions; edges to parts not beside the boundary are cut either way
+    and left out. The terminal capacities come from one ``np.bincount``
+    each over the window's rows, and the network is built from those arc
     arrays in one pass. Among minimum cuts the canonical source-side-minimal
     one is taken: the vertices the flow's last BFS still reaches in the
-    residual network. Vertices with no incident instance edges are
+    residual network. Vertices with no kept edge of positive weight are
     indifferent, so they are placed to pull the split toward the balanced
     center. Both sides keep their previous relative order, which makes a
     rerun a no-op. If the flow exceeds the augmentation budget (default
@@ -400,7 +383,7 @@ def mincut_window(
     left side as a window mask and whether the budget ran out. This is the
     one-window case of a window stage's ``_stage_mincut``.
     """
-    left, exceeded = _stage_mincut(_StageEdges(g, o, win), max_augmentations)
+    left, exceeded = _stage_mincut(_StageEdges(g, o, win, q), max_augmentations)
     if exceeded[0]:
         _log_fallback(int(win.index[0]))
     return left, bool(exceeded[0])
@@ -416,21 +399,21 @@ def apply_window_stage(
 
     Windows are disjoint, so every window is optimized against the same
     immutable snapshot and the results are applied together. One gather
-    collects the edges of all windows that run (``_StageEdges``); the
-    linear scan and the minimum cut each solve them all at once, and one
-    evaluator pass prices every window's old and new masks. A left mask is
-    accepted only if it does not increase the true local cut against the
-    frozen exterior (the window objective alone can overcount edges to
-    far-away parts as variable), and then the left vertices move before
-    the split, each side in its previous order. Window j runs only while
-    splits j-1, j and j+1 each lie in their own windows (splits 0 and k
-    always do): moving a split onto its window would carry vertices no
-    window prices, and a displaced neighbour could cross the window or push
-    a part beside it out of the alpha bound. Logs one summary line: windows
-    run and skipped, accepted windows that changed a split or the order,
-    accepted windows that changed nothing, rejected windows, vertices moved
-    and flow fallbacks. Returns the new ordering, the new split points, and
-    per-window diagnostic rows (window index, old local cut, new local cut,
+    collects the rows of all windows that run (``_StageEdges``); the
+    linear scan and the minimum cut each solve them all at once, and
+    ``_StageEdges.cuts`` prices every window's old and new masks over the
+    same rows. A window is accepted only if its new mask strictly lowers
+    its cut, by more than 1e-12 * max(1, w(E)); a window whose best cut
+    only ties its current one keeps its split and its order. An accepted
+    window's left vertices move before the split, each side in its
+    previous order. Window j runs only while splits j-1, j and j+1 each
+    lie in their own windows (splits 0 and k always do): moving a split
+    onto its window would carry vertices no window prices, and a displaced
+    neighbour could cross the window or push a part beside it out of the
+    alpha bound. Logs one summary line: windows run and skipped, accepted
+    windows (each changed a split or the order), rejected windows, vertices
+    moved and flow fallbacks. Returns the new ordering, the new split
+    points, and per-window diagnostic rows (window index, old cut, new cut,
     vertices moved) for the windows that ran.
     """
     if method not in ("linopt", "mincut"):
@@ -443,16 +426,16 @@ def apply_window_stage(
     current = q[windows.index]
     placed = np.concatenate([[True], (windows.lo <= current) & (current <= windows.hi), [True]])
     runs = placed[:-2] & placed[1:-1] & placed[2:]
-    stage = _StageEdges(g, o, Windows._make(a[runs] for a in windows))
+    stage = _StageEdges(g, o, Windows._make(a[runs] for a in windows), q)
     count = len(stage.index)
     if method == "linopt":
         new_mask, exceeded = _stage_linopt(stage), np.zeros(count, dtype=bool)
     else:
         new_mask, exceeded = _stage_mincut(stage)
-    old_mask = stage.rank_of_pos < q[stage.index][stage.win_of_pos]
-    old, new = _stage_cuts(stage, (old_mask, new_mask), q)
+    old = stage.cuts(stage.rank_of_pos < q[stage.index][stage.win_of_pos])
+    new = stage.cuts(new_mask)
 
-    accepted = new <= old + 1e-12 * max(1.0, g.total_edge_weight)
+    accepted = new < old - 1e-12 * max(1.0, g.total_edge_weight)
     take = accepted[stage.win_of_pos]
     members = o.vertex_at[stage.rank_of_pos]
     # each window's left vertices first, each side in its previous order
@@ -468,10 +451,9 @@ def apply_window_stage(
 
     for index in stage.index[exceeded].tolist():
         _log_fallback(index)
-    changed = accepted & ((moved > 0) | (split != q[stage.index]))
-    log.info("window stage\t%s\tran\t%d\tskipped\t%d\tchanged\t%d\tunchanged\t%d\trejected"
-             "\t%d\tmoved\t%d\tfallbacks\t%d", method, count, len(runs) - count, changed.sum(),
-             (accepted & ~changed).sum(), count - accepted.sum(), moved.sum(), exceeded.sum())
+    log.info("window stage\t%s\tran\t%d\tskipped\t%d\tchanged\t%d\trejected\t%d\tmoved\t%d"
+             "\tfallbacks\t%d", method, count, len(runs) - count, accepted.sum(),
+             count - accepted.sum(), moved.sum(), exceeded.sum())
     return Ordering.from_vertex_at(vertex_at), SplitPoints(new_q, splits.alpha), diagnostics
 
 

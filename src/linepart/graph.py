@@ -441,7 +441,7 @@ def balance_bounds(total_weight: float, k: int, alpha: float) -> tuple[float, fl
     same relative tolerance, so float noise in aggregated weights never
     decides the verdict.
     """
-    if alpha < 0:
+    if not alpha >= 0:  # also rejects NaN
         raise ValueError("alpha must be non-negative")
     target = total_weight / k
     tol = _REL_TOL * max(1.0, target)

@@ -57,7 +57,7 @@ class PipelineConfig:
             raise ValueError("k must be at least 1")
         if self.k > g.n:
             raise ValueError(f"cannot split {g.n} vertices into {self.k} parts")
-        if self.alpha < 0:
+        if not self.alpha >= 0:  # also rejects NaN
             raise ValueError("alpha must be non-negative")
         if self.initial_ordering not in INITIAL_ORDERINGS:
             raise ValueError(f"unknown initial ordering {self.initial_ordering!r}")

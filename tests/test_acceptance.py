@@ -32,6 +32,7 @@ from test_boundary import (
     mincut_sides,
     naive_split_cost,
     naive_window_cost,
+    two_parts,
 )
 
 NONMETRIC = ("swap", "linopt", "mincut", "dp")
@@ -110,7 +111,7 @@ def mincut_suite():
             )
             for bits in range(1 << len(members))
         )
-        suite.append((g, o, win, mincut_sides(g, o, win), brute))
+        suite.append((g, o, win, mincut_sides(g, o, win, two_parts(g, win)), brute))
     return suite
 
 
@@ -132,7 +133,7 @@ def test_criterion_03_linopt_matches_naive_scan():
         lo = int(rng.integers(1, 8))
         hi = min(lo + int(rng.integers(1, 14)), n - 1)
         win = WindowRow(index=1, center=(lo + hi) // 2, lo=lo, hi=hi)
-        s = linopt_split(g, o, win)
+        s = linopt_split(g, o, win, two_parts(g, win))
         best = min(naive_split_cost(g, o, win, c) for c in range(lo, hi + 1))
         assert naive_split_cost(g, o, win, s) == pytest.approx(best, abs=1e-9)
     print("\nPASS criterion 3: linear scan equals naive per-split evaluation "
@@ -141,11 +142,11 @@ def test_criterion_03_linopt_matches_naive_scan():
 
 def test_criterion_04_mincut_dominates_linopt(mincut_suite):
     for g, o, win, res, _brute in mincut_suite:
-        s = linopt_split(g, o, win)
+        s = linopt_split(g, o, win, two_parts(g, win))
         assert res.cut <= naive_split_cost(g, o, win, s) + 1e-9
     g, o, win = make_figure_instance()
-    lin = naive_split_cost(g, o, win, linopt_split(g, o, win))
-    cut = mincut_sides(g, o, win).cut
+    lin = naive_split_cost(g, o, win, linopt_split(g, o, win, two_parts(g, win)))
+    cut = mincut_sides(g, o, win, two_parts(g, win)).cut
     assert (lin, cut) == (4.0, 1.0)
     print("\nPASS criterion 4: min cut dominates the scan on every window; "
           "hand-built window improves 4 -> 1")

@@ -13,7 +13,6 @@ from linepart import boundary
 from linepart.boundary import (
     SplitPoints,
     Windows,
-    _stage_cuts,
     _stage_linopt,
     _StageEdges,
     apply_window_stage,
@@ -70,42 +69,44 @@ def table(win):
     return Windows._make(np.array([x], dtype=np.int64) for x in win)
 
 
-def window_edges(g, o, win):
-    """One window's edge rows, gathered as a stage gathers them."""
-    return _StageEdges(g, o, table(win))
+def two_parts(g, win):
+    """Split points of two parts around the one window ``win`` (boundary
+    1): everything before the window is part 0 and everything after it
+    part 1, so every edge with an end in the window is priced."""
+    return np.array([0, win.center, g.n])
 
 
-def window_cut(edges, left_mask, q):
+def window_edges(g, o, win, q):
+    """One window's edge rows under the split points ``q``, gathered as a
+    stage gathers them."""
+    return _StageEdges(g, o, table(win), q)
+
+
+def window_cut(edges, left_mask):
     """The stage evaluator's cut for one window and one mask."""
-    return _stage_cuts(edges, [left_mask], q)[0][0]
+    return edges.cuts(left_mask)[0]
 
 
-def linopt_split(g, o, win):
-    """The split the stage's linear scan picks for the one window ``win``,
-    after checking its mask is a prefix."""
-    mask = _stage_linopt(window_edges(g, o, win))
+def linopt_split(g, o, win, q):
+    """The split the stage's linear scan picks for the one window ``win``
+    under the split points ``q``, after checking its mask is a prefix."""
+    mask = _stage_linopt(window_edges(g, o, win, q))
     s = win.lo + int(mask.sum())
     assert mask.tolist() == [r < s for r in range(win.lo, win.hi)]
     return s
 
 
-def window_objective(edges, win, left_mask, n):
-    """``window_cut`` with everything before the window in part win.index-1
-    and everything after it in part win.index: the optimizers' objective."""
-    return window_cut(edges, left_mask, np.array([0] * win.index + [win.lo, n]))
-
-
 MincutSides = namedtuple("MincutSides", "cut split left right used_fallback")
 
 
-def mincut_sides(g, o, win, **kwargs):
-    """``mincut_window`` on the window: the window objective and split of
-    its mask, its left and right vertex lists (each in the ordering's
-    relative order), and its fallback flag."""
-    mask, used_fallback = mincut_window(g, o, table(win), **kwargs)
+def mincut_sides(g, o, win, q, **kwargs):
+    """``mincut_window`` on the window under the split points ``q``: the
+    cut and split of its mask, its left and right vertex lists (each in
+    the ordering's relative order), and its fallback flag."""
+    mask, used_fallback = mincut_window(g, o, table(win), q, **kwargs)
     members = o.vertex_at[win.lo : win.hi]
     return MincutSides(
-        window_objective(window_edges(g, o, win), win, mask, g.n),
+        window_cut(window_edges(g, o, win, q), mask),
         win.lo + int(mask.sum()),
         members[mask].tolist(),
         members[~mask].tolist(),
@@ -435,7 +436,7 @@ def test_linopt_picks_zero_weight_gap():
                    weights=[1, 1, 1, 0, 1, 1, 1])
     o = Ordering.identity(8)
     win = WindowRow(index=1, center=4, lo=2, hi=6)
-    s = linopt_split(g, o, win)
+    s = linopt_split(g, o, win, two_parts(g, win))
     assert s == 4
     assert naive_split_cost(g, o, win, s) == 0.0
 
@@ -453,7 +454,7 @@ def make_figure_instance():
 
 def test_linopt_figure_instance_cut_four():
     g, o, win = make_figure_instance()
-    s = linopt_split(g, o, win)
+    s = linopt_split(g, o, win, two_parts(g, win))
     assert naive_split_cost(g, o, win, s) == 4.0
     assert s == 2  # split right after window vertex 1
 
@@ -470,7 +471,7 @@ def test_linopt_matches_naive_evaluation():
         lo = int(rng.integers(1, 6))
         hi = int(rng.integers(lo, 13))
         win = WindowRow(index=1, center=int(rng.integers(lo, hi + 1)), lo=lo, hi=hi)
-        s = linopt_split(g, o, win)
+        s = linopt_split(g, o, win, two_parts(g, win))
         values = {cand: naive_split_cost(g, o, win, cand) for cand in range(lo, hi + 1)}
         assert naive_split_cost(g, o, win, s) == pytest.approx(min(values.values()))
         # tie rule: nothing strictly better, and among minima s is closest
@@ -486,7 +487,7 @@ def test_linopt_matches_naive_evaluation():
 
 def test_mincut_figure_instance_cut_one():
     g, o, win = make_figure_instance()
-    res = mincut_sides(g, o, win)
+    res = mincut_sides(g, o, win, two_parts(g, win))
     assert res.cut == 1.0
     assert sorted(res.left) == [1, 3, 7, 8]
     assert sorted(res.right) == [2, 4, 5, 6]
@@ -501,7 +502,7 @@ def test_mincut_no_edges_keeps_balanced_split_and_order():
     g = make_graph([], n=10)
     o = Ordering.identity(10)
     win = WindowRow(index=1, center=5, lo=2, hi=8)
-    res = mincut_sides(g, o, win)
+    res = mincut_sides(g, o, win, two_parts(g, win))
     assert res.split == 5
     assert res.left + res.right == [2, 3, 4, 5, 6, 7]
 
@@ -518,7 +519,7 @@ def test_mincut_matches_exhaustive_bipartitions():
         lo = int(rng.integers(1, 5))
         hi = lo + int(rng.integers(1, 11))
         win = WindowRow(index=1, center=(lo + hi) // 2, lo=lo, hi=hi)
-        res = mincut_sides(g, o, win)
+        res = mincut_sides(g, o, win, two_parts(g, win))
         members = [int(v) for v in o.vertex_at[lo:hi]]
         best = min(
             naive_window_cost(g, o, lo, hi, [v for i, v in enumerate(members) if (bits >> i) & 1])
@@ -535,16 +536,16 @@ def test_mincut_dominates_linopt():
         g = random_graph(rng, n, int(rng.integers(5, 40)))
         o = Ordering.from_vertex_at(rng.permutation(n))
         win = WindowRow(index=1, center=7, lo=3, hi=11)
-        res = mincut_sides(g, o, win)
-        s = linopt_split(g, o, win)
+        res = mincut_sides(g, o, win, two_parts(g, win))
+        s = linopt_split(g, o, win, two_parts(g, win))
         assert res.cut <= naive_split_cost(g, o, win, s) + 1e-9
 
 
 def test_mincut_budget_falls_back_to_scan():
     g, o, win = make_figure_instance()
     # the exact cut needs one augmenting path; a budget of none falls back
-    assert not mincut_sides(g, o, win, max_augmentations=1).used_fallback
-    res = mincut_sides(g, o, win, max_augmentations=0)
+    assert not mincut_sides(g, o, win, two_parts(g, win), max_augmentations=1).used_fallback
+    res = mincut_sides(g, o, win, two_parts(g, win), max_augmentations=0)
     assert res.used_fallback
     assert res.cut == 4.0  # the order-respecting optimum
     assert (res.left, res.right, res.split) == ([1], [2, 3, 4, 5, 6, 7, 8], 2)
@@ -552,11 +553,11 @@ def test_mincut_budget_falls_back_to_scan():
 
 def test_mincut_rerun_is_stable():
     g, o, win = make_figure_instance()
-    res = mincut_sides(g, o, win)
+    res = mincut_sides(g, o, win, two_parts(g, win))
     vertex_at = o.vertex_at.copy()
     vertex_at[win.lo : win.hi] = res.left + res.right
     o2 = Ordering.from_vertex_at(vertex_at)
-    res2 = mincut_sides(g, o2, win)
+    res2 = mincut_sides(g, o2, win, two_parts(g, win))
     assert res2.left + res2.right == res.left + res.right
     assert res2.split == res.split
 
@@ -817,9 +818,13 @@ def window_stage_case(draw, alphas=(0.0, 0.1, 1.0)):
 def test_window_stage_properties(case, method):
     g, o, splits, unit = case
     windows = window_rows(make_windows(g, o, splits.k, splits.alpha))
-    o2, s2, _ = apply_window_stage(g, o, splits, method)
+    o2, s2, rows = apply_window_stage(g, o, splits, method)
     o2.validate()
     assert s2.q[0] == 0 and s2.q[-1] == g.n and (np.diff(s2.q) > 0).all()
+    # a window changes its split or its order only if it lowers its cut
+    for index, old, new, moved in rows:
+        assert new <= old
+        assert (moved > 0 or s2.q[index] != splits.q[index]) == (new < old)
     inside = np.zeros(g.n, dtype=bool)
     for w in windows:
         inside[w.lo : w.hi] = True
@@ -832,6 +837,30 @@ def test_window_stage_properties(case, method):
     assert (o2.vertex_at[~inside] == o.vertex_at[~inside]).all()
     if unit and check_balance(g, Partition.from_contiguous(o, splits, g), splits.alpha).balanced:
         assert check_balance(g, Partition.from_contiguous(o2, s2, g), splits.alpha).balanced
+
+
+def test_window_stage_ignores_edges_to_parts_not_beside_the_boundary():
+    # k = 3 on 30 vertices in identity order: windows [7, 13] and [17, 23]
+    # around splits 10 and 20. Vertex 19 (part 1) has a heavy edge to vertex
+    # 2 in part 0, which is cut whichever side 19 takes, a light edge to 18
+    # inside the window and an edge to 25 in part 2. Priced as an edge
+    # before the window, as both solvers once did, the heavy edge keeps 19
+    # on the left and the window where it is.
+    g = make_graph([(19, 2), (19, 18), (19, 25)], n=30, weights=[10, 1, 3])
+    o = Ordering.identity(30)
+    splits = make_split_points(g, o, 3, 0.6)
+    win = WindowRow(index=2, center=20, lo=17, hi=23)
+    old = WindowRow(index=1, center=20, lo=17, hi=23)  # everything before is part 0
+    assert linopt_split(g, o, old, two_parts(g, old)) == 20
+    assert mincut_sides(g, o, old, two_parts(g, old)).left == [17, 18, 19]
+    # Only the edges to parts 1 and 2 count: 18 and 19 move right together
+    # and the window's cut falls from 3 to 0.
+    assert linopt_split(g, o, win, splits.q) == 18
+    assert mincut_sides(g, o, win, splits.q)[:3] == (0.0, 20, [17, 20, 21])
+    for method in ("linopt", "mincut"):
+        o2, s2, diag = apply_window_stage(g, o, splits, method)
+        assert [row[:3] for row in diag] == [(1, 0.0, 0.0), (2, 3.0, 0.0)]
+        assert cut_weight(g, Partition.from_contiguous(o2, s2, g))[0] == 10.0
 
 
 def test_window_stage_leaves_splits_outside_their_windows_alone():
@@ -880,9 +909,9 @@ def test_window_stage_gathers_each_window_once(monkeypatch):
     gathered = []
 
     class CountingStageEdges(_StageEdges):
-        def __init__(self, g, o, windows):
+        def __init__(self, g, o, windows, q):
             gathered.append(windows.index.tolist())
-            super().__init__(g, o, windows)
+            super().__init__(g, o, windows, q)
 
     monkeypatch.setattr(boundary, "_StageEdges", CountingStageEdges)
     rng = np.random.default_rng(8)
@@ -899,26 +928,39 @@ def test_window_stage_gathers_each_window_once(monkeypatch):
 # -- the window stage against its per-window loop ------------------------------
 
 
-def reference_window_edges(g, o, win):
-    """Per-window gather: (row, rank, w) of every edge with an end in the
-    window, an inner edge once, at its lower-ranked end."""
-    members = o.vertex_at[win.lo : win.hi]
-    start = g.adj_indptr[members]
-    deg = g.adj_indptr[members + 1] - start
-    row = np.repeat(np.arange(len(members)), deg)
-    slot = np.repeat(start - (np.cumsum(deg) - deg), deg) + np.arange(len(row))
-    rank = o.rank_of[g.adj_indices[slot]]
-    keep = (rank < win.lo) | (rank > win.lo + row)
-    return row[keep], rank[keep], g.adj_weights[slot[keep]]
+def reference_window_edges(g, o, win, q):
+    """Per-window gather, one adjacency slot at a time: (row, rank, w) of
+    every edge with an end in the window and the other end in one of the
+    two parts beside boundary win.index, ranks [q[index-1], q[index+1]);
+    an inner edge once, at its lower-ranked end."""
+    first, end = q[win.index - 1], q[win.index + 1]
+    rows = []
+    for row, v in enumerate(o.vertex_at[win.lo : win.hi].tolist()):
+        for slot in range(g.adj_indptr[v], g.adj_indptr[v + 1]):
+            r = int(o.rank_of[g.adj_indices[slot]])
+            if first <= r < end and not win.lo <= r <= win.lo + row:
+                rows.append((row, r, float(g.adj_weights[slot])))
+    return (np.array([x[0] for x in rows], dtype=np.int64),
+            np.array([x[1] for x in rows], dtype=np.int64),
+            np.array([x[2] for x in rows], dtype=np.float64))
 
 
-def reference_window_cut(edges, win, left_mask, q):
+def in_row_order(values):
+    """The sum of ``values`` added one by one, as ``np.bincount`` adds."""
+    total = 0.0
+    for x in values.tolist():
+        total += x
+    return total
+
+
+def reference_window_cut(edges, win, left_mask):
+    """One window's cut: a row's other end is left before the window,
+    right after it, and on its mask side inside it."""
     row, rank, w = edges
-    side = np.where(left_mask, win.index - 1, win.index)
-    part = np.searchsorted(q, rank, side="right") - 1
     inside = (rank >= win.lo) & (rank < win.hi)
-    part[inside] = side[rank[inside] - win.lo]
-    return float(w[side[row] != part].sum())
+    there = rank < win.lo
+    there[inside] = left_mask[rank[inside] - win.lo]
+    return in_row_order(w[left_mask[row] != there])
 
 
 def reference_linopt_mask(edges, win):
@@ -932,7 +974,7 @@ def reference_linopt_mask(edges, win):
     inner = ahead & (rank < hi)
     delta = np.bincount(row, np.where(ahead, w, -w), hi - lo)
     delta -= np.bincount(rank[inner] - lo, w[inner], hi - lo)
-    c = np.concatenate([[0.0], np.cumsum(delta)]) + w[~ahead].sum()
+    c = np.concatenate([[0.0], np.cumsum(delta)]) + in_row_order(w[~ahead])
     s = np.arange(lo, hi + 1)
     pick = int(np.lexsort((s, np.abs(s - win.center), c))[0])
     return np.arange(hi - lo) < pick
@@ -990,12 +1032,12 @@ def reference_window_stage(g, o, splits, method):
         j = win.index
         if not (placed[j - 1] and placed[j] and placed[j + 1]):
             continue
-        edges = reference_window_edges(g, o, win)
+        edges = reference_window_edges(g, o, win, splits.q)
         new_mask = optimize(edges, win)
         old_mask = np.arange(win.lo, win.hi) < splits.q[win.index]
-        old_value = reference_window_cut(edges, win, old_mask, splits.q)
-        new_value = reference_window_cut(edges, win, new_mask, splits.q)
-        accepted = new_value <= old_value + tol
+        old_value = reference_window_cut(edges, win, old_mask)
+        new_value = reference_window_cut(edges, win, new_mask)
+        accepted = new_value < old_value - tol
         moved = 0
         if accepted:
             members = o.vertex_at[win.lo : win.hi]
@@ -1085,8 +1127,8 @@ def test_window_stage_logs_one_summary_line(method, budget, monkeypatch, caplog)
     if budget is not None:
         monkeypatch.setattr(boundary, "_flow_budget", lambda size: budget)
     optimize = reference_linopt_mask if method == "linopt" else reference_mincut_mask
-    # a path at its balanced chop: every split cuts one edge, so linopt
-    # keeps each split, and its accepted windows change nothing
+    # a path at its balanced chop: every split cuts one edge, so linopt's
+    # best split only ties each current one, and both windows are rejected
     path = path_graph(30)
     cases = [*stage_oracle_cases(), (path, Ordering.identity(30),
                                      make_split_points(path, Ordering.identity(30), 3, 0.6))]
@@ -1102,28 +1144,27 @@ def test_window_stage_logs_one_summary_line(method, budget, monkeypatch, caplog)
                                    moved=sum(row[3] for row in rows))
         for index, old, _, moved in rows:
             win = windows[index - 1]
-            edges = reference_window_edges(g, o, win)
-            new = reference_window_cut(edges, win, optimize(edges, win), splits.q)
-            if new > old + tol:
-                want["rejected"] += 1
-            elif moved or s2.q[index] != splits.q[index]:
+            edges = reference_window_edges(g, o, win, splits.q)
+            new = reference_window_cut(edges, win, optimize(edges, win))
+            if new < old - tol:
+                assert moved or s2.q[index] != splits.q[index]
                 want["changed"] += 1
             else:
-                want["unchanged"] += 1
+                want["rejected"] += 1
         want["fallbacks"] = sum("linear-scan fallback" in m for m in caplog.messages)
         assert name == method
         assert counts == {key: want[key] for key in counts}
-        assert set(counts) == {"ran", "skipped", "changed", "unchanged", "rejected",
-                               "moved", "fallbacks"}
+        assert set(counts) == {"ran", "skipped", "changed", "rejected", "moved", "fallbacks"}
         totals.update(counts)
     if method == "linopt":  # the path, last
-        assert counts["unchanged"] == 2
-    assert totals["skipped"] and totals["changed"] and totals["unchanged"]
+        assert (counts["changed"], counts["rejected"]) == (0, 2)
+    assert totals["skipped"] and totals["changed"] and totals["rejected"]
     assert totals["fallbacks"] if budget else not totals["fallbacks"]
 
 
 def test_frozen_local_cut_matches_direct_count():
-    # the acceptance evaluator must agree with a direct edge classification
+    # the evaluator must agree with a direct classification of the edges
+    # inside the two parts beside the boundary
     rng = np.random.default_rng(31)
     n = 24
     cases = []
@@ -1139,7 +1180,8 @@ def test_frozen_local_cut_matches_direct_count():
         o = Ordering.from_vertex_at(rng.permutation(n))
         cases.append((g, o, make_split_points(g, o, 4, 0.3), 2, 2, rng.random(4) < 0.5))
     # window vertices adjacent to parts 0 and 3, which are not next to the
-    # window of boundary 2: those edges are cut whatever side is chosen
+    # window of boundary 2: those edges are cut whatever side is chosen, so
+    # they are not priced
     far = make_graph([(11, 2), (12, 22), (11, 12), (5, 6)], n=n, weights=[3, 2, 1, 4])
     far_splits = make_split_points(far, Ordering.identity(n), 4, 0.3)
     far_mask = np.array([True, True, False, False])
@@ -1154,7 +1196,7 @@ def test_frozen_local_cut_matches_direct_count():
         part_of = np.empty(n, dtype=np.int64)
         for p in range(4):
             part_of[o.vertex_at[splits.q[p] : splits.q[p + 1]]] = p
-        got = window_cut(window_edges(g, o, win), mask, splits.q)
+        got = window_cut(window_edges(g, o, win, splits.q), mask)
 
         side = part_of.copy()
         for i in range(hi - lo):
@@ -1166,17 +1208,18 @@ def test_frozen_local_cut_matches_direct_count():
             u, v = int(g.edge_u[e]), int(g.edge_v[e])
             if not (in_window[u] or in_window[v]):
                 continue
+            if not {part_of[u], part_of[v]} <= {j - 1, j}:
+                continue
             if side[u] != side[v]:
                 expected += float(g.edge_w[e])
         assert got == pytest.approx(expected)
 
-    # the far-part edges (weights 3 and 2) count, and the internal edge
-    # (weight 1) crosses the window split
+    # the far-part edges (weights 3 and 2) are not gathered, and the
+    # internal edge (weight 1) crosses the window split
     far_win = WindowRow(index=2, center=12, lo=10, hi=14)
-    far_edges = window_edges(far, Ordering.identity(n), far_win)
-    assert window_cut(far_edges, far_mask, far_splits.q) == 6.0
-    # the window objective would see neither far-part edge
-    assert window_objective(far_edges, far_win, far_mask, n) == 1.0
+    far_edges = window_edges(far, Ordering.identity(n), far_win, far_splits.q)
+    assert far_edges.w.tolist() == [1.0]
+    assert window_cut(far_edges, far_mask) == 1.0
 
 
 def test_hilbert_index_max_order_headroom():

@@ -281,6 +281,25 @@ def test_combine_round_and_block_limits_exit_one(tmp_path, capsys, cliques):
         assert not out.exists()
 
 
+def test_nan_alpha_exits_one(tmp_path, capsys):
+    # a 4-vertex path: a NaN alpha once ran and marked every state unbalanced
+    g = tmp_path / "path.tsv"
+    g.write_text("a\tb\nb\tc\nc\td\n")
+    order, part = tmp_path / "order.tsv", tmp_path / "part.tsv"
+    assert run(capsys, "order", "--method", "random", "--graph", g, "-o", order)[0] == 0
+    part.write_text("a\t0\nb\t0\nc\t1\nd\t1\n")
+    for argv in (
+        ["combine", "--graph", g, "-k", "2", "-o", tmp_path / "out.tsv"],
+        ["postprocess", "--method", "mincut", "--graph", g, "--ordering", order, "-k", "2",
+         "-o", tmp_path / "splits.txt"],
+        ["evaluate", "--graph", g, "--partition", part],
+    ):
+        code, _, err = run(capsys, *argv, "--alpha", "nan")
+        assert code == 1, argv[0]
+        assert "alpha must be non-negative" in err
+    assert not (tmp_path / "out.tsv").exists() and not (tmp_path / "splits.txt").exists()
+
+
 def test_weigh_queries(tmp_path, capsys):
     g = tmp_path / "path.tsv"
     g.write_text("a\tb\nb\tc\nc\td\nx\ty\n")

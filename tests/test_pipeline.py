@@ -129,6 +129,17 @@ def test_dp_stage_with_identity_blocks_matches_exhaustive():
         assert value == pytest.approx(min(best, start))
 
 
+def window_pair_raising_the_cut():
+    """30 vertices whose identity order, chopped at 10 and 20 (k = 3, alpha
+    0.6), has windows [7, 13] and [17, 23]. Window 1 moves vertex 9 into
+    part 1, trading its edge to 18 (weight 3) for its edge to 3 (2). Window
+    2 moves vertex 18 into part 2, trading its edge to 25 (2) for its edge
+    to 14 (1); it does not price the edge to 9, which lies in part 0. Each
+    window lowers its own cut by 1, but 9 and 18 land in parts 1 and 2, so
+    together they raise the cut from 5 to 6."""
+    return make_graph([(9, 3), (9, 18), (18, 14), (18, 25)], n=30, weights=[2, 3, 1, 2])
+
+
 def test_combine_rejects_a_cut_raising_proposal(monkeypatch):
     inputs = []
 
@@ -137,6 +148,12 @@ def test_combine_rejects_a_cut_raising_proposal(monkeypatch):
         return run_stage(stage, g, o, s, cfg, iteration, **kwargs)
 
     monkeypatch.setattr(pipeline, "run_stage", spy)
+    pair = window_pair_raising_the_cut()
+    for method in ("linopt", "mincut"):  # each window lowers its own cut
+        identity = Ordering.identity(30)
+        _, _, diag = apply_window_stage(pair, identity, make_split_points(pair, identity, 3, 0.6),
+                                        method)
+        assert [row[:3] for row in diag] == [(1, 3.0, 2.0), (2, 2.0, 1.0)]
     cases = [
         # the coarse dp optimum cuts more than the refined rank-level splits
         (ring_of_cliques(16, 8), PipelineConfig(
@@ -144,15 +161,16 @@ def test_combine_rejects_a_cut_raising_proposal(monkeypatch):
             stages=("metric", "swap", "linopt", "mincut", "dp"),
             seed=0, max_outer_iters=3, dp_blocks=20,
         ), {"dp"}),
-        # in-window moves that each pass acceptance against the frozen
-        # exterior raise the cut together: adjacent windows share edges
-        (random_graph(np.random.default_rng(33), 70, 180), PipelineConfig(
-            k=6, alpha=1.0, initial_ordering="random",
-            stages=("metric", "swap", "linopt", "mincut"),
-            seed=33, max_outer_iters=4,
+        # two adjacent windows that each strictly lower their own cut raise
+        # the cut together, from the identity order
+        (pair, PipelineConfig(
+            k=3, alpha=0.6, initial_ordering="random", stages=("linopt", "mincut"),
+            max_outer_iters=2,
         ), {"linopt", "mincut"}),
     ]
     for g, cfg, expected in cases:
+        if g is pair:
+            monkeypatch.setattr(pipeline, "random_ordering", lambda g, seed: Ordering.identity(g.n))
         inputs.clear()
         report = combine(g, cfg)
         assert "final state replaced by best intermediate state" not in report.warnings
