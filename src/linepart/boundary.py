@@ -300,8 +300,11 @@ def _stage_mincut(
     is solved with its own budget (``max_augmentations``, or by default
     ``_flow_budget`` of its size) and epsilon, 1e-12 * max(1, the
     window's largest capacity). A window whose budget runs out takes its
-    slice of one ``_stage_linopt`` scan instead. Returns the left masks
-    laid end to end and, per window, whether its budget ran out.
+    slice of one ``_stage_linopt`` scan instead. An idle window, one with
+    no kept row of positive weight, has no arc in the network and gets no
+    ``max_flow`` call: every side choice leaves its cut at 0, and its
+    vertices are all indifferent. Returns the left masks laid end to end
+    and, per window, whether its budget ran out.
     """
     count = len(stage.index)
     size = stage.hi - stage.lo
@@ -335,7 +338,7 @@ def _stage_mincut(
     net = FlowNetwork(total + 2 * count, *(a[arcs] for a in (tail, head, cap, cap_rev)))
 
     for j, (s, nw, big) in enumerate(zip(source.tolist(), size.tolist(), largest.tolist())):
-        if nw:
+        if big > 0:  # every arc has positive capacity: 0 only for an idle window
             budget = _flow_budget(nw) if max_augmentations is None else max_augmentations
             exceeded[j] = net.max_flow(s, s + 1, budget, 1e-12 * max(1.0, big))[1]
     free = incident <= 0.0
@@ -410,11 +413,14 @@ def apply_window_stage(
     lie in their own windows (splits 0 and k always do): moving a split
     onto its window would carry vertices no window prices, and a displaced
     neighbour could cross the window or push a part beside it out of the
-    alpha bound. Logs one summary line: windows run and skipped, accepted
-    windows (each changed a split or the order), rejected windows, vertices
-    moved and flow fallbacks. Returns the new ordering, the new split
-    points, and per-window diagnostic rows (window index, old cut, new cut,
-    vertices moved) for the windows that ran.
+    alpha bound. A window whose kept rows all weigh 0 is idle: no side
+    choice changes its cut, so it is never accepted, and the minimum cut
+    gives it no ``max_flow`` call. Logs one summary line: windows run,
+    skipped (a split displaced) and idle, accepted windows (each changed a
+    split or the order), rejected windows, vertices moved and flow
+    fallbacks. Returns the new ordering, the new split points, and
+    per-window diagnostic rows (window index, old cut, new cut, vertices
+    moved) for the windows gathered, idle ones included.
     """
     if method not in ("linopt", "mincut"):
         raise ValueError(f"unknown window method {method!r}")
@@ -451,9 +457,10 @@ def apply_window_stage(
 
     for index in stage.index[exceeded].tolist():
         _log_fallback(index)
-    log.info("window stage\t%s\tran\t%d\tskipped\t%d\tchanged\t%d\trejected\t%d\tmoved\t%d"
-             "\tfallbacks\t%d", method, count, len(runs) - count, accepted.sum(),
-             count - accepted.sum(), moved.sum(), exceeded.sum())
+    idle = count - np.count_nonzero(np.bincount(stage.win[stage.w > 0], minlength=count))
+    log.info("window stage\t%s\tran\t%d\tskipped\t%d\tidle\t%d\tchanged\t%d\trejected\t%d"
+             "\tmoved\t%d\tfallbacks\t%d", method, count - idle, len(runs) - count, idle,
+             accepted.sum(), count - idle - accepted.sum(), moved.sum(), exceeded.sum())
     return Ordering.from_vertex_at(vertex_at), SplitPoints(new_q, splits.alpha), diagnostics
 
 

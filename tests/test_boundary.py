@@ -1140,12 +1140,16 @@ def test_window_stage_logs_one_summary_line(method, budget, monkeypatch, caplog)
         name, counts = stage_summary(caplog)
         windows = window_rows(make_windows(g, o, splits.k, splits.alpha))
         tol = 1e-12 * max(1.0, g.total_edge_weight)
-        want = Counter(ran=len(rows), skipped=len(windows) - len(rows),
-                                   moved=sum(row[3] for row in rows))
+        want = Counter(skipped=len(windows) - len(rows), moved=sum(row[3] for row in rows))
         for index, old, _, moved in rows:
             win = windows[index - 1]
             edges = reference_window_edges(g, o, win, splits.q)
             new = reference_window_cut(edges, win, optimize(edges, win))
+            if not (edges[2] > 0).any():  # idle: every side choice cuts 0
+                assert (old, new, moved) == (0.0, 0.0, 0)
+                want["idle"] += 1
+                continue
+            want["ran"] += 1
             if new < old - tol:
                 assert moved or s2.q[index] != splits.q[index]
                 want["changed"] += 1
@@ -1154,12 +1158,37 @@ def test_window_stage_logs_one_summary_line(method, budget, monkeypatch, caplog)
         want["fallbacks"] = sum("linear-scan fallback" in m for m in caplog.messages)
         assert name == method
         assert counts == {key: want[key] for key in counts}
-        assert set(counts) == {"ran", "skipped", "changed", "rejected", "moved", "fallbacks"}
+        assert set(counts) == {"ran", "skipped", "idle", "changed", "rejected", "moved",
+                               "fallbacks"}
         totals.update(counts)
     if method == "linopt":  # the path, last
         assert (counts["changed"], counts["rejected"]) == (0, 2)
-    assert totals["skipped"] and totals["changed"] and totals["rejected"]
+    assert totals["skipped"] and totals["idle"] and totals["changed"] and totals["rejected"]
     assert totals["fallbacks"] if budget else not totals["fallbacks"]
+
+
+def test_idle_windows_get_no_max_flow_call(monkeypatch, caplog):
+    # a window whose kept rows all weigh 0 is solved without a flow: one
+    # max_flow call per window that ran, and the stage's output unchanged
+    calls = []
+    real = FlowNetwork.max_flow
+
+    def counted(self, s, t, *args):
+        calls.append(s)
+        return real(self, s, t, *args)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", counted)
+    idle = 0
+    for g, o, splits in stage_oracle_cases():
+        calls.clear()
+        caplog.clear()
+        with caplog.at_level("INFO", logger="linepart.boundary"):
+            got = apply_window_stage(g, o, splits, "mincut")
+        _, counts = stage_summary(caplog)
+        assert len(calls) == counts["ran"]
+        assert_same_stage(got, reference_window_stage(g, o, splits, "mincut"))
+        idle += counts["idle"]
+    assert idle
 
 
 def test_frozen_local_cut_matches_direct_count():
