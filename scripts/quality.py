@@ -16,8 +16,11 @@ median and quartiles of the ratios, the seeds better, worse and equal, and
 the p-value of an exact two-sided sign test over the unequal seeds. Per
 side it prints the unbalanced outputs and the stage rejections. ``--json
 F`` writes all of it, with the per-seed mean cuts, as one JSON object.
+``--initial affinity`` (or ``random``) replaces every workload's initial
+ordering with that one, so a change to the similarity or the pass schedule
+is judged on all three families from the same kind of start.
 
-    python3 scripts/quality.py --ref ../linepart-parent [--seeds 20] [--json F]
+    python3 scripts/quality.py --ref ../linepart-parent [--seeds 20] [--initial affinity] [--json F]
 """
 
 import argparse
@@ -86,12 +89,22 @@ def summary(ratios: list[float]) -> dict:
             "equal": len(ratios) - better - worse, "sign_p": sign_test(better, worse)}
 
 
+def with_initial(argv: list[str], initial: str) -> list[str]:
+    """``argv`` with its ``--initial`` flag, if any, replaced by ``initial``."""
+    if "--initial" in argv:
+        at = argv.index("--initial")
+        argv = argv[:at] + argv[at + 2:]
+    return argv + ["--initial", initial]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--ref", required=True, metavar="DIR",
                     help="root of the checkout to compare with")
     ap.add_argument("--seeds", type=int, default=20, metavar="N")
+    ap.add_argument("--initial", choices=("random", "affinity"),
+                    help="initial ordering of every workload (default: the workload's own)")
     ap.add_argument("--json", metavar="F", help="also write the results as JSON here")
     args = ap.parse_args()
     sides = {"change": ROOT / "src", "ref": Path(args.ref).resolve() / "src"}
@@ -107,7 +120,10 @@ def main() -> int:
             for name, w in workloads.WORKLOADS.items():
                 for i in range(bench.INSTANCES[name]):
                     inputs = workloads.generate(name, seed, i, work / name / str(i))
-                    argvs.append(bench.combine_argv(w, inputs, work / "partition.tsv"))
+                    argv = bench.combine_argv(w, inputs, work / "partition.tsv")
+                    if args.initial:
+                        argv = with_initial(argv, args.initial)
+                    argvs.append(argv)
                     owners.append(name)
             manifest = work / "manifest.json"
             manifest.write_text(json.dumps(argvs), encoding="utf-8")
@@ -119,7 +135,7 @@ def main() -> int:
             print(f"seed {seed} done", file=sys.stderr, flush=True)
 
     result = {"ref": str(Path(args.ref).resolve()), "seeds": args.seeds, "bound": BOUND,
-              "workloads": {}}
+              "initial": args.initial, "workloads": {}}
     print("workload\tmedian\tq1\tq3\tbetter\tworse\tequal\tsign_p"
           "\tunbalanced\tref_unbalanced\trejections\tref_rejections")
     for name in names:

@@ -48,6 +48,11 @@ _REL_TOL = 1e-9
 # in flight.
 _PROBE_BITS = 16
 
+# Out-neighbours a vertex pairs in the similarity: its lowest-ranked ones.
+# Only a vertex with more out-neighbours than this drops wedges, and under
+# the (degree, id) orientation that is rare outside hub-heavy graphs.
+_WEDGE_BUDGET = 16
+
 
 class GraphFormatError(ValueError):
     """Malformed input data; message carries file name and line number."""
@@ -323,19 +328,25 @@ class BalanceReport:
 
 
 def common_neighbors_similarity(g: Graph) -> Graph:
-    """Reweight every edge by the common-neighbor ratio of its endpoints.
+    """Reweight every edge by the common-neighbor ratio of its endpoints,
+    counting the common neighbours under a per-vertex wedge budget.
 
-    For edge (u, v) the weight becomes |N(u) & N(v)| / |(N(u) | N(v)) - {u, v}|;
-    edges whose endpoints have no third neighbor get weight 0. Input edge
-    weights are ignored; only the adjacency structure matters.
+    For edge (u, v) the weight becomes t(u, v) / (deg u + deg v - t(u, v) - 2),
+    where t(u, v) counts the triangles on the edge that the budget keeps;
+    edges with no such triangle get weight 0. Input edge weights are
+    ignored; only the adjacency structure matters.
 
-    |N(u) & N(v)| is the number of triangles on the edge, counted by the
-    degree-ordered wedge method (Schank & Wagner 2005; Latapy 2008): rank
-    the vertices by (degree, id), orient every edge toward its higher-ranked
-    end, and test each pair of a vertex's out-neighbours against the sorted
-    edge keys. Every triangle is found exactly once, from its lowest-ranked
-    vertex. The cost is sum(C(outdeg, 2)) binary searches, which on
-    power-law graphs is far below the plain wedge count sum(C(deg, 2)).
+    Triangles are listed by the degree-ordered wedge method (Schank &
+    Wagner 2005; Latapy 2008): rank the vertices by (degree, id), orient
+    every edge toward its higher-ranked end, and test each pair of a
+    vertex's out-neighbours against the sorted edge keys. The budget
+    (Seshadhri, Pinar & Kolda 2013 bound wedges per vertex the same way):
+    each vertex pairs only its ``_WEDGE_BUDGET`` lowest-ranked
+    out-neighbours, so a triangle counts exactly when its lowest-ranked
+    vertex keeps both other ends. On a graph whose out-degrees are all at
+    most the budget, t(u, v) = |N(u) & N(v)| and the weight is the exact
+    ratio |N(u) & N(v)| / |(N(u) | N(v)) - {u, v}|. The cost is at most
+    C(budget, 2) binary searches per vertex, against sum(C(outdeg, 2)).
     The pairs are probed in chunks of 2**_PROBE_BITS, each sorted by key
     before its search, and threads share the chunks (``_work.share``);
     the counts are integers, so the output does not depend on the thread
@@ -351,18 +362,35 @@ def common_neighbors_similarity(g: Graph) -> Graph:
     # Out-lists: the CSR arcs toward a higher-ranked end, still sorted by id.
     src = np.repeat(np.arange(n), deg)
     up = rank[g.adj_indices] > rank[src]
+    owner = src[up]
+    del src
+    out_deg = np.bincount(owner, minlength=n)
+    budget = np.minimum(out_deg, _WEDGE_BUDGET)
+    dropped = int((out_deg * (out_deg - 1) - budget * (budget - 1)).sum()) // 2
+    # An over-budget list keeps its lowest-ranked arcs, still in id order.
+    over = np.flatnonzero(out_deg[owner] > _WEDGE_BUDGET)
+    del out_deg
+    if len(over):
+        slot = np.flatnonzero(up)[over]
+        owner = owner[over]
+        del over
+        by_rank = np.argsort(owner * np.int64(n) + rank[g.adj_indices[slot]])
+        owner = owner[by_rank]  # lists stay grouped, each now by rank
+        late = np.arange(len(owner)) - np.searchsorted(owner, owner) >= _WEDGE_BUDGET
+        up[slot[by_rank[late]]] = False
+        del slot, by_rank, late
+    del owner
     out_v = g.adj_indices[up]
     out_e = g.adj_edge[up]
-    owner = src[up]
-    out_end = np.cumsum(np.bincount(owner, minlength=n))[owner]
-    del src, up, owner
+    del up
 
     # Out-arc p pairs with every later arc of the same list; pairs are
     # numbered consecutively, arc by arc, so a chunk is a range of numbers.
-    pairs = out_end - 1 - np.arange(len(out_v))
+    pairs = np.repeat(np.cumsum(budget), budget) - 1 - np.arange(len(out_v))
+    del budget
     pair_end = np.cumsum(pairs)
     pair_start = pair_end - pairs
-    del out_end, pairs
+    del pairs
     wedges = int(pair_end[-1]) if m else 0
 
     keys = g.edge_u * np.int64(n) + g.edge_v
@@ -409,10 +437,11 @@ def common_neighbors_similarity(g: Graph) -> Graph:
                 np.add.at(tri, e, 1)
 
     workers = share(probe, -(-wedges // chunk))
-    log.info("similarity\twedges\t%d\ttriangles\t%d\tworkers\t%d",
-             wedges, int(tri.sum()) // 3, workers)
+    log.info("similarity\tbudget\t%d\twedges\t%d\tdropped\t%d\ttriangles\t%d\tworkers\t%d",
+             _WEDGE_BUDGET, wedges, dropped, int(tri.sum()) // 3, workers)
 
-    # Same integers as a per-edge set intersection, so the same float64 ratio.
+    # Within the budget, the same integers as a per-edge set intersection,
+    # so the same float64 ratio.
     denom = deg[g.edge_u] + deg[g.edge_v] - tri - 2
     new_w = np.zeros(m, dtype=np.float64)
     np.divide(tri, denom, out=new_w, where=denom > 0)

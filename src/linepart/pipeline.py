@@ -2,8 +2,8 @@
 
 One run weights the graph for affinity, embeds the vertices on a line, sets
 the balanced split points, then repeats the configured stage list until a
-full pass changes neither the ordering nor the splits (or the iteration cap
-is hit). Each stage only proposes a new state (``run_stage``); ``combine``
+full pass changes neither the ordering nor the splits, a pass after the
+first stops paying (``_STOP_GAIN``), or the iteration cap is hit. Each stage only proposes a new state (``run_stage``); ``combine``
 prices a proposal once, if it changed the state, and enforces the
 never-raise rule: the metric stage optimizes the linear-arrangement
 objective and may move the cut either way, while a proposal of any other
@@ -38,6 +38,10 @@ log = logging.getLogger(__name__)
 
 STAGES = ("metric", "swap", "linopt", "mincut", "dp")
 INITIAL_ORDERINGS = ("random", "hilbert", "affinity")
+
+# A balanced pass end after pass 1 that is not below (1 - _STOP_GAIN) times
+# the lowest earlier pass-end cut stops the pass loop.
+_STOP_GAIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -107,6 +111,9 @@ class PipelineReport:
     initial_cut_fraction: float
     final_cut_fraction: float
     warnings: list[str] = field(default_factory=list)
+    # why the pass loop ended: "converged" (a pass changed nothing),
+    # "no_gain" (the stop rule of ``combine``) or "cap" (max_outer_iters)
+    stop: str = "cap"
 
 
 def _state_cut(g: Graph, o: Ordering, s: SplitPoints) -> tuple[float, float, Partition]:
@@ -172,11 +179,18 @@ def _initial_ordering(g: Graph, cfg: PipelineConfig) -> Ordering:
 def combine(g: Graph, cfg: PipelineConfig) -> PipelineReport:
     """Full pipeline: similarity, embedding, balanced splits, stage loop.
 
-    Deterministic given (graph bytes, config, seed). The final state is,
-    among the initial chop and every pass-end state that cuts no more than
-    it, the lowest cut of the balanced ones, or of all if none is balanced.
-    So the reported cut never exceeds the initial ordering's chop, and an
-    unequal-weight run ends unbalanced only if every such state is.
+    Deterministic given (graph bytes, config, seed). The pass loop ends
+    after a pass that changes neither the ordering nor the splits
+    (``converged``); after a pass p >= 2 whose end state is balanced and
+    cuts no less than (1 - ``_STOP_GAIN``) times the lowest earlier
+    pass-end cut (``no_gain``); or after ``max_outer_iters`` passes
+    (``cap``). The final state is, among the initial chop and every
+    pass-end state that cuts no more than it, the lowest cut of the
+    balanced ones, or of all if none is balanced. So the reported cut never
+    exceeds the initial ordering's chop, and an unequal-weight run ends
+    unbalanced only if every such state is. Logs one line
+    ``combine stop <reason> passes <n> reverted <0|1>``, reverted being 1
+    when that state is not the last pass end.
     """
     cfg.validate(g)
     ordering = _initial_ordering(g, cfg)
@@ -196,7 +210,8 @@ def combine(g: Graph, cfg: PipelineConfig) -> PipelineReport:
     # (unbalanced, cut) of the best state cutting no more than the initial chop
     best_key = (not bal0, w0)
     best_state = (ordering.copy(), splits.copy(), f0, part0)
-    converged = False
+    stop = "cap"
+    lowest_end = np.inf  # the lowest pass-end cut so far
     iterations = 0
     for it in range(1, cfg.max_outer_iters + 1):
         iterations = it
@@ -227,23 +242,29 @@ def combine(g: Graph, cfg: PipelineConfig) -> PipelineReport:
         if np.array_equal(pass_start[0], ordering.vertex_at) and np.array_equal(
             pass_start[1], splits.q
         ):
-            converged = True
+            stop = "converged"
             break
+        if bal and cw >= (1 - _STOP_GAIN) * lowest_end:
+            stop = "no_gain"
+            break
+        lowest_end = min(lowest_end, cw)
 
     final_f, partition = cf, part
-    if cw > w0 or (not bal, cw) > best_key:
+    reverted = cw > w0 or (not bal, cw) > best_key
+    if reverted:
         ordering, splits, final_f, partition = best_state
         warnings.append("final state replaced by best intermediate state")
-        log.info("combine\treverted to best intermediate state")
+    log.info("combine\tstop\t%s\tpasses\t%d\treverted\t%d", stop, iterations, reverted)
 
     return PipelineReport(
         records=records,
         partition=partition,
         ordering=ordering,
         splits=splits,
-        converged=converged,
+        converged=stop == "converged",
         iterations=iterations,
         initial_cut_fraction=f0,
         final_cut_fraction=final_f,
         warnings=warnings,
+        stop=stop,
     )

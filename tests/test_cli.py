@@ -376,6 +376,26 @@ def test_combine_runs_without_scipy(tmp_path, cliques):
     assert (tmp_path / "part.out").exists()
 
 
+def test_combine_verbose_logs_why_the_pass_loop_stopped(tmp_path, cliques):
+    # -v adds one stop line to the log; stdout is the same with or without it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    procs = [
+        subprocess.run(
+            [sys.executable, "-m", "linepart.cli", *flags, "combine", "--graph", str(cliques),
+             "-k", "2", "--alpha", "0", "-o", str(tmp_path / "part.out")],
+            env=env, capture_output=True, text=True,
+        )
+        for flags in ([], ["-v"])
+    ]
+    assert [p.returncode for p in procs] == [0, 0]
+    assert procs[0].stdout == procs[1].stdout
+    assert "converged\ttrue" in procs[0].stdout.splitlines()
+    stops = [line for line in procs[1].stderr.splitlines() if line.startswith("combine\tstop")]
+    assert stops == ["combine\tstop\tconverged\tpasses\t1\treverted\t0"]
+    assert "combine\tstop" not in procs[0].stderr
+
+
 @pytest.mark.parametrize(
     "script", sorted(p.name for p in (Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 )

@@ -1,6 +1,7 @@
 """Graph model, similarity weighting, and metric tests."""
 
 import io as stdio
+import itertools
 import threading
 import tracemalloc
 
@@ -190,10 +191,21 @@ def test_similarity_ratio_case():
     assert s.edge_w[edge[0]] == pytest.approx(1 / 3)
 
 
+def higher_neighbours(g):
+    """Per vertex, its neighbours of higher (degree, id) rank, lowest first."""
+    deg = np.diff(g.adj_indptr).tolist()
+    rank = {v: r for r, v in enumerate(sorted(range(g.n), key=lambda v: (deg[v], v)))}
+    indices, indptr = g.adj_indices.tolist(), g.adj_indptr.tolist()
+    return [sorted((y for y in indices[indptr[x] : indptr[x + 1]] if rank[y] > rank[x]),
+                   key=rank.__getitem__) for x in range(g.n)]
+
+
 def test_similarity_matches_brute_force():
     rng = np.random.default_rng(7)
     for _ in range(25):
         g = random_graph(rng, int(rng.integers(3, 16)), int(rng.integers(2, 40)))
+        # within the wedge budget the similarity is the exact ratio
+        assert max(map(len, higher_neighbours(g))) <= 16
         s = common_neighbors_similarity(g)
         for e in range(g.edge_count):
             u, v = int(g.edge_u[e]), int(g.edge_v[e])
@@ -202,29 +214,32 @@ def test_similarity_matches_brute_force():
 
 
 def reference_similarity(g):
-    """The per-edge sorted-intersection loop the wedge kernel replaced."""
-    deg = np.diff(g.adj_indptr)
+    """A per-triangle loop under a budget of 16 wedge ends per vertex: each
+    vertex keeps its 16 lowest-ranked higher neighbours (rank by degree,
+    then id), and a triangle counts on its three edges when its
+    lowest-ranked vertex keeps both other ends."""
+    deg = np.diff(g.adj_indptr).tolist()
+    edge_of = {(u, v): e for e, (u, v) in enumerate(zip(g.edge_u.tolist(), g.edge_v.tolist()))}
+    tri = [0] * g.edge_count
+    for x, kept in enumerate(higher_neighbours(g)):
+        for a, b in itertools.combinations(kept[:16], 2):
+            ab = edge_of.get((min(a, b), max(a, b)))
+            if ab is not None:
+                for e in (edge_of[min(x, a), max(x, a)], edge_of[min(x, b), max(x, b)], ab):
+                    tri[e] += 1
     new_w = np.zeros(g.edge_count, dtype=np.float64)
-    indptr, indices = g.adj_indptr, g.adj_indices
-    for e in range(g.edge_count):
-        u = g.edge_u[e]
-        v = g.edge_v[e]
-        if deg[u] > deg[v]:
-            u, v = v, u
-        small = indices[indptr[u] : indptr[u + 1]]
-        big = indices[indptr[v] : indptr[v + 1]]
-        pos = np.searchsorted(big, small)
-        pos[pos == len(big)] = 0  # harmless: compared entry then mismatches
-        common = int(np.count_nonzero(big[pos] == small))
-        denom = int(deg[g.edge_u[e]]) + int(deg[g.edge_v[e]]) - common - 2
+    for e, (u, v) in enumerate(zip(g.edge_u.tolist(), g.edge_v.tolist())):
+        denom = deg[u] + deg[v] - tri[e] - 2
         if denom > 0:
-            new_w[e] = common / denom
+            new_w[e] = tri[e] / denom
     return new_w
 
 
 def similarity_oracle_inputs():
     star = make_graph([(0, v) for v in range(1, 40)])
     k9 = make_graph([(u, v) for u in range(9) for v in range(u + 1, 9)])
+    # out-degrees 19, 18 and 17 exceed the wedge budget of 16
+    k20 = make_graph([(u, v) for u in range(20) for v in range(u + 1, 20)])
     # isolated vertices 0, 5, 11; zero-weight edges; three components with edges
     mixed = make_graph(
         [(1, 2), (2, 3), (1, 3), (3, 4), (6, 7), (7, 8), (8, 9), (9, 6), (6, 8), (10, 12)],
@@ -247,6 +262,7 @@ def similarity_oracle_inputs():
         ("no-edges", make_graph([], n=6)),
         ("n=1", make_graph([], n=1)),
         ("shuffled-edges", shuffled),
+        ("K20", k20),
     ]
 
 
@@ -309,17 +325,28 @@ def test_similarity_peak_memory_stays_within_parent_bound(monkeypatch, workers):
 def test_similarity_logs_wedges_and_triangles(caplog):
     # K4: ranks 0..3, out-degrees 3, 2, 1, 0 -> 3 + 1 pairs, 4 triangles.
     # Star with hub 0: every edge points from a leaf to the hub, so no
-    # vertex has two out-neighbours and no pair is tested. One chunk or
-    # none: one thread.
+    # vertex has two out-neighbours and no pair is tested. K20: rank = id,
+    # vertex x has 19 - x out-neighbours and pairs min(19 - x, 16) of them,
+    # so vertices 0, 1 and 2 drop C(19, 2) + C(18, 2) + C(17, 2) - 3 C(16, 2)
+    # = 100 of the 1140 triangles, and each kept pair is a triangle. One
+    # chunk or none: one thread.
     k4 = make_graph([(u, v) for u in range(4) for v in range(u + 1, 4)])
     star = make_graph([(0, v) for v in range(1, 40)])
+    k20 = make_graph([(u, v) for u in range(20) for v in range(u + 1, 20)])
     with caplog.at_level("INFO", logger="linepart.graph"):
         common_neighbors_similarity(k4)
         common_neighbors_similarity(star)
+        s = common_neighbors_similarity(k20)
     assert caplog.messages == [
-        "similarity\twedges\t4\ttriangles\t4\tworkers\t1",
-        "similarity\twedges\t0\ttriangles\t0\tworkers\t1",
+        "similarity\tbudget\t16\twedges\t4\tdropped\t0\ttriangles\t4\tworkers\t1",
+        "similarity\tbudget\t16\twedges\t0\tdropped\t0\ttriangles\t0\tworkers\t1",
+        "similarity\tbudget\t16\twedges\t1040\tdropped\t100\ttriangles\t1040\tworkers\t1",
     ]
+    # A K20 triangle {x, a, b} with x < a < b counts iff x keeps b, that is
+    # b <= x + 16. Edge (0, 19) counts none; edge (18, 19) counts x = 3..17,
+    # 15 of its 18 triangles, so its weight is 15 / (19 + 19 - 15 - 2).
+    w = {(int(u), int(v)): x for u, v, x in zip(s.edge_u, s.edge_v, s.edge_w)}
+    assert w[0, 19] == 0.0 and w[18, 19] == 15 / 21
 
 
 @settings(max_examples=30)

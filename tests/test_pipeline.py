@@ -40,8 +40,48 @@ def test_disjoint_cliques_reach_zero_cut():
 def test_converged_state_exits_after_one_pass():
     g = disjoint_cliques(2, 6)
     report = combine(g, PipelineConfig(k=2, alpha=0.0))
-    assert report.converged
+    assert report.converged and report.stop == "converged"
     assert report.iterations == 1
+
+
+def pass_ends(report):
+    """The cut weight at the end of each pass."""
+    return [r.cut_weight for r in report.records[1:] if r.stage == report.records[-1].stage]
+
+
+def test_pass_loop_stops_once_a_pass_stops_paying(caplog):
+    # Passes 2-4 each lower the best pass-end cut by more than 0.1 %;
+    # pass 5 lowers it by 3 of 3286 edges, less than that, and stops the run.
+    g = rmat(10, 8 << 10, seed=0)
+    cfg = PipelineConfig(k=8, alpha=0.05)
+    with caplog.at_level("INFO", logger="linepart.pipeline"):
+        rep = combine(g, cfg)
+    ends = pass_ends(rep)
+    assert rep.stop == "no_gain" and rep.iterations == len(ends) == 5
+    assert not rep.converged
+    eps = pipeline._STOP_GAIN
+    for p in range(1, 4):
+        assert ends[p] < (1 - eps) * min(ends[:p]), ends
+    assert (1 - eps) * min(ends[:4]) <= ends[4] < min(ends[:4])
+    # the best pass end, here the last one, is returned
+    assert cut_weight(g, rep.partition)[0] == min(ends) == ends[-1]
+    assert "final state replaced by best intermediate state" not in rep.warnings
+    assert "combine\tstop\tno_gain\tpasses\t5\treverted\t0" in caplog.messages
+    # capped below that, the same run stops at its cap
+    caplog.clear()
+    with caplog.at_level("INFO", logger="linepart.pipeline"):
+        capped = combine(g, PipelineConfig(k=8, alpha=0.05, max_outer_iters=3))
+    assert (capped.stop, capped.iterations, pass_ends(capped)) == ("cap", 3, ends[:3])
+    assert "combine\tstop\tcap\tpasses\t3\treverted\t0" in caplog.messages
+
+
+def test_pass_loop_never_stops_after_pass_one(monkeypatch):
+    # A stop rule that any pass end meets still lets pass 2 run: pass 1 has
+    # no earlier pass end to be compared with.
+    monkeypatch.setattr(pipeline, "_STOP_GAIN", 1.0)
+    g = rmat(10, 8 << 10, seed=0)
+    rep = combine(g, PipelineConfig(k=8, alpha=0.05))
+    assert (rep.stop, rep.iterations) == ("no_gain", 2)
 
 
 def test_combine_deterministic():
@@ -320,10 +360,20 @@ def test_combine_reports_the_state_it_returns():
     assert rep.final_cut_fraction < pass_ends[-1]
     assert rep.partition == Partition.from_contiguous(rep.ordering, rep.splits, g)
     assert cut_weight(g, rep.partition)[1] == rep.final_cut_fraction
-    # without the revert, the last stage's state is the one returned
+    # The default run stops after a pass that raised the cut, and reverts.
     rep2 = combine(g, PipelineConfig(k=4, alpha=0.05, initial_ordering="random", seed=11))
+    pass_ends = [r.cut_fraction for r in rep2.records if r.stage == "mincut"]
+    assert rep2.stop == "no_gain" and pass_ends[-1] > pass_ends[-2]
+    assert "final state replaced by best intermediate state" in rep2.warnings
+    assert rep2.final_cut_fraction == min(pass_ends) < pass_ends[-1]
     assert rep2.partition == Partition.from_contiguous(rep2.ordering, rep2.splits, g)
-    assert rep2.final_cut_fraction == rep2.records[-1].cut_fraction
+    # without the revert, the last stage's state is the one returned
+    rep3 = combine(g, PipelineConfig(k=4, alpha=0.05, initial_ordering="random", seed=0))
+    pass_ends = [r.cut_fraction for r in rep3.records if r.stage == "mincut"]
+    assert pass_ends[-1] == min(pass_ends)  # the last pass is the best
+    assert "final state replaced by best intermediate state" not in rep3.warnings
+    assert rep3.partition == Partition.from_contiguous(rep3.ordering, rep3.splits, g)
+    assert rep3.final_cut_fraction == rep3.records[-1].cut_fraction
 
 
 def test_combine_keeps_a_balanced_pass_end_over_a_lower_unbalanced_cut():
@@ -413,6 +463,17 @@ def test_combine_properties(case):
             assert rec.cut_weight <= prev * (1 + 1e-12) + 1e-12, rec.row()
         prev = rec.cut_weight
     assert rep.final_cut_fraction <= rep.initial_cut_fraction
+    # why the pass loop stopped
+    last = [r for r in rep.records if r.iteration == rep.iterations]
+    ends = pass_ends(rep)
+    assert rep.converged == (rep.stop == "converged")
+    if not any(r.changed for r in last):
+        assert rep.converged
+    if rep.stop == "no_gain":
+        assert rep.iterations >= 2 and last[-1].balanced
+        assert ends[-1] >= (1 - pipeline._STOP_GAIN) * min(ends[:-1])
+    elif rep.stop == "cap":
+        assert rep.iterations == cfg.max_outer_iters
     again = combine(g, cfg)
     assert again.partition.assignment.tobytes() == rep.partition.assignment.tobytes()
     assert again.ordering.vertex_at.tobytes() == rep.ordering.vertex_at.tobytes()
