@@ -16,9 +16,9 @@ median and quartiles of the ratios, the seeds better, worse and equal, and
 the p-value of an exact two-sided sign test over the unequal seeds. Per
 side it prints the unbalanced outputs and the stage rejections. ``--json
 F`` writes all of it, with the per-seed mean cuts, as one JSON object.
-``--initial affinity`` (or ``random``) replaces every workload's initial
-ordering with that one, so a change to the similarity or the pass schedule
-is judged on all three families from the same kind of start.
+``--initial affinity`` replaces every workload's initial ordering with the
+affinity ordering, so a change to the similarity or the pass schedule is
+judged on all three families from an affinity start.
 
     python3 scripts/quality.py --ref ../linepart-parent [--seeds 20] [--initial affinity] [--json F]
 """
@@ -103,7 +103,7 @@ def main() -> int:
     ap.add_argument("--ref", required=True, metavar="DIR",
                     help="root of the checkout to compare with")
     ap.add_argument("--seeds", type=int, default=20, metavar="N")
-    ap.add_argument("--initial", choices=("random", "affinity"),
+    ap.add_argument("--initial", choices=("affinity",),
                     help="initial ordering of every workload (default: the workload's own)")
     ap.add_argument("--json", metavar="F", help="also write the results as JSON here")
     args = ap.parse_args()

@@ -369,17 +369,14 @@ def common_neighbors_similarity(g: Graph) -> Graph:
     dropped = int((out_deg * (out_deg - 1) - budget * (budget - 1)).sum()) // 2
     # An over-budget list keeps its lowest-ranked arcs, still in id order.
     over = np.flatnonzero(out_deg[owner] > _WEDGE_BUDGET)
-    del out_deg
-    if len(over):
-        slot = np.flatnonzero(up)[over]
-        owner = owner[over]
-        del over
-        by_rank = np.argsort(owner * np.int64(n) + rank[g.adj_indices[slot]])
-        owner = owner[by_rank]  # lists stay grouped, each now by rank
-        late = np.arange(len(owner)) - np.searchsorted(owner, owner) >= _WEDGE_BUDGET
-        up[slot[by_rank[late]]] = False
-        del slot, by_rank, late
-    del owner
+    slot = np.flatnonzero(up)[over]
+    owner = owner[over]
+    del out_deg, over
+    by_rank = np.argsort(owner * np.int64(n) + rank[g.adj_indices[slot]])
+    owner = owner[by_rank]  # lists stay grouped, each now by rank
+    late = np.arange(len(owner)) - np.searchsorted(owner, owner) >= _WEDGE_BUDGET
+    up[slot[by_rank[late]]] = False
+    del owner, slot, by_rank, late
     out_v = g.adj_indices[up]
     out_e = g.adj_edge[up]
     del up
