@@ -339,11 +339,11 @@ def common_neighbors_similarity(g: Graph) -> Graph:
     Triangles are listed by the degree-ordered wedge method (Schank &
     Wagner 2005; Latapy 2008): rank the vertices by (degree, id), orient
     every edge toward its higher-ranked end, and test each pair of a
-    vertex's out-neighbours against the sorted edge keys. The budget
-    (Seshadhri, Pinar & Kolda 2013 bound wedges per vertex the same way):
-    each vertex pairs only its ``_WEDGE_BUDGET`` lowest-ranked
-    out-neighbours, so a triangle counts exactly when its lowest-ranked
-    vertex keeps both other ends. On a graph whose out-degrees are all at
+    vertex's out-neighbours against the sorted edge keys. A per-vertex
+    wedge budget, as in wedge sampling (Seshadhri, Pinar & Kolda 2013) but
+    deterministic, bounds the pairs: each vertex pairs only its
+    ``_WEDGE_BUDGET`` lowest-ranked out-neighbours, so a triangle counts
+    exactly when its lowest-ranked vertex keeps both other ends. On a graph whose out-degrees are all at
     most the budget, t(u, v) = |N(u) & N(v)| and the weight is the exact
     ratio |N(u) & N(v)| / |(N(u) | N(v)) - {u, v}|. The cost is at most
     C(budget, 2) binary searches per vertex, against sum(C(outdeg, 2)).

@@ -3,8 +3,9 @@
 One run weights the graph for affinity, embeds the vertices on a line, sets
 the balanced split points, then repeats the configured stage list until a
 full pass changes neither the ordering nor the splits, a pass after the
-first stops paying (``_STOP_GAIN``), or the iteration cap is hit. Each stage only proposes a new state (``run_stage``); ``combine``
-prices a proposal once, if it changed the state, and enforces the
+first stops paying (``_STOP_GAIN``), or the iteration cap is hit. Each
+stage only proposes a new state (``run_stage``); ``combine`` prices a
+proposal once, if it changed the state, and enforces the
 never-raise rule: the metric stage optimizes the linear-arrangement
 objective and may move the cut either way, while a proposal of any other
 stage that raises the cut is rejected and the previous state kept. The
@@ -110,10 +111,10 @@ class PipelineReport:
     iterations: int
     initial_cut_fraction: float
     final_cut_fraction: float
-    warnings: list[str] = field(default_factory=list)
     # why the pass loop ended: "converged" (a pass changed nothing),
     # "no_gain" (the stop rule of ``combine``) or "cap" (max_outer_iters)
-    stop: str = "cap"
+    stop: str
+    warnings: list[str] = field(default_factory=list)
 
 
 def _state_cut(g: Graph, o: Ordering, s: SplitPoints) -> tuple[float, float, Partition]:
@@ -265,6 +266,6 @@ def combine(g: Graph, cfg: PipelineConfig) -> PipelineReport:
         iterations=iterations,
         initial_cut_fraction=f0,
         final_cut_fraction=final_f,
-        warnings=warnings,
         stop=stop,
+        warnings=warnings,
     )
