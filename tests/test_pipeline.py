@@ -44,7 +44,7 @@ def test_converged_state_exits_after_one_pass():
     assert report.iterations == 1
 
 
-def pass_ends(report):
+def pass_end_cuts(report):
     """The cut weight at the end of each pass."""
     return [r.cut_weight for r in report.records[1:] if r.stage == report.records[-1].stage]
 
@@ -56,7 +56,7 @@ def test_pass_loop_stops_once_a_pass_stops_paying(caplog):
     cfg = PipelineConfig(k=8, alpha=0.05)
     with caplog.at_level("INFO", logger="linepart.pipeline"):
         rep = combine(g, cfg)
-    ends = pass_ends(rep)
+    ends = pass_end_cuts(rep)
     assert rep.stop == "no_gain" and rep.iterations == len(ends) == 5
     assert not rep.converged
     eps = pipeline._STOP_GAIN
@@ -71,7 +71,7 @@ def test_pass_loop_stops_once_a_pass_stops_paying(caplog):
     caplog.clear()
     with caplog.at_level("INFO", logger="linepart.pipeline"):
         capped = combine(g, PipelineConfig(k=8, alpha=0.05, max_outer_iters=3))
-    assert (capped.stop, capped.iterations, pass_ends(capped)) == ("cap", 3, ends[:3])
+    assert (capped.stop, capped.iterations, pass_end_cuts(capped)) == ("cap", 3, ends[:3])
     assert "combine\tstop\tcap\tpasses\t3\treverted\t0" in caplog.messages
 
 
@@ -465,7 +465,7 @@ def test_combine_properties(case):
     assert rep.final_cut_fraction <= rep.initial_cut_fraction
     # why the pass loop stopped
     last = [r for r in rep.records if r.iteration == rep.iterations]
-    ends = pass_ends(rep)
+    ends = pass_end_cuts(rep)
     assert rep.converged == (rep.stop == "converged")
     if not any(r.changed for r in last):
         assert rep.converged
