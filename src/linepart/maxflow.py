@@ -10,16 +10,13 @@ real-valued; residual arcs below a scale-relative epsilon count as
 saturated so float drift cannot stall termination. Each augmenting path
 is a shortest one, found by a BFS that stops once it labels the sink, so
 the number of paths is bounded by the node and arc counts regardless of
-capacity values [Edmonds & Karp, JACM 1972]; the paths of one or two arcs
-are read off the arc lists without a BFS. The last BFS of a completed
+capacity values [Edmonds & Karp, JACM 1972]. The last BFS of a completed
 flow, which no longer reaches the sink, leaves ``level[v] >= 0`` exactly
 on the vertices residual-reachable from the source: the minimal source
 side of a minimum cut.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -73,13 +70,18 @@ class FlowNetwork:
             eps = self.eps
         flow = 0.0
         augmentations = 0
-        level, cap = self.level, self.cap
+        level, to, cap = self.level, self.to, self.cap
         seen: list[int] = []  # the vertices the last BFS labelled
-        for path in self._paths(s, t, seen, eps):
+        while self._bfs(s, t, seen, eps):
             if augmentations == max_augmentations:
                 for v in seen:
                     level[v] = -1
                 return flow, True
+            path = []  # arc indices from t back toward s
+            v = t
+            while v != s:
+                path.append(level[v])
+                v = to[level[v] ^ 1]  # the tail of the arc that reached v
             pushed = min(cap[a] for a in path)
             for a in path:
                 cap[a] -= pushed
@@ -87,33 +89,6 @@ class FlowNetwork:
             flow += pushed
             augmentations += 1
         return flow, False
-
-    def _paths(self, s: int, t: int, seen: list[int], eps: float) -> Iterator[list[int]]:
-        """The augmenting paths, as arc lists, each the first shortest one
-        in arc order on the residual network left by those before it.
-
-        The paths of one arc, s -> t, then of two, s -> v -> t, come first,
-        in the order of s's arcs and then of v's: that is the order in which
-        one BFS per path would find them, and pushing one makes no other
-        path this short nor revives a passed one. So they are read off the
-        arc lists, with no BFS each; on the boundary windows of a power-law
-        graph they are nearly all the paths. A BFS per path finds the rest.
-        """
-        arcs, first, to, cap = self.arcs, self.first, self.to, self.cap
-        out = arcs[first[s] : first[s + 1]]
-        short = [[a] for a in out if to[a] == t]
-        short += [[a, b] for a in out if to[a] not in (s, t)
-                  for b in arcs[first[to[a]] : first[to[a] + 1]] if to[b] == t]
-        for path in short:
-            if all(cap[a] > eps for a in path):
-                yield path
-        while self._bfs(s, t, seen, eps):
-            path = []  # arc indices from t back toward s
-            v = t
-            while v != s:
-                path.append(self.level[v])
-                v = to[self.level[v] ^ 1]  # the tail of the arc that reached v
-            yield path
 
     def _bfs(self, s: int, t: int, seen: list[int], eps: float) -> bool:
         """Label the residual network from s, stopping once t is labelled.

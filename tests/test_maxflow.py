@@ -164,69 +164,3 @@ def test_flow_after_an_exceeded_budget_completes_on_the_same_network():
             assert rest == 0.0
         assert ((np.array(net.level) >= 0) == smallest).all()
     assert retried > 20
-
-
-def reference_edmonds_karp(net, s, t, max_augmentations=None):
-    """One BFS per augmenting path, each the first shortest path in arc
-    order, on ``net``'s own lists; the labels of a spent budget cleared."""
-    eps, flow, paths = net.eps, 0.0, 0
-    while True:
-        reached = {s: None}
-        queue = [s]
-        for u in queue:
-            for a in net.arcs[net.first[u] : net.first[u + 1]]:
-                v = net.to[a]
-                if v not in reached and net.cap[a] > eps:
-                    reached[v] = a
-                    queue.append(v)
-                    if v == t:
-                        break
-            if t in reached:
-                break
-        for v in range(net.n):
-            net.level[v] = -1 if v not in reached else (reached[v] or 0)
-        if t not in reached:
-            return flow, False
-        if paths == max_augmentations:
-            net.level[:] = [-1] * net.n
-            return flow, True
-        path, v = [], t
-        while v != s:
-            path.append(reached[v])
-            v = net.to[reached[v] ^ 1]
-        pushed = min(net.cap[a] for a in path)
-        for a in path:
-            net.cap[a] -= pushed
-            net.cap[a ^ 1] += pushed
-        flow += pushed
-        paths += 1
-
-
-def test_short_paths_pushed_without_a_search_match_one_search_per_path():
-    # the arcs s -> t and s -> v -> t go first, in the order a search per
-    # path finds them: same flow bits, budget verdict, residuals and marks
-    rng = np.random.default_rng(21)
-
-    def capacity(size):
-        return rng.choice([0.5, 1.0, 3.0, 1e-13, 7.25], size)
-
-    short = 0
-    for _ in range(300):
-        n = int(rng.integers(2, 9))
-        arrays = random_network(rng, n, int(rng.integers(0, 4 * n)), capacity)
-        # extra s -> v -> t arcs, some parallel
-        v = rng.integers(1, max(2, n - 1), 3)
-        arrays = tuple(np.concatenate([x, y]) for x, y in zip(arrays, (
-            np.concatenate([[0] * 3, v]), np.concatenate([v, [n - 1] * 3]),
-            capacity(6), np.zeros(6))))
-        keep = arrays[0] != arrays[1]
-        arrays = tuple(x[keep] for x in arrays)
-        for budget in (None, 0, 1, 2, 4):
-            net, ref = FlowNetwork(n, *arrays), FlowNetwork(n, *arrays)
-            got = net.max_flow(0, n - 1, budget)
-            want = reference_edmonds_karp(ref, 0, n - 1, budget)
-            assert got == want and net.cap == ref.cap
-            if not got[1]:
-                assert [x >= 0 for x in net.level] == [x >= 0 for x in ref.level]
-            short += got[0] > 0
-    assert short > 500
