@@ -41,7 +41,7 @@ STAGES = ("metric", "swap", "linopt", "mincut", "dp")
 INITIAL_ORDERINGS = ("random", "hilbert", "affinity")
 
 # A balanced pass end after pass 1 that is not below (1 - _STOP_GAIN) times
-# the lowest earlier pass-end cut stops the pass loop.
+# the lowest earlier balanced pass-end cut stops the pass loop.
 _STOP_GAIN = 1e-3
 
 
@@ -107,14 +107,17 @@ class PipelineReport:
     partition: Partition
     ordering: Ordering
     splits: SplitPoints
-    converged: bool
-    iterations: int
-    initial_cut_fraction: float
-    final_cut_fraction: float
     # why the pass loop ended: "converged" (a pass changed nothing),
     # "no_gain" (the stop rule of ``combine``) or "cap" (max_outer_iters)
     stop: str
+    iterations: int
+    initial_cut_fraction: float
+    final_cut_fraction: float
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
 
 def _state_cut(g: Graph, o: Ordering, s: SplitPoints) -> tuple[float, float, Partition]:
@@ -184,7 +187,7 @@ def combine(g: Graph, cfg: PipelineConfig) -> PipelineReport:
     after a pass that changes neither the ordering nor the splits
     (``converged``); after a pass p >= 2 whose end state is balanced and
     cuts no less than (1 - ``_STOP_GAIN``) times the lowest earlier
-    pass-end cut (``no_gain``); or after ``max_outer_iters`` passes
+    balanced pass-end cut (``no_gain``); or after ``max_outer_iters`` passes
     (``cap``). The final state is, among the initial chop and every
     pass-end state that cuts no more than it, the lowest cut of the
     balanced ones, or of all if none is balanced. So the reported cut never
@@ -212,7 +215,7 @@ def combine(g: Graph, cfg: PipelineConfig) -> PipelineReport:
     best_key = (not bal0, w0)
     best_state = (ordering.copy(), splits.copy(), f0, part0)
     stop = "cap"
-    lowest_end = np.inf  # the lowest pass-end cut so far
+    lowest_end = np.inf  # the lowest balanced pass-end cut so far
     iterations = 0
     for it in range(1, cfg.max_outer_iters + 1):
         iterations = it
@@ -245,10 +248,11 @@ def combine(g: Graph, cfg: PipelineConfig) -> PipelineReport:
         ):
             stop = "converged"
             break
-        if bal and cw >= (1 - _STOP_GAIN) * lowest_end:
-            stop = "no_gain"
-            break
-        lowest_end = min(lowest_end, cw)
+        if bal:
+            if cw >= (1 - _STOP_GAIN) * lowest_end:
+                stop = "no_gain"
+                break
+            lowest_end = min(lowest_end, cw)
 
     final_f, partition = cf, part
     reverted = cw > w0 or (not bal, cw) > best_key
@@ -262,10 +266,9 @@ def combine(g: Graph, cfg: PipelineConfig) -> PipelineReport:
         partition=partition,
         ordering=ordering,
         splits=splits,
-        converged=stop == "converged",
+        stop=stop,
         iterations=iterations,
         initial_cut_fraction=f0,
         final_cut_fraction=final_f,
-        stop=stop,
         warnings=warnings,
     )

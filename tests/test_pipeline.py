@@ -84,6 +84,29 @@ def test_pass_loop_never_stops_after_pass_one(monkeypatch):
     assert (rep.stop, rep.iterations) == ("no_gain", 2)
 
 
+def test_an_unbalanced_pass_end_is_no_bar_for_a_later_balanced_one():
+    # Unequal vertex weights: pass 1 ends unbalanced below the balanced
+    # pass 2. The stop rule compares pass 2 only with earlier balanced pass
+    # ends, of which there are none, so the loop goes on to a balanced cut
+    # below both.
+    rng = np.random.default_rng(266)
+    n = int(rng.integers(20, 60))
+    iu, iv = np.triu_indices(n, 1)
+    pick = rng.random(len(iu)) < 0.15
+    g = make_graph(list(zip(iu[pick].tolist(), iv[pick].tolist())), n=n,
+                   vertex_weights=rng.choice([1.0, 1.0, 2.0, 3.0], n))
+    cfg = PipelineConfig(k=int(rng.integers(2, 6)), alpha=float(rng.choice([0.05, 0.1])),
+                         initial_ordering="random")
+    rep = combine(g, cfg)
+    ends = [r for r in rep.records if r.stage == cfg.stages[-1]]
+    assert not ends[0].balanced and ends[1].balanced
+    assert ends[1].cut_weight > ends[0].cut_weight
+    assert rep.iterations > 2
+    got = cut_weight(g, rep.partition)[0]
+    assert check_balance(g, rep.partition, cfg.alpha).balanced
+    assert got == min(r.cut_weight for r in ends) < ends[0].cut_weight
+
+
 def test_combine_deterministic():
     g = erdos_renyi(80, 0.1, seed=2)
     cfg = PipelineConfig(k=3, alpha=0.1, seed=11)
@@ -463,16 +486,19 @@ def test_combine_properties(case):
             assert rec.cut_weight <= prev * (1 + 1e-12) + 1e-12, rec.row()
         prev = rec.cut_weight
     assert rep.final_cut_fraction <= rep.initial_cut_fraction
-    # why the pass loop stopped
+    # why the pass loop stopped: a balanced pass end stops it when it is
+    # not below (1 - eps) times the lowest earlier balanced pass end
     last = [r for r in rep.records if r.iteration == rep.iterations]
-    ends = pass_end_cuts(rep)
-    assert rep.converged == (rep.stop == "converged")
     if not any(r.changed for r in last):
         assert rep.converged
-    if rep.stop == "no_gain":
-        assert rep.iterations >= 2 and last[-1].balanced
-        assert ends[-1] >= (1 - pipeline._STOP_GAIN) * min(ends[:-1])
-    elif rep.stop == "cap":
+    ends = [r for r in rep.records if r.stage == cfg.stages[-1]]
+    for p, end in enumerate(ends):
+        earlier = [r.cut_weight for r in ends[:p] if r.balanced]
+        stops = end.balanced and bool(earlier) and (
+            end.cut_weight >= (1 - pipeline._STOP_GAIN) * min(earlier))
+        if p < len(ends) - 1 or rep.stop != "converged":
+            assert stops == (rep.stop == "no_gain" and p == len(ends) - 1), p
+    if rep.stop == "cap":
         assert rep.iterations == cfg.max_outer_iters
     again = combine(g, cfg)
     assert again.partition.assignment.tobytes() == rep.partition.assignment.tobytes()
